@@ -11,6 +11,7 @@ small CLI (``streamalign``).
 """
 
 from .alignment import (
+    InvariantViolation,
     Move,
     PrefixAlignment,
     move_cost,
@@ -73,6 +74,7 @@ __all__ = [
     "ExtensionDelta",
     "HeuristicProblem",
     "HeuristicValue",
+    "InvariantViolation",
     "Marking",
     "Move",
     "MoveKind",

@@ -13,6 +13,14 @@ from .petri import Marking, WorkflowNet, fire_sequence, NotEnabledError
 from .spn import MoveKind, SpnTransition
 
 
+class InvariantViolation(RuntimeError):
+    """An internal invariant of the search or the heuristic does not hold.
+
+    Raised explicitly rather than by ``assert``, so the checks also run
+    under ``python -O``.
+    """
+
+
 def move_cost(t: SpnTransition) -> int:
     if t.kind is MoveKind.SYNC:
         return 0

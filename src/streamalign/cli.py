@@ -4,7 +4,9 @@ Subcommands: ``replay`` runs algorithm suites over a replayed stream and
 writes per-event records plus a metrics table, ``align`` prints the two-row
 alignment table for one trace, ``generate`` writes a synthetic log and
 ``validate`` checks workflow-net structure.  Exit codes: 0 ok, 1 usage,
-2 data error, 3 internal invariant violation.
+2 data error (including a model that yields no trace within ``--max-len``),
+3 internal failure (an invariant violation, an exhausted search, branch and
+bound past its depth limit or a state space past its bound).
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from .alignment import render_alignment
+from .alignment import InvariantViolation, render_alignment
 from .engine import EventError, StreamEngine, parse_algorithm, replay_log_as_stream
 from .fileio import DataError, load_net, load_traces, save_traces, write_jsonl
-from .generator import generate_log
+from .generator import GenerationError, generate_log
 from .metrics import compute_metrics, metrics_csv, metrics_text, oracle_costs_by_case
-from .petri import validate_wfnet
+from .petri import StateSpaceTooLarge, validate_wfnet
+from .search import SearchExhausted
+from .simplex import BranchDepthExceeded
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -203,14 +207,19 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:  # DataError, bad flag values, net definition
+    except (ValueError, GenerationError) as exc:  # DataError, flags, net definition
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except AssertionError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
+    except (
+        InvariantViolation,
+        SearchExhausted,
+        BranchDepthExceeded,
+        StateSpaceTooLarge,
+    ) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .alignment import Move, PrefixAlignment, verify_prefix_alignment
+from .alignment import InvariantViolation, Move, PrefixAlignment, verify_prefix_alignment
 from .petri import Marking, WorkflowNet, fire_sequence
 from .search import SearchOutcome, astar_scratch
 from .spn import MoveKind, SyncProductNet, build_spn, extend_spn
@@ -78,6 +78,9 @@ def occ_process_event(
         sum(mv.cost for mv in surviving) + suffix.total_cost,
         suffix.end_marking,
     )
-    assert verify_prefix_alignment(full, state.trace, model)
+    if not verify_prefix_alignment(full, state.trace, model):
+        raise InvariantViolation(
+            f"alignment {full.moves} is not a prefix-alignment of {state.trace}"
+        )
     state.alignment = full
     return full, outcome

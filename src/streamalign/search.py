@@ -6,7 +6,8 @@ region, so cost-so-far values stay valid and only the estimates toward the
 new goal place need refreshing.  ``eager`` refresh recomputes every open
 estimate up front; ``lazy`` refresh marks open states outdated and refreshes
 one state at a time when it is popped, skipping its goal test and expansion
-for that pop.
+for that pop.  Under the ``zero`` heuristic nothing is marked outdated,
+since a zero estimate cannot change.
 
 The returned goal marking is deliberately left in the open set: the next
 extension may grow cheaper continuations through it.
@@ -22,7 +23,13 @@ import time
 from dataclasses import dataclass, field
 from math import inf
 
-from .alignment import PrefixAlignment, move_cost, reconstruct, verify_prefix_alignment
+from .alignment import (
+    InvariantViolation,
+    PrefixAlignment,
+    move_cost,
+    reconstruct,
+    verify_prefix_alignment,
+)
 from .heuristic import estimate
 from .petri import Marking, StateSpaceTooLarge, enumerate_state_space, fire
 from .spn import SyncProductNet
@@ -186,7 +193,8 @@ def _astar(
             cache.open.push(m, cache.g[m] + hv, cache.g[m])
         cache.stale.clear()
     elif refresh == LAZY:
-        cache.stale.update(cache.open.markings())
+        if h_mode != "zero":  # a zero estimate never goes out of date
+            cache.stale.update(cache.open.markings())
     else:
         raise ValueError(f"unknown refresh policy {refresh!r}")
 
@@ -207,7 +215,11 @@ def _astar(
         if spn.is_goal(marking):
             cache.open.push(marking, f, cache.g[marking])  # stays in open
             alignment = reconstruct(cache.p, marking, cache.root)
-            assert alignment.total_cost == cache.g[marking]
+            if alignment.total_cost != cache.g[marking]:
+                raise InvariantViolation(
+                    f"alignment to {marking} costs {alignment.total_cost}, "
+                    f"search cost is {cache.g[marking]}"
+                )
             metrics.wall_time = time.perf_counter() - started
             cache.totals.add_counters(metrics)
             return SearchOutcome(alignment, cache, metrics)
@@ -279,7 +291,11 @@ def astar_inc(
     previous call for the same product net.
     """
     outcome = _astar(spn, cache, h_mode, refresh, record_expansions)
-    assert verify_prefix_alignment(outcome.alignment, spn.trace, spn.model)
+    if not verify_prefix_alignment(outcome.alignment, spn.trace, spn.model):
+        raise InvariantViolation(
+            f"alignment {outcome.alignment.moves} is not a prefix-alignment "
+            f"of {spn.trace}"
+        )
     return outcome
 
 

@@ -1,13 +1,25 @@
 """Exact rational linear programming for the alignment heuristics.
 
-A small dense two-phase simplex over exact rationals (gmpy2's ``mpq`` when
-available, ``fractions.Fraction`` otherwise) with Bland's rule, plus a
-best-bound branch-and-bound wrapper for integer programs.  Problems here are
-tiny (tens of variables), so exactness beats sophistication: no tolerances,
-no presolve, no warm starts.
+A small dense two-phase simplex with Bland's rule, plus a best-bound
+branch-and-bound wrapper for integer programs.  Problems here are tiny (tens
+of variables), so exactness beats sophistication: no tolerances, no presolve,
+no warm starts.
+
+Pivoting is fraction-free (Edmonds 1967; Bareiss 1968).  The tableau holds
+Python ``int``s over one common positive denominator ``d``: the entry it
+stands for is ``T[i][j] / d``.  A pivot on ``p = T[r][c]`` leaves row ``r``
+as it is and sets every other row, objective row included, to
+``(p * T[i][j] - T[i][c] * T[r][j]) // d``; then ``d = p``.  Each such
+division is exact, because by Sylvester's identity every entry is a minor of
+the integer input.  When ``p < 0`` the whole tableau is negated as well, so
+``d`` stays positive and signs read as they would over the rationals.  The
+ratio test cross-multiplies.  Values and vertices are built once at the end
+as exact ``Fraction``s.
 
 All variables are constrained to be non-negative.  Constraint rows are
-``(coefficients, relation, rhs)`` with relation ``"="`` or ``">="``.
+``(coefficients, relation, rhs)`` with relation ``"="`` or ``">="`` and
+``int`` or ``Fraction`` entries; a row with fractions is scaled to integers
+by the common multiple of its denominators.
 """
 
 from __future__ import annotations
@@ -15,11 +27,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-
-try:  # pragma: no cover - exercised implicitly when gmpy2 is installed
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
+from math import lcm
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -39,62 +47,76 @@ class LpResult:
     solution: tuple[Fraction, ...] | None
 
 
-def _to_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    return Fraction(v.numerator, v.denominator) if hasattr(v, "numerator") else Fraction(v)
+def _integral(values: list) -> tuple[list[int], int]:
+    """The values times the least common multiple of their denominators."""
+    if set(map(type, values)) == {int}:
+        return values, 1
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 class _Tableau:
-    """Dense simplex tableau; rows are basic, last column is the rhs."""
+    """Dense integer tableau over the common denominator ``d``.
 
-    def __init__(self, rows: list[list], basis: list[int], ncols: int):
+    Rows are basic, the last column is the rhs.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int], ncols: int):
         self.rows = rows
         self.basis = basis
-        self.ncols = ncols  # structural + slack + artificial columns
+        self.ncols = ncols  # columns that may enter the basis
+        self.d = 1
 
-    def pivot(self, row_idx: int, col: int, obj: list) -> None:
-        zero = _Q(0)
-        row = self.rows[row_idx]
-        factor = row[col]
-        if factor != 1:
-            inv = _Q(1) / factor
-            self.rows[row_idx] = row = [v * inv for v in row]
-        for other in self.rows:
-            if other is row:
+    def pivot(self, r: int, c: int, obj: list[int]) -> None:
+        """Pivot on ``p = rows[r][c]``, updating every row and ``obj`` in place."""
+        d, prow = self.d, self.rows[r]
+        p = prow[c]
+        if p < 0:
+            # with the pivot row negated, the update below yields the
+            # negated tableau over the positive denominator -p
+            prow[:] = [-v for v in prow]
+            p = -p
+        nonzero = [(j, b) for j, b in enumerate(prow) if b]
+        for row in self.rows + [obj]:
+            if row is prow:
                 continue
-            f = other[col]
-            if f != zero:
-                for j in range(len(row)):
-                    other[j] -= f * row[j]
-        f = obj[col]
-        if f != zero:
-            for j in range(len(row)):
-                obj[j] -= f * row[j]
-        self.basis[row_idx] = col
+            f = row[c]
+            if p == d:
+                # (p * a - f * b) // d is a - f * b // d: only the columns
+                # where the pivot row is non-zero change
+                if f:
+                    for j, b in nonzero:
+                        row[j] -= f * b // d
+            elif f:
+                row[:] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            else:
+                row[:] = [p * a // d for a in row]
+        self.d = p
+        self.basis[r] = c
 
-    def minimize(self, obj: list) -> str:
+    def minimize(self, obj: list[int]) -> str:
         """Drive the objective row to optimality with Bland's rule."""
-        zero = _Q(0)
+        basis = self.basis
         while True:
             entering = -1
             for j in range(self.ncols):
-                if obj[j] < zero:
+                if obj[j] < 0:
                     entering = j
                     break
             if entering < 0:
                 return OPTIMAL
             leaving = -1
-            best = None
+            best_rhs = best_a = 0
             for i, row in enumerate(self.rows):
                 a = row[entering]
-                if a > zero:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leaving]
-                    ):
-                        best = ratio
-                        leaving = i
+                if a > 0:
+                    if leaving < 0:
+                        leaving, best_rhs, best_a = i, row[-1], a
+                        continue
+                    # row[-1] / a against best_rhs / best_a, both a > 0
+                    lhs, rhs = row[-1] * best_a, best_rhs * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                        leaving, best_rhs, best_a = i, row[-1], a
             if leaving < 0:
                 return UNBOUNDED
             self.pivot(leaving, entering, obj)
@@ -107,80 +129,57 @@ def solve_lp(objective: list, rows: list[Row]) -> LpResult:
     verdict, or an unboundedness verdict.
     """
     n = len(objective)
-    zero, one = _Q(0), _Q(1)
-
-    conv: list[tuple[list, str, object]] = []
+    n_slack = n_art = 0
     for coeffs, rel, rhs in rows:
         if len(coeffs) != n:
             raise ValueError("row length does not match objective length")
-        if rel not in ("=", ">="):
-            raise ValueError(f"unsupported relation {rel!r}")
-        conv.append(([_Q(c) for c in coeffs], rel, _Q(rhs)))
-
-    # Layout: structural vars | slacks (one per >= row) | artificials.
-    n_slack = sum(1 for _, rel, _ in conv if rel == ">=")
-    slack_base = n
-    art_base = n + n_slack
-
-    work: list[tuple[list, object, int | None]] = []  # (coeffs, rhs, slack col)
-    slack_idx = 0
-    needs_artificial: list[bool] = []
-    for coeffs, rel, rhs in conv:
-        scol = None
         if rel == ">=":
-            scol = slack_base + slack_idx
-            slack_idx += 1
-            if rhs <= zero:
-                # flip so the slack column is +1 and the rhs non-negative:
-                # a.x >= b  <=>  -a.x + s = -b with s >= 0
-                coeffs = [-c for c in coeffs]
-                rhs = -rhs
-                work.append((coeffs, rhs, scol))
-                needs_artificial.append(False)
-                continue
-            # rhs > 0: keep a.x - s = b; the slack cannot start basic
-            work.append((coeffs, rhs, -scol - 1))  # negative marker: coeff -1
-            needs_artificial.append(True)
+            n_slack += 1
+            n_art += rhs > 0
+        elif rel == "=":
+            n_art += 1
         else:
-            if rhs < zero:
-                coeffs = [-c for c in coeffs]
-                rhs = -rhs
-            work.append((coeffs, rhs, scol))
-            needs_artificial.append(True)
+            raise ValueError(f"unsupported relation {rel!r}")
 
-    n_art = sum(needs_artificial)
-    ncols = n + n_slack + n_art
-    rows_out: list[list] = []
+    # Layout: structural vars | slacks (one per >= row) | artificials.  A >=
+    # row with rhs <= 0 is flipped so that its slack can start basic:
+    # a.x >= b  <=>  -a.x + s = -b with s >= 0.  Every other row gets a
+    # non-negative rhs and an artificial; a >= row with rhs > 0 keeps
+    # a.x - s = b, since its slack cannot start basic.
+    art_base = n + n_slack
+    ncols = art_base + n_art
+    pad = [0] * (n_slack + n_art)
+    rows_out: list[list[int]] = []
     basis: list[int] = []
-    art_idx = 0
-    for (coeffs, rhs, scol), needs_art in zip(work, needs_artificial):
-        row = coeffs + [zero] * (n_slack + n_art) + [rhs]
-        if scol is not None:
-            if scol >= 0:
-                row[scol] = one
-            else:
-                row[-scol - 1] = -one
-        if needs_art:
-            acol = art_base + art_idx
-            art_idx += 1
-            row[acol] = one
-            basis.append(acol)
-        else:
+    scol, acol = n, art_base
+    for coeffs, rel, rhs in rows:
+        values = _integral([*coeffs, rhs])[0]
+        ge = rel == ">="
+        flip = rhs <= 0 if ge else rhs < 0
+        if flip:
+            values = [-v for v in values]
+        row = values[:-1] + pad + values[-1:]
+        if ge:
+            row[scol] = 1 if flip else -1
+        if ge and flip:
             basis.append(scol)
+        else:
+            row[acol] = 1
+            basis.append(acol)
+            acol += 1
+        scol += ge
         rows_out.append(row)
 
     tab = _Tableau(rows_out, basis, ncols)
 
     if n_art:
-        phase1 = [zero] * (ncols + 1)
-        for j in range(art_base, art_base + n_art):
-            phase1[j] = one
-        for i, b in enumerate(basis):
-            if b >= art_base:  # make the objective row consistent with the basis
-                for j in range(ncols + 1):
-                    phase1[j] -= tab.rows[i][j]
+        # sum of the artificials, in terms of the non-basic columns: minus the
+        # sum of their rows, with cost 1 - 1 = 0 on the artificial columns
+        art_rows = [row for row, b in zip(rows_out, basis) if b >= art_base]
+        phase1 = [-t for t in map(sum, zip(*art_rows))]
+        phase1[art_base:ncols] = [0] * n_art
         status = tab.minimize(phase1)
-        if status == UNBOUNDED or -phase1[-1] > zero:
+        if status == UNBOUNDED or phase1[-1] < 0:
             return LpResult(INFEASIBLE, None, None)
         # pivot lingering artificials out of the basis, drop redundant rows
         keep: list[int] = []
@@ -190,34 +189,36 @@ def solve_lp(objective: list, rows: list[Row]) -> LpResult:
                 continue
             pivot_col = -1
             for j in range(art_base):
-                if tab.rows[i][j] != zero:
+                if tab.rows[i][j] != 0:
                     pivot_col = j
                     break
             if pivot_col >= 0:
                 tab.pivot(i, pivot_col, phase1)
                 keep.append(i)
             # else: all-zero structural row, redundant; drop it
-        tab.rows = [tab.rows[i] for i in keep]
+        # artificial columns are dead from here on
+        tab.rows = [tab.rows[i][:art_base] + tab.rows[i][-1:] for i in keep]
         tab.basis = [tab.basis[i] for i in keep]
+    tab.ncols = art_base
 
-    tab.ncols = art_base  # artificial columns are dead from here on
-    obj = [_Q(c) for c in objective] + [zero] * (n_slack + n_art) + [zero]
+    # reduced costs of the current basis: d * c - sum of c_b * row
+    costs, scale = _integral(list(objective))
+    d = tab.d
+    obj = [d * c for c in costs] + [0] * (n_slack + 1)
     for i, b in enumerate(tab.basis):
-        if obj[b] != zero:
-            f = obj[b]
-            for j in range(len(obj)):
-                obj[j] -= f * tab.rows[i][j]
+        if b < n and costs[b]:
+            f = costs[b]
+            obj = [a - f * v for a, v in zip(obj, tab.rows[i])]
     status = tab.minimize(obj)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
 
-    x = [zero] * n
+    d = tab.d
+    x = [Fraction(0)] * n
     for i, b in enumerate(tab.basis):
         if b < n:
-            x[b] = tab.rows[i][-1]
-    return LpResult(
-        OPTIMAL, _to_fraction(-obj[-1]), tuple(_to_fraction(v) for v in x)
-    )
+            x[b] = Fraction(tab.rows[i][-1], d)
+    return LpResult(OPTIMAL, Fraction(-obj[-1], d * scale), tuple(x))
 
 
 def _is_integral(value: Fraction) -> bool:

@@ -130,6 +130,8 @@ class SyncProductNet:
     :func:`extend_spn` as the case's events arrive.  The marking universe
     mixes trace place ids (``tp0`` ...) with the model's own place ids, so
     model ids matching the generated pattern are rejected up front.
+    Transitions are registered model moves first and then trace position by
+    trace position; the flow heuristic slices its columns by that order.
     """
 
     def __init__(self, model: WorkflowNet, trace: list[str]):

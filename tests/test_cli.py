@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from streamalign.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from streamalign.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from streamalign.fileio import load_traces, save_net
 from streamalign.metrics import METRIC_FAMILIES
 from streamalign import Marking, WorkflowNet
@@ -124,3 +124,23 @@ def test_unknown_algorithm_is_data_error(capsys, tmp_path):
 def test_unreadable_model_is_data_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", "--model", str(tmp_path / "missing.json"))
     assert code == EXIT_DATA
+
+
+def test_generation_failure_is_data_error(capsys, tmp_path):
+    # parallel-tau has no complete run of length 1
+    code, _, err = run_cli(
+        capsys,
+        "generate", "--model", "parallel-tau", "--max-len", "1", "--traces", "2",
+        "--out", str(tmp_path / "log.jsonl"),
+    )
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_invariant_violation_is_internal_error(capsys, monkeypatch):
+    import streamalign.search
+
+    monkeypatch.setattr(streamalign.search, "verify_prefix_alignment", lambda *args: False)
+    code, _, err = run_cli(capsys, "align", "--model", "n1", "--trace", "a,b")
+    assert code == EXIT_INTERNAL
+    assert err.startswith("internal error: InvariantViolation")

@@ -9,9 +9,12 @@ from streamalign import (
     build_problem,
     build_spn,
     distances_to_goal,
+    enumerate_state_space,
     estimate,
     extend_spn,
     move_cost,
+    solve_ilp,
+    solve_lp,
 )
 from tests.conftest import random_net_and_trace
 
@@ -27,6 +30,46 @@ def test_problem_shape_for_unit_trace(n1):
     # trace token behind the target: constants demand one unit of net flow
     # out of tp0 (rhs -1) and one unit into tp1 (rhs +1)
     assert [rhs for _, rel, rhs in problem.rows if rel == "="] == [-1, 1]
+
+
+def unrestricted_problem(spn, marking):
+    """The flow program over every product-net move and every trace place."""
+    variables = spn.transition_ids()
+    objective = [move_cost(spn.move(t)) for t in variables]
+
+    def row(p):
+        return [spn.postset(t).count(p) - spn.preset(t).count(p) for t in variables]
+
+    rows = [
+        (row(p), "=", (1 if p == spn.goal_place else 0) - marking.get(p))
+        for p in spn.trace_places()
+    ]
+    rows += [(row(p), ">=", -marking.get(p)) for p in spn.model_places()]
+    return objective, rows
+
+
+def test_suffix_program_matches_unrestricted_program():
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(30):
+        net, trace = random_net_and_trace(rng, max_len=5)
+        spn = build_spn(net, trace[:1])
+        for activity in [None] + trace[1:]:
+            if activity is not None:
+                extend_spn(spn, activity)
+            markings, _ = enumerate_state_space(spn, spn.initial, 3000)
+            for m in markings:
+                k = next(i for i, p in enumerate(spn.trace_places()) if m.get(p))
+                problem = build_problem(spn, m)
+                assert problem.n_trace_rows == spn.n - k + 1
+                assert len(problem.variables) < len(spn.transition_ids()) or k == 0
+                objective, rows = unrestricted_problem(spn, m)
+                for solver in (solve_lp, solve_ilp):
+                    mine = solver(list(problem.objective), list(problem.rows))
+                    full = solver(objective, rows)
+                    assert (mine.status, mine.value) == (full.status, full.value), (m, solver)
+                checked += 1
+    assert checked > 500
 
 
 def test_problem_zero_solution_at_goal(n1):

@@ -1,7 +1,11 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import streamalign
 from streamalign import (
     Marking,
     SearchCache,
@@ -203,6 +207,69 @@ def test_deterministic_expansion_order(n1):
                 )
             runs.append((tuple(expansions), tuple(costs), tuple(counters)))
         assert runs[0] == runs[1]
+
+
+def test_zero_estimates_never_go_stale():
+    # A zero estimate cannot change under extension, so lazy refresh has
+    # nothing to recompute and must expand exactly what eager refresh does.
+    rng = random.Random(29)
+    for _ in range(10):
+        net, trace = random_net_and_trace(rng, max_len=5)
+        runs = {}
+        for refresh in (LAZY, EAGER):
+            spn = build_spn(net, trace[:1])
+            cache = SearchCache.fresh(spn)
+            runs[refresh] = []
+            for k, activity in enumerate(trace):
+                if k:
+                    extend_spn(spn, activity)
+                outcome = astar_inc(spn, cache, "zero", refresh, record_expansions=True)
+                if refresh == LAZY:
+                    assert outcome.metrics.heuristic_recomputations == 0
+                    assert not cache.stale
+                runs[refresh].append(
+                    (tuple(outcome.metrics.expansions), outcome.alignment.total_cost)
+                )
+        assert runs[LAZY] == runs[EAGER]
+
+
+OPTIMIZED_CHECK = """
+import sys
+import streamalign.occ as occ
+import streamalign.search as search
+from streamalign import InvariantViolation, SearchCache, build_spn
+from streamalign.assets import ordering_model
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+model = ordering_model()
+for module in (search, occ):
+    module.verify_prefix_alignment = lambda *args: False
+try:
+    spn = build_spn(model, ["a"])
+    search.astar_inc(spn, SearchCache.fresh(spn))
+except InvariantViolation:
+    print("search raised")
+try:
+    occ.occ_process_event(occ.OccState(), model, "a")
+except InvariantViolation:
+    print("occ raised")
+"""
+
+
+def test_invariant_checks_survive_optimized_mode():
+    # The per-event alignment checks must not be assert statements, which
+    # python -O strips: break verification and expect InvariantViolation.
+    src = str(Path(streamalign.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECK],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["search raised", "occ raised"]
 
 
 def test_emitted_alignments_always_verify(n1):

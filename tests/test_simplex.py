@@ -6,6 +6,7 @@ import pytest
 
 from streamalign import solve_ilp, solve_lp
 from streamalign.simplex import BranchDepthExceeded, INFEASIBLE, OPTIMAL, UNBOUNDED
+from tests import reference_simplex
 
 
 def test_single_variable_lower_bound():
@@ -168,25 +169,30 @@ def test_branch_depth_limit():
         solve_ilp([1, 1], [([2, 1], ">=", 1), ([1, 2], ">=", 1)], depth_limit=0)
 
 
-def test_pure_fraction_fallback(monkeypatch):
-    # without gmpy2 the solver must run on fractions.Fraction with identical
-    # results; reload the module with the import blocked, then restore
-    import importlib
-    import sys
+def test_matches_fraction_reference_solver():
+    # The integer tableau must take the same pivots as the Fraction tableau
+    # it replaced: same status, same value and the same vertex, on random
+    # LPs and on random ILPs kept bounded by the box row -sum(x) >= -6.
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        obj = [rng.randint(-1, 5) for _ in range(n)]
+        rows = [
+            ([rng.randint(-3, 3) for _ in range(n)], rng.choice(["=", ">="]), rng.randint(-4, 4))
+            for _ in range(rng.randint(0, 5))
+        ]
+        lp = solve_lp(obj, rows)
+        assert lp == reference_simplex.solve_lp(obj, rows), (obj, rows)
+        boxed = rows + [([-1] * n, ">=", -6)]
+        ilp = solve_ilp(obj, boxed)
+        assert ilp == reference_simplex.solve_ilp(obj, boxed), (obj, boxed)
+        seen.update((lp.status, "ilp " + ilp.status))
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED, "ilp optimal", "ilp infeasible"}
 
-    import streamalign.simplex as simplex_module
 
-    monkeypatch.setitem(sys.modules, "gmpy2", None)
-    importlib.reload(simplex_module)
-    try:
-        assert simplex_module._Q is Fraction
-        result = simplex_module.solve_lp(
-            [1, 1], [([2, 1], ">=", 1), ([1, 2], ">=", 1)]
-        )
-        assert result.value == Fraction(2, 3)
-        assert simplex_module.solve_ilp(
-            [1, 1], [([2, 1], ">=", 1), ([1, 2], ">=", 1)]
-        ).value == 1
-    finally:
-        monkeypatch.delitem(sys.modules, "gmpy2")
-        importlib.reload(simplex_module)
+def test_rational_input_is_scaled_exactly():
+    rows = [([Fraction(1, 2), Fraction(1, 3)], ">=", Fraction(1, 6)), ([1, -1], "=", 0)]
+    result = solve_lp([Fraction(3, 4), 1], rows)
+    assert result == reference_simplex.solve_lp([Fraction(3, 4), 1], rows)
+    assert result.value == Fraction(7, 20)
