@@ -4,7 +4,9 @@ The estimate relaxes reachability to token-flow balance and is solved
 exactly: as a rational program (`lp`), over integers (`ilp`), or switched
 off (`zero`).  Tighter estimates visit fewer states but each value costs a
 solver call; the lazy refresh policy (`ias`) additionally skips recomputing
-estimates that the search never touches again.
+estimates that the search never touches again.  An engine keeps every value
+it solves in a memo shared by its cases, so "solved" counts only the
+programs that no earlier event of any case had solved.
 """
 
 from streamalign import (

@@ -89,9 +89,6 @@ def make_move(t: SpnTransition) -> Move:
     return Move(t, move_cost(t))
 
 
-EMPTY_PREDECESSOR: tuple[None, None] = (None, None)
-
-
 class BrokenPredecessorChain(KeyError):
     pass
 

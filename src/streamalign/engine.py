@@ -5,6 +5,13 @@ case's trace and product net and then continues (``ias``/``iasr``) or
 restarts (``occ``/``occ-wN``) the shortest-path search.  State is never
 evicted: a stream with unboundedly many cases grows the table without limit,
 which the gauges below make observable.
+
+Every search of one engine shares the engine's estimate memo.  A flow
+program depends on the marking's model part and the activities still ahead
+of its trace token, not on the case, so a program one case solved serves
+every case that reaches the same model marking with the same remaining
+activities (see :mod:`streamalign.search`).  The memo lives and dies with
+its engine.
 """
 
 from __future__ import annotations
@@ -147,6 +154,7 @@ class StreamEngine:
         self.heuristic = heuristic
         self.sink = sink
         self.table = CaseTable()
+        self.memo: dict = {}  # flow-program values shared by all cases
 
     def process_event(self, event: Event) -> EventResult | EventError:
         outcome = self._handle(event)
@@ -165,7 +173,7 @@ class StreamEngine:
             if entry.occ is None:
                 entry.occ = OccState(window=self.window)
             alignment, outcome = occ_process_event(
-                entry.occ, self.model, activity, self.heuristic
+                entry.occ, self.model, activity, self.heuristic, self.memo
             )
             entry.trace.append(activity)
             entry.alignment = alignment
@@ -178,7 +186,9 @@ class StreamEngine:
             extend_spn(entry.spn, activity)
         entry.trace.append(activity)
         refresh = LAZY if self.kind == "ias" else EAGER
-        outcome = astar_inc(entry.spn, entry.cache, self.heuristic, refresh)
+        outcome = astar_inc(
+            entry.spn, entry.cache, self.heuristic, refresh, memo=self.memo
+        )
         entry.cache = outcome.cache
         entry.alignment = outcome.alignment
         return EventResult(

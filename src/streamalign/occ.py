@@ -61,9 +61,17 @@ def revert_alignment(
 
 
 def occ_process_event(
-    state: OccState, model: WorkflowNet, activity: str, h_mode: str = "ilp"
+    state: OccState,
+    model: WorkflowNet,
+    activity: str,
+    h_mode: str = "ilp",
+    memo: dict | None = None,
 ) -> tuple[PrefixAlignment, SearchOutcome]:
-    """Extend the case by one event and recompute its prefix-alignment."""
+    """Extend the case by one event and recompute its prefix-alignment.
+
+    ``memo`` is an optional estimate memo for ``model``, as in
+    :func:`~streamalign.search.astar_inc`.
+    """
     if state.spn is None:
         state.spn = build_spn(model, [activity])
     else:
@@ -71,7 +79,7 @@ def occ_process_event(
     state.trace.append(activity)
 
     surviving, restart = revert_alignment(state.spn, state.alignment, state.window)
-    outcome = astar_scratch(state.spn, h_mode, start=restart)
+    outcome = astar_scratch(state.spn, h_mode, start=restart, memo=memo)
     suffix = outcome.alignment
     full = PrefixAlignment(
         surviving + suffix.moves,

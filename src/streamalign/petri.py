@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-import networkx as nx
-
 SILENT = None  # label of an invisible transition
 
 
@@ -36,10 +34,6 @@ class NotEnabledError(RuntimeError):
             f"transition {transition!r} is not enabled{where}: "
             f"place {missing_place!r} holds no token"
         )
-
-
-def is_silent(label: str | None) -> bool:
-    return label is None
 
 
 class Marking:
@@ -234,8 +228,7 @@ def validate_wfnet(net: WorkflowNet) -> ValidationReport:
     Violations are returned, not raised: unique source place (no incoming
     arcs), unique sink place (no outgoing arcs), source distinct from sink,
     initial/final markings equal to one token on source/sink, and every node
-    on a directed path from source to sink (checked as a single strongly
-    connected component after adding a sink-to-source arc).
+    on a directed path from source to sink.
     """
     out: list[Violation] = []
     sources = [p for p in net.places if not net.place_preset(p)]
@@ -264,21 +257,33 @@ def validate_wfnet(net: WorkflowNet) -> ValidationReport:
         )
 
     if source is not None and sink is not None and source != sink:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(net.places)
-        graph.add_nodes_from(net.transitions)
-        graph.add_edges_from(net.arcs)
-        graph.add_edge(sink, source)  # short circuit: on-path == one SCC
-        component = next(
-            c for c in nx.strongly_connected_components(graph) if source in c
-        )
-        off_path = sorted(set(graph.nodes) - component)
-        for node in off_path:
+        # The source has no incoming arc, so with a sink-to-source arc added
+        # its strongly connected component is exactly the source plus every
+        # node that is reachable from the source and reaches the sink.
+        successors: dict[str, list[str]] = {n: [] for n in net.places + net.transitions}
+        predecessors: dict[str, list[str]] = {n: [] for n in successors}
+        for src, tgt in net.arcs:
+            successors[src].append(tgt)
+            predecessors[tgt].append(src)
+        on_path = {source} | (_reach(source, successors) & _reach(sink, predecessors))
+        for node in sorted(successors.keys() - on_path):
             out.append(
                 Violation("not-on-path", (node,), f"node {node!r} is not on a path from {source!r} to {sink!r}")
             )
 
     return ValidationReport(tuple(out))
+
+
+def _reach(start: str, neighbours: Mapping[str, list[str]]) -> set[str]:
+    """Every node reachable from ``start`` along ``neighbours``, itself included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for n in neighbours[stack.pop()]:
+            if n not in seen:
+                seen.add(n)
+                stack.append(n)
+    return seen
 
 
 def enabled(net, marking: Marking, transition: str) -> bool:

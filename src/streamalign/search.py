@@ -12,6 +12,20 @@ since a zero estimate cannot change.
 The returned goal marking is deliberately left in the open set: the next
 extension may grow cheaper continuations through it.
 
+Callers may pass a ``memo``, a dict of estimates shared by every search of
+one model.  The flow program of a marking whose trace token sits on
+``tp{k}`` is determined by the mode, the marking's model part and the
+remaining activities ``trace[k:]``: its columns are the model moves plus,
+per remaining position, a log move and one synchronous move per model
+transition with that label, its trace rows have right-hand sides
+``-1, 0, ..., 0, 1`` and its model rows ``-m(p)``.  Its value is therefore
+the same in every case, at every position and on every net version, and the
+memo keys it by exactly those three things.  A memo serves one model.  It
+keeps at most :data:`MEMO_ENTRIES` values and evicts the oldest first;
+``lps_solved`` counts only the programs actually solved.  Markings without
+exactly one trace token bypass the memo, so the heuristic still rejects
+them.  Under ``zero`` no estimate is asked for at all.
+
 :func:`dijkstra_oracle` is an independent uniform-cost sweep used as a test
 oracle; it shares nothing with the A* machinery except the net semantics.
 """
@@ -32,7 +46,9 @@ from .alignment import (
 )
 from .heuristic import estimate
 from .petri import Marking, StateSpaceTooLarge, enumerate_state_space, fire
-from .spn import SyncProductNet
+from .spn import SyncProductNet, trace_position
+
+MEMO_ENTRIES = 2**14  # estimates one memo keeps before evicting the oldest
 
 
 class SearchExhausted(RuntimeError):
@@ -158,12 +174,31 @@ class SearchOutcome:
     metrics: SearchMetrics
 
 
+def memo_key(spn: SyncProductNet, marking: Marking, h_mode: str) -> tuple | None:
+    """(mode, model part, remaining activities) of a marking, which fix its
+    flow program; None unless the marking holds exactly one trace token."""
+    k = None
+    model_part = []
+    for item in marking.items:
+        i = trace_position(item[0])
+        if i is None:
+            model_part.append(item)
+        elif k is not None or item[1] != 1:
+            return None
+        else:
+            k = i
+    if k is None:
+        return None
+    return h_mode, tuple(model_part), tuple(spn.trace[k:])
+
+
 def _astar(
     spn: SyncProductNet,
     cache: SearchCache,
     h_mode: str,
     refresh: str,
     record_expansions: bool = False,
+    memo: dict | None = None,
 ) -> SearchOutcome:
     started = time.perf_counter()
     metrics = SearchMetrics()
@@ -172,10 +207,21 @@ def _astar(
         cache._seed_pending = False
 
     def fresh_h(marking: Marking):
-        value = estimate(spn, marking, h_mode)
-        if h_mode != "zero":
-            metrics.lps_solved += 1
-        return inf if value.infeasible else value.value
+        if h_mode == "zero":
+            return 0
+        key = None if memo is None else memo_key(spn, marking, h_mode)
+        if key is not None:
+            value = memo.get(key)
+            if value is not None:
+                return value
+        result = estimate(spn, marking, h_mode)
+        metrics.lps_solved += 1
+        value = inf if result.infeasible else result.value
+        if key is not None:
+            if len(memo) >= MEMO_ENTRIES:
+                del memo[next(iter(memo))]
+            memo[key] = value
+        return value
 
     def refresh_h(marking: Marking, log_regression: bool = True):
         old = cache.h.get(marking)
@@ -284,13 +330,15 @@ def astar_inc(
     h_mode: str = "ilp",
     refresh: str = LAZY,
     record_expansions: bool = False,
+    memo: dict | None = None,
 ) -> SearchOutcome:
     """Continue the case's search after (at most) one extension.
 
     The cache must be freshly initialized or be the untouched result of the
-    previous call for the same product net.
+    previous call for the same product net.  ``memo`` is an optional
+    estimate memo for the net's model (see the module docstring).
     """
-    outcome = _astar(spn, cache, h_mode, refresh, record_expansions)
+    outcome = _astar(spn, cache, h_mode, refresh, record_expansions, memo)
     if not verify_prefix_alignment(outcome.alignment, spn.trace, spn.model):
         raise InvariantViolation(
             f"alignment {outcome.alignment.moves} is not a prefix-alignment "
@@ -304,10 +352,11 @@ def astar_scratch(
     h_mode: str = "ilp",
     start: Marking | None = None,
     record_expansions: bool = False,
+    memo: dict | None = None,
 ) -> SearchOutcome:
     """One-shot search from ``start`` (default: the initial marking)."""
     cache = SearchCache.fresh(spn, start)
-    return _astar(spn, cache, h_mode, EAGER, record_expansions)
+    return _astar(spn, cache, h_mode, EAGER, record_expansions, memo)
 
 
 def dijkstra_oracle(

@@ -25,10 +25,21 @@ from .petri import (
 SKIP = ">>"
 
 _RESERVED_ID = re.compile(r"^t[pt][0-9]+$")
+_TRACE_PLACE = re.compile(r"tp([0-9]+)")
 
 
 def trace_place(i: int) -> str:
     return f"tp{i}"
+
+
+def trace_position(place: str) -> int | None:
+    """The position ``i`` of trace place ``tp{i}``, None for a model place.
+
+    Model ids matching the generated pattern are rejected when a product net
+    is built, so the name alone tells the two parts of a marking apart.
+    """
+    m = _TRACE_PLACE.fullmatch(place)
+    return int(m.group(1)) if m else None
 
 
 def trace_transition(i: int) -> str:
@@ -51,10 +62,6 @@ class SpnTransition:
     model_transition: str | None  # model transition id, None for log moves
     activity: str | None  # observed activity, None for model moves
     model_label: str | None  # label of the model transition, None for log moves
-
-    @property
-    def is_silent_model(self) -> bool:
-        return self.kind is MoveKind.MODEL and self.model_label is None
 
     def label_pair(self) -> tuple[str, str]:
         """The move's label pair: observed activity over model label."""

@@ -2,15 +2,26 @@ import random
 
 import pytest
 
+import streamalign.search as search
 from streamalign import (
     Event,
     EventError,
     EventResult,
+    Marking,
+    OccState,
+    SearchCache,
     StreamEngine,
+    astar_inc,
+    astar_scratch,
     build_spn,
     dijkstra_oracle,
+    extend_spn,
+    generate_log,
+    occ_process_event,
+    parse_algorithm,
     replay_log_as_stream,
 )
+from streamalign.search import EAGER, LAZY, memo_key
 from tests.conftest import random_net_and_trace
 
 
@@ -161,8 +172,6 @@ def test_jsonl_sink_writes_canonical_lines(n1, tmp_path):
 
 
 def test_occ_window_algorithms_parse():
-    from streamalign import parse_algorithm
-
     assert parse_algorithm("ias") == ("ias", None)
     assert parse_algorithm("iasr") == ("iasr", None)
     assert parse_algorithm("occ") == ("occ", None)
@@ -171,3 +180,122 @@ def test_occ_window_algorithms_parse():
         parse_algorithm("occ-w0")
     with pytest.raises(ValueError):
         parse_algorithm("bogus")
+
+
+# -- the engine's estimate memo ------------------------------------------------
+
+NOISE = {"swap_p": 0.15, "drop_p": 0.1, "insert_p": 0.1}
+
+
+def memoless_replay(model, events, algorithm, heuristic):
+    """Per-event outcomes of the engine's searches, called without a memo."""
+    kind, window = parse_algorithm(algorithm)
+    cases, outcomes = {}, []
+    for event in events:
+        if kind == "occ":
+            state = cases.setdefault(event.case_id, OccState(window=window))
+            alignment, outcome = occ_process_event(state, model, event.activity, heuristic)
+        else:
+            if event.case_id not in cases:
+                spn = build_spn(model, [event.activity])
+                cases[event.case_id] = (spn, SearchCache.fresh(spn))
+            else:
+                extend_spn(cases[event.case_id][0], event.activity)
+            spn, cache = cases[event.case_id]
+            refresh = LAZY if kind == "ias" else EAGER
+            outcome = astar_inc(spn, cache, heuristic, refresh)
+            alignment = outcome.alignment
+        outcomes.append((alignment, outcome.metrics))
+    return outcomes
+
+
+@pytest.mark.parametrize("heuristic", ["lp", "ilp"])
+@pytest.mark.parametrize("algorithm", ["ias", "iasr", "occ-w1"])
+def test_memo_changes_nothing_but_the_programs_solved(preset_models, algorithm, heuristic):
+    for seed, model in enumerate(preset_models.values(), start=11):
+        events = replay_log_as_stream(generate_log(model, 12, NOISE, max_len=8, seed=seed))
+        engine = StreamEngine(model, algorithm, heuristic)
+        with_memo = engine.run(events)
+        without = memoless_replay(model, events, algorithm, heuristic)
+        for result, (alignment, metrics) in zip(with_memo, without):
+            assert result.cost == alignment.total_cost
+            assert result.alignment.to_records() == alignment.to_records()
+            for counter in ("queued", "visited", "reopened", "heuristic_recomputations"):
+                assert getattr(result.metrics, counter) == getattr(metrics, counter)
+            assert result.metrics.lps_solved <= metrics.lps_solved
+        assert engine.memo
+        assert sum(r.metrics.lps_solved for r in with_memo) < sum(m.lps_solved for _, m in without)
+
+
+class AuditedMemo(dict):
+    """A memo that never hits: each would-be hit is solved again and compared."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        self.hits += key in self
+        return default
+
+    def __setitem__(self, key, value):
+        if key in self:
+            assert self[key] == value, f"memo holds {self[key]} for {key}, solved {value}"
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("algorithm", ["ias", "occ-w1"])
+def test_memo_hits_equal_freshly_solved_values(preset_models, algorithm):
+    for seed, model in enumerate(preset_models.values(), start=21):
+        for heuristic in ("lp", "ilp"):
+            engine = StreamEngine(model, algorithm, heuristic)
+            engine.memo = AuditedMemo()
+            engine.run(replay_log_as_stream(generate_log(model, 12, NOISE, seed=seed)))
+            assert engine.memo.hits > 0
+
+
+def test_engines_share_no_memo_entries(preset_models):
+    model = preset_models["choice-loop"]
+    events = replay_log_as_stream(generate_log(model, 5, NOISE, seed=31))
+    first, second = StreamEngine(model), StreamEngine(model)
+    first.run(events)
+    assert first.memo and not second.memo
+    second.run(events)
+    assert first.memo.keys() == second.memo.keys() and first.memo is not second.memo
+
+
+def test_memo_stays_within_its_bound(preset_models, monkeypatch):
+    model = preset_models["parallel-tau"]
+    events = replay_log_as_stream(generate_log(model, 10, NOISE, seed=37))
+    unbounded = StreamEngine(model).run(events)
+    monkeypatch.setattr(search, "MEMO_ENTRIES", 4)
+    engine = StreamEngine(model)
+    sizes = []
+    for event, expected in zip(events, unbounded):
+        result = engine.process_event(event)
+        sizes.append(len(engine.memo))
+        assert result.alignment.to_records() == expected.alignment.to_records()
+        assert result.metrics.visited == expected.metrics.visited
+    assert max(sizes) == 4
+
+
+def test_marking_without_a_trace_token_still_raises(n1):
+    spn = build_spn(n1, ["a"])
+    model_only = Marking.of(*n1.initial.places())
+    assert memo_key(spn, model_only, "ilp") is None
+    assert memo_key(spn, Marking.of("tp0", "tp1", "p1"), "ilp") is None
+    assert memo_key(spn, Marking.of("tp0", "p1"), "ilp") == ("ilp", (("p1", 1),), ("a",))
+    with pytest.raises(ValueError, match="trace token"):
+        astar_scratch(spn, "ilp", start=model_only, memo={})
+
+
+def test_zero_heuristic_asks_for_no_estimate(preset_models, monkeypatch):
+    model = preset_models["choice-loop"]
+    events = replay_log_as_stream(generate_log(model, 10, NOISE, seed=41))
+    exact = [r.cost for r in StreamEngine(model, "ias", "ilp").run(events)]
+    calls = []
+    real = search.estimate
+    monkeypatch.setattr(search, "estimate", lambda *args: calls.append(args) or real(*args))
+    for algorithm in ("ias", "iasr", "occ"):
+        results = StreamEngine(model, algorithm, "zero").run(events)
+        assert [r.cost for r in results] == exact
+        assert sum(r.metrics.lps_solved for r in results) == 0
+    assert calls == []

@@ -1,6 +1,11 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import streamalign
 
 from streamalign import (
     Marking,
@@ -137,3 +142,69 @@ def test_enumerate_state_space_n1(n1):
     markings, edges = enumerate_state_space(n1, n1.initial)
     assert set(markings) == {Marking.of("p1"), Marking.of("p2"), Marking.of("p3")}
     assert len(edges) == 4  # t1, t2 from p1; t3, t4 from p2
+
+
+def scc_off_path(net: WorkflowNet) -> list[str] | None:
+    """Nodes outside the source's strongly connected component once a
+    sink-to-source arc is added; None without a distinct unique source and sink."""
+    nx = pytest.importorskip("networkx")
+    sources = [p for p in net.places if not net.place_preset(p)]
+    sinks = [p for p in net.places if not net.place_postset(p)]
+    if len(sources) != 1 or len(sinks) != 1 or sources == sinks:
+        return None
+    graph = nx.DiGraph()
+    graph.add_nodes_from(net.places + net.transitions)
+    graph.add_edges_from(net.arcs)
+    graph.add_edge(sinks[0], sources[0])
+    component = next(c for c in nx.strongly_connected_components(graph) if sources[0] in c)
+    return sorted(set(graph.nodes) - component)
+
+
+def random_arbitrary_net(rng: random.Random) -> WorkflowNet:
+    """Random bipartite nets, mostly malformed: any arc may be present, but
+    arcs into the first place and out of the last one are rare."""
+    places = [f"q{i}" for i in range(rng.randint(1, 6))]
+    transitions = [f"t{i}" for i in range(rng.randint(0, 6))]
+    density = rng.uniform(0.2, 0.6)
+    arcs = [
+        arc
+        for p in places
+        for t in transitions
+        for arc in ((p, t), (t, p))
+        if rng.random() < (density / 10 if arc in ((t, places[0]), (places[-1], t)) else density)
+    ]
+    labels = {t: rng.choice(["a", "b", None]) for t in transitions}
+    return WorkflowNet(
+        places, transitions, arcs, labels, Marking.of(places[0]), Marking.of(places[-1])
+    )
+
+
+def test_on_path_check_matches_strongly_connected_component():
+    rng = random.Random(53)
+    compared = off_path = 0
+    for k in range(5000):
+        net = make_random_wfnet(rng) if k % 5 == 0 else random_arbitrary_net(rng)
+        if net is None:
+            continue
+        expected = scc_off_path(net)
+        if expected is None:
+            continue
+        report = validate_wfnet(net)
+        assert [v.nodes[0] for v in report.violations if v.rule == "not-on-path"] == expected
+        compared += 1
+        off_path += bool(expected)
+    assert compared > 1000 and off_path > 300
+
+
+def test_import_leaves_networkx_out():
+    src = str(Path(streamalign.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, streamalign, streamalign.cli; print('networkx' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
