@@ -1,8 +1,9 @@
-"""Prefix-alignments: moves, costs, reconstruction and checking.
+"""Prefix-alignments: reconstruction, checking and rendering.
 
 Costs follow the standard cost function: synchronous moves and silent model
 moves are free, log moves and visible model moves cost one.  Costs are exact
-integers throughout.
+integers throughout.  :class:`Move` and :func:`move_cost` live with the
+product net's move table (:mod:`streamalign.spn`) and are re-exported here.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .petri import Marking, WorkflowNet, fire_sequence, NotEnabledError
-from .spn import MoveKind, SpnTransition
+from .spn import Move, MoveKind, SpnTransition, move_cost
 
 
 class InvariantViolation(RuntimeError):
@@ -19,34 +20,6 @@ class InvariantViolation(RuntimeError):
     Raised explicitly rather than by ``assert``, so the checks also run
     under ``python -O``.
     """
-
-
-def move_cost(t: SpnTransition) -> int:
-    if t.kind is MoveKind.SYNC:
-        return 0
-    if t.kind is MoveKind.MODEL and t.model_label is None:
-        return 0
-    return 1
-
-
-@dataclass(frozen=True)
-class Move:
-    transition: SpnTransition
-    cost: int
-
-    @property
-    def kind(self) -> MoveKind:
-        return self.transition.kind
-
-    def display(self) -> tuple[str, str]:
-        return self.transition.display()
-
-    def to_record(self) -> dict:
-        return {
-            "kind": self.transition.kind.value,
-            "activity": self.transition.activity,
-            "transition": self.transition.model_transition,
-        }
 
 
 @dataclass(frozen=True)
@@ -94,14 +67,16 @@ class BrokenPredecessorChain(KeyError):
 
 
 def reconstruct(
-    predecessors: dict[Marking, tuple[SpnTransition | None, Marking | None]],
+    predecessors: dict[Marking, tuple[Move | None, Marking | None]],
     goal: Marking,
     initial: Marking,
 ) -> PrefixAlignment:
     """Walk the predecessor map back from the goal and emit moves in order.
 
-    The chain must terminate at the initial marking, which maps to the null
-    sentinel ``(None, None)``.
+    Each entry maps a marking to the move that reached it and the marking
+    it was fired from.  The chain must terminate at the initial marking,
+    which maps to the null sentinel ``(None, None)``.  The returned
+    alignment holds the map's own :class:`Move` objects.
     """
     moves: list[Move] = []
     current = goal
@@ -110,14 +85,14 @@ def reconstruct(
             raise BrokenPredecessorChain(
                 f"marking {current} has no predecessor entry"
             )
-        transition, previous = predecessors[current]
-        if transition is None:
+        move, previous = predecessors[current]
+        if move is None:
             if current != initial:
                 raise BrokenPredecessorChain(
                     f"chain ends at {current}, expected initial {initial}"
                 )
             break
-        moves.append(make_move(transition))
+        moves.append(move)
         current = previous
     moves.reverse()
     return PrefixAlignment(tuple(moves), sum(m.cost for m in moves), goal)

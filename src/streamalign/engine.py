@@ -10,22 +10,25 @@ Every search of one engine shares the engine's estimate memo.  A flow
 program depends on the marking's model part and the activities still ahead
 of its trace token, not on the case, so a program one case solved serves
 every case that reaches the same model marking with the same remaining
-activities (see :mod:`streamalign.search`).  The memo lives and dies with
-its engine.
+activities (see :mod:`streamalign.search`).  Every product net of one
+engine is likewise built on the engine's move table (``engine.moves``, see
+:mod:`streamalign.spn`), so each move exists once however many cases reach
+it; building the table validates the model.  The memo and the table live
+and die with their engine.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .alignment import PrefixAlignment
 from .heuristic import MODES
 from .occ import OccState, occ_process_event
-from .petri import WorkflowNet, validate_wfnet
+from .petri import WorkflowNet
 from .search import EAGER, LAZY, SearchCache, SearchMetrics, astar_inc
-from .spn import SyncProductNet, build_spn, extend_spn
+from .spn import MoveTable, SyncProductNet, build_spn, extend_spn
 
 ALGORITHMS = ("ias", "iasr", "occ")
 _OCC_W = re.compile(r"^occ-w([0-9]+)$")
@@ -93,11 +96,11 @@ class EventError:
 
 @dataclass
 class CaseEntry:
-    trace: list[str] = field(default_factory=list)
+    """One case's state: its product net and search cache, or its ``occ`` state."""
+
     spn: SyncProductNet | None = None
     cache: SearchCache | None = None
     occ: OccState | None = None
-    alignment: PrefixAlignment | None = None  # kept for output convenience
 
 
 class CaseTable:
@@ -118,12 +121,12 @@ class CaseTable:
         """Coarse growth gauge over all cached per-case state."""
         total = 0
         for entry in self.cases.values():
-            total += 64 * len(entry.trace)
             spn = entry.spn if entry.spn is not None else (
                 entry.occ.spn if entry.occ is not None else None
             )
             if spn is not None:
-                total += 128 * len(spn.transitions)
+                total += 64 * spn.n
+                total += 128 * len(spn.transition_ids())
             if entry.cache is not None:
                 cache = entry.cache
                 total += sum(48 + 32 * len(m.items) for m in cache.g)
@@ -143,9 +146,7 @@ class StreamEngine:
         heuristic: str = "ilp",
         sink=None,
     ):
-        report = validate_wfnet(model)
-        if not report.ok:
-            raise ValueError(f"model is not a workflow net:\n{report}")
+        self.moves = MoveTable(model)  # validates; moves shared by all cases
         if heuristic not in MODES:
             raise ValueError(f"unknown heuristic mode {heuristic!r}")
         self.model = model
@@ -173,24 +174,20 @@ class StreamEngine:
             if entry.occ is None:
                 entry.occ = OccState(window=self.window)
             alignment, outcome = occ_process_event(
-                entry.occ, self.model, activity, self.heuristic, self.memo
+                entry.occ, self.model, activity, self.heuristic, self.memo, self.moves
             )
-            entry.trace.append(activity)
-            entry.alignment = alignment
             return EventResult(event.case_id, event.index, activity, alignment, outcome.metrics)
 
         if entry.spn is None:
-            entry.spn = build_spn(self.model, [activity])
+            entry.spn = build_spn(self.model, [activity], self.moves)
             entry.cache = SearchCache.fresh(entry.spn)
         else:
             extend_spn(entry.spn, activity)
-        entry.trace.append(activity)
         refresh = LAZY if self.kind == "ias" else EAGER
         outcome = astar_inc(
             entry.spn, entry.cache, self.heuristic, refresh, memo=self.memo
         )
         entry.cache = outcome.cache
-        entry.alignment = outcome.alignment
         return EventResult(
             event.case_id, event.index, activity, outcome.alignment, outcome.metrics
         )

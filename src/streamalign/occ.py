@@ -12,20 +12,19 @@ the optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .alignment import InvariantViolation, Move, PrefixAlignment, verify_prefix_alignment
 from .petri import Marking, WorkflowNet, fire_sequence
 from .search import SearchOutcome, astar_scratch
-from .spn import MoveKind, SyncProductNet, build_spn, extend_spn
+from .spn import MoveKind, MoveTable, SyncProductNet, build_spn, extend_spn
 
 
 @dataclass
 class OccState:
-    """Per-case state: the growing trace, its product net, the last result."""
+    """Per-case state: the product net of the growing trace, the last result."""
 
     window: int | None = None  # None = unbounded
-    trace: list[str] = field(default_factory=list)
     spn: SyncProductNet | None = None
     alignment: PrefixAlignment | None = None
 
@@ -66,17 +65,18 @@ def occ_process_event(
     activity: str,
     h_mode: str = "ilp",
     memo: dict | None = None,
+    table: MoveTable | None = None,
 ) -> tuple[PrefixAlignment, SearchOutcome]:
     """Extend the case by one event and recompute its prefix-alignment.
 
     ``memo`` is an optional estimate memo for ``model``, as in
-    :func:`~streamalign.search.astar_inc`.
+    :func:`~streamalign.search.astar_inc`, and ``table`` an optional move
+    table of ``model``, as in :func:`~streamalign.spn.build_spn`.
     """
     if state.spn is None:
-        state.spn = build_spn(model, [activity])
+        state.spn = build_spn(model, [activity], table)
     else:
         extend_spn(state.spn, activity)
-    state.trace.append(activity)
 
     surviving, restart = revert_alignment(state.spn, state.alignment, state.window)
     outcome = astar_scratch(state.spn, h_mode, start=restart, memo=memo)
@@ -86,9 +86,9 @@ def occ_process_event(
         sum(mv.cost for mv in surviving) + suffix.total_cost,
         suffix.end_marking,
     )
-    if not verify_prefix_alignment(full, state.trace, model):
+    if not verify_prefix_alignment(full, state.spn.trace, model):
         raise InvariantViolation(
-            f"alignment {full.moves} is not a prefix-alignment of {state.trace}"
+            f"alignment {full.moves} is not a prefix-alignment of {state.spn.trace}"
         )
     state.alignment = full
     return full, outcome

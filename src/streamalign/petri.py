@@ -58,6 +58,19 @@ class Marking:
         self._hash = hash(self.items)
 
     @classmethod
+    def _trusted(cls, counts: dict[str, int]) -> "Marking":
+        """A marking over ``counts`` without the public checks.
+
+        The caller guarantees that every count is positive and hands the
+        dict over: the marking keeps it, so it must not change afterwards.
+        """
+        marking = object.__new__(cls)
+        marking._map = counts
+        marking.items = tuple(sorted(counts.items()))
+        marking._hash = hash(marking.items)
+        return marking
+
+    @classmethod
     def of(cls, *places: str) -> "Marking":
         counts: dict[str, int] = {}
         for p in places:
@@ -302,17 +315,19 @@ def fire(net, marking: Marking, transition: str) -> Marking:
     The input marking is left untouched.  Self-loop places (in both the
     pre- and postset) keep their count.
     """
-    if not net.has_transition(transition):
-        raise UnknownNodeError(transition)
-    counts = dict(marking.items)
-    for p in net.preset(transition):
+    pre = net.preset(transition)  # raises UnknownNodeError for unknown ids
+    counts = dict(marking._map)
+    for p in pre:
         c = counts.get(p, 0)
         if c <= 0:
             raise NotEnabledError(transition, p)
-        counts[p] = c - 1
+        if c == 1:
+            del counts[p]
+        else:
+            counts[p] = c - 1
     for p in net.postset(transition):
         counts[p] = counts.get(p, 0) + 1
-    return Marking(counts)
+    return Marking._trusted(counts)
 
 
 def fire_sequence(net, marking: Marking, transitions: Iterable[str]) -> Marking:

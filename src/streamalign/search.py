@@ -12,6 +12,17 @@ since a zero estimate cannot change.
 The returned goal marking is deliberately left in the open set: the next
 extension may grow cheaper continuations through it.
 
+Expansion is indexed by trace position.  A marking whose trace token sits
+on ``tp{k}`` tries only the model moves and then the moves of position
+``k + 1`` (:meth:`~streamalign.spn.SyncProductNet.candidate_moves`); every
+other move consumes from an empty trace place.  That is the order of a scan
+over all moves with the moves that cannot be enabled left out, so ties
+break as in the full scan.  Each move comes as a record of the product
+net's move table, whose cost and :class:`~streamalign.alignment.Move` the
+search stores in the predecessor map, so reconstruction allocates no moves.
+An optional :class:`SearchObserver` sees every expansion and every refreshed
+estimate; without one nothing is recorded.
+
 Callers may pass a ``memo``, a dict of estimates shared by every search of
 one model.  The flow program of a marking whose trace token sits on
 ``tp{k}`` is determined by the mode, the marking's model part and the
@@ -34,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 
 from .alignment import (
@@ -46,7 +57,7 @@ from .alignment import (
 )
 from .heuristic import estimate
 from .petri import Marking, StateSpaceTooLarge, enumerate_state_space, fire
-from .spn import SyncProductNet, trace_position
+from .spn import SyncProductNet
 
 MEMO_ENTRIES = 2**14  # estimates one memo keeps before evicting the oldest
 
@@ -105,17 +116,29 @@ class SearchMetrics:
     heuristic_recomputations: int = 0
     reopened: int = 0
     wall_time: float = 0.0
-    h_regressions: list[tuple[Marking, object, object]] = field(default_factory=list)
-    expansions: list[Marking] = field(default_factory=list)
 
     def add_counters(self, other: "SearchMetrics") -> None:
-        """Accumulate the numeric counters; per-call lists are not kept."""
+        """Accumulate every counter of ``other``."""
         self.queued += other.queued
         self.visited += other.visited
         self.lps_solved += other.lps_solved
         self.heuristic_recomputations += other.heuristic_recomputations
         self.reopened += other.reopened
         self.wall_time += other.wall_time
+
+
+class SearchObserver:
+    """Watches one search; the methods do nothing unless overridden.
+
+    Pass an instance as ``observer`` to :func:`astar_inc` or
+    :func:`astar_scratch`.  Without one the search records nothing.
+    """
+
+    def expanded(self, marking: Marking) -> None:
+        """``marking`` was closed and its successors are about to be generated."""
+
+    def refreshed(self, marking: Marking, old, new) -> None:
+        """A held estimate ``old`` of ``marking`` was recomputed as ``new``."""
 
 
 class SearchCache:
@@ -177,10 +200,11 @@ class SearchOutcome:
 def memo_key(spn: SyncProductNet, marking: Marking, h_mode: str) -> tuple | None:
     """(mode, model part, remaining activities) of a marking, which fix its
     flow program; None unless the marking holds exactly one trace token."""
+    index = spn.table.trace_index
     k = None
     model_part = []
     for item in marking.items:
-        i = trace_position(item[0])
+        i = index.get(item[0])
         if i is None:
             model_part.append(item)
         elif k is not None or item[1] != 1:
@@ -197,8 +221,8 @@ def _astar(
     cache: SearchCache,
     h_mode: str,
     refresh: str,
-    record_expansions: bool = False,
     memo: dict | None = None,
+    observer: SearchObserver | None = None,
 ) -> SearchOutcome:
     started = time.perf_counter()
     metrics = SearchMetrics()
@@ -223,13 +247,13 @@ def _astar(
             memo[key] = value
         return value
 
-    def refresh_h(marking: Marking, log_regression: bool = True):
+    def refresh_h(marking: Marking):
         old = cache.h.get(marking)
         value = fresh_h(marking)
         if old is not None:
             metrics.heuristic_recomputations += 1
-            if log_regression and value < old:
-                metrics.h_regressions.append((marking, old, value))
+            if observer is not None:
+                observer.refreshed(marking, old, value)
         cache.h[marking] = value
         return value
 
@@ -243,11 +267,6 @@ def _astar(
             cache.stale.update(cache.open.markings())
     else:
         raise ValueError(f"unknown refresh policy {refresh!r}")
-
-    transition_ids = spn.transition_ids()
-    moves = [spn.move(t) for t in transition_ids]
-    presets = [spn.preset(t) for t in transition_ids]
-    costs = [move_cost(mv) for mv in moves]
 
     while len(cache.open):
         marking, f, _ = cache.open.pop()
@@ -272,20 +291,20 @@ def _astar(
 
         cache.closed.add(marking)
         metrics.visited += 1
-        if record_expansions:
-            metrics.expansions.append(marking)
+        if observer is not None:
+            observer.expanded(marking)
         g_here = cache.g[marking]
 
-        for idx, pre in enumerate(presets):
+        for rec in spn.candidate_moves(marking):
             enabled_here = True
-            for p in pre:
+            for p in rec.pre:
                 if marking.get(p) <= 0:
                     enabled_here = False
                     break
             if not enabled_here:
                 continue
-            successor = fire(spn, marking, transition_ids[idx])
-            new_g = g_here + costs[idx]
+            successor = fire(spn, marking, rec.tid)
+            new_g = g_here + rec.cost
             old_g = cache.g.get(successor)
             if successor in cache.closed:
                 if new_g >= old_g:
@@ -297,8 +316,8 @@ def _astar(
                 # branch is unreachable.
                 cache.closed.discard(successor)
                 cache.g[successor] = new_g
-                cache.p[successor] = (moves[idx], marking)
-                hv = refresh_h(successor, log_regression=False)
+                cache.p[successor] = (rec.move, marking)
+                hv = refresh_h(successor)
                 cache.open.push(successor, new_g + hv, new_g)
                 metrics.reopened += 1
                 metrics.queued += 1
@@ -306,7 +325,7 @@ def _astar(
             if old_g is not None and new_g >= old_g:
                 continue  # already in open at least as cheaply
             cache.g[successor] = new_g
-            cache.p[successor] = (moves[idx], marking)
+            cache.p[successor] = (rec.move, marking)
             if successor in cache.stale:
                 hv = cache.h[successor]  # outdated estimate stays until popped
             else:
@@ -329,16 +348,17 @@ def astar_inc(
     cache: SearchCache,
     h_mode: str = "ilp",
     refresh: str = LAZY,
-    record_expansions: bool = False,
     memo: dict | None = None,
+    observer: SearchObserver | None = None,
 ) -> SearchOutcome:
     """Continue the case's search after (at most) one extension.
 
     The cache must be freshly initialized or be the untouched result of the
     previous call for the same product net.  ``memo`` is an optional
-    estimate memo for the net's model (see the module docstring).
+    estimate memo for the net's model (see the module docstring);
+    ``observer`` an optional :class:`SearchObserver`.
     """
-    outcome = _astar(spn, cache, h_mode, refresh, record_expansions, memo)
+    outcome = _astar(spn, cache, h_mode, refresh, memo, observer)
     if not verify_prefix_alignment(outcome.alignment, spn.trace, spn.model):
         raise InvariantViolation(
             f"alignment {outcome.alignment.moves} is not a prefix-alignment "
@@ -351,12 +371,12 @@ def astar_scratch(
     spn: SyncProductNet,
     h_mode: str = "ilp",
     start: Marking | None = None,
-    record_expansions: bool = False,
     memo: dict | None = None,
+    observer: SearchObserver | None = None,
 ) -> SearchOutcome:
     """One-shot search from ``start`` (default: the initial marking)."""
     cache = SearchCache.fresh(spn, start)
-    return _astar(spn, cache, h_mode, EAGER, record_expansions, memo)
+    return _astar(spn, cache, h_mode, EAGER, memo, observer)
 
 
 def dijkstra_oracle(

@@ -1,4 +1,4 @@
-"""Trace nets and synchronous product nets.
+"""Trace nets, synchronous product nets and their shared move table.
 
 The product net couples a linear trace net with a workflow net.  Its
 transitions are alignment moves: a log move consumes only trace places, a
@@ -6,6 +6,16 @@ model move consumes only model places, and a synchronous move pairs a trace
 transition with an equally-labeled visible model transition.  The product is
 grown in place, one trace position at a time, and extension is append-only:
 existing places, transitions and arcs are never modified.
+
+Every move is built once, in a :class:`MoveTable` of the model: one block
+of model moves, and one block per (trace position, activity) holding that
+position's log move and synchronous moves.  Each record carries the move's
+id, transition, cost, preset, postset and :class:`Move`, so product nets
+built on one table refer to the same records instead of allocating their
+own.  A log or synchronous move of position ``i`` consumes from ``tp{i-1}``,
+so a marking whose trace token is on ``tp{k}`` can enable only the model
+moves and the moves of position ``k + 1``
+(:meth:`SyncProductNet.candidate_moves`).
 """
 
 from __future__ import annotations
@@ -25,21 +35,10 @@ from .petri import (
 SKIP = ">>"
 
 _RESERVED_ID = re.compile(r"^t[pt][0-9]+$")
-_TRACE_PLACE = re.compile(r"tp([0-9]+)")
 
 
 def trace_place(i: int) -> str:
     return f"tp{i}"
-
-
-def trace_position(place: str) -> int | None:
-    """The position ``i`` of trace place ``tp{i}``, None for a model place.
-
-    Model ids matching the generated pattern are rejected when a product net
-    is built, so the name alone tells the two parts of a marking apart.
-    """
-    m = _TRACE_PLACE.fullmatch(place)
-    return int(m.group(1)) if m else None
 
 
 def trace_transition(i: int) -> str:
@@ -80,6 +79,55 @@ class SpnTransition:
 
     def __repr__(self) -> str:
         return self.tid
+
+
+def move_cost(t: SpnTransition) -> int:
+    """Standard costs: synchronous and silent model moves are free, others cost one."""
+    if t.kind is MoveKind.SYNC:
+        return 0
+    if t.kind is MoveKind.MODEL and t.model_label is None:
+        return 0
+    return 1
+
+
+@dataclass(frozen=True)
+class Move:
+    """One step of an alignment: a product-net move and its cost."""
+
+    transition: SpnTransition
+    cost: int
+
+    @property
+    def kind(self) -> MoveKind:
+        return self.transition.kind
+
+    def display(self) -> tuple[str, str]:
+        return self.transition.display()
+
+    def to_record(self) -> dict:
+        return {
+            "kind": self.transition.kind.value,
+            "activity": self.transition.activity,
+            "transition": self.transition.model_transition,
+        }
+
+
+class MoveRecord:
+    """Everything the search and the alignment need about one move.
+
+    Records are shared by every product net built on one table, so nothing
+    may change them after construction.
+    """
+
+    __slots__ = ("tid", "transition", "cost", "pre", "post", "move")
+
+    def __init__(self, transition: SpnTransition, pre: tuple[str, ...], post: tuple[str, ...]):
+        self.tid = transition.tid
+        self.transition = transition
+        self.cost = move_cost(transition)
+        self.pre = tuple(pre)
+        self.post = tuple(post)
+        self.move = Move(transition, self.cost)
 
 
 @dataclass(frozen=True)
@@ -130,20 +178,18 @@ def build_trace_net(trace: list[str]) -> TraceNet:
     return TraceNet(net, n, tuple(places), tuple(transitions))
 
 
-class SyncProductNet:
-    """Product of a growing trace net and a fixed workflow net.
+class MoveTable:
+    """Every product-net move of one model, each built once.
 
-    One instance belongs to one case; callers extend it through
-    :func:`extend_spn` as the case's events arrive.  The marking universe
-    mixes trace place ids (``tp0`` ...) with the model's own place ids, so
-    model ids matching the generated pattern are rejected up front.
-    Transitions are registered model moves first and then trace position by
-    trace position; the flow heuristic slices its columns by that order.
+    Construction validates the model and rejects model ids that match the
+    generated trace-part ids (``tp#``/``tt#``), since the marking universe
+    mixes both.  The block of a trace position is built the first time a
+    product net reaches that position with that activity, and kept for the
+    table's lifetime, so the table grows with the distinct (position,
+    activity) pairs seen, not with the number of cases.
     """
 
-    def __init__(self, model: WorkflowNet, trace: list[str]):
-        if not trace:
-            raise ValueError("cannot build a product net for an empty trace")
+    def __init__(self, model: WorkflowNet):
         report = validate_wfnet(model)
         if not report.ok:
             raise NetDefinitionError(f"model is not a workflow net:\n{report}")
@@ -153,93 +199,154 @@ class SyncProductNet:
                     f"model id {node!r} collides with generated trace-part ids (tp#/tt#)"
                 )
         self.model = model
-        self.trace: list[str] = []
-        self.version = 0
-        self.transitions: dict[str, SpnTransition] = {}
-        self._order: list[str] = []
-        self._pre: dict[str, tuple[str, ...]] = {}
-        self._post: dict[str, tuple[str, ...]] = {}
-        self.derived: dict[str, object] = {}
-
-        # static model part: one model move per model transition
+        self.initial = Marking.of(trace_place(0), *model.initial.places())
         self._model_by_label: dict[str, list[str]] = {}
         for t in model.transitions:
             label = model.label(t)
-            self._register(
-                SpnTransition(
-                    f"model:{t}", MoveKind.MODEL, None, t, None, label
-                ),
-                pre=model.preset(t),
-                post=model.postset(t),
-            )
             if label is not None:
                 self._model_by_label.setdefault(label, []).append(t)
+        self.model_moves: tuple[MoveRecord, ...] = tuple(
+            MoveRecord(
+                SpnTransition(f"model:{t}", MoveKind.MODEL, None, t, None, model.label(t)),
+                model.preset(t),
+                model.postset(t),
+            )
+            for t in model.transitions
+        )
+        # trace place id -> its position, for every position built so far
+        self.trace_index: dict[str, int] = {trace_place(0): 0}
+        self._positions: dict[
+            tuple[int, str], tuple[tuple[MoveRecord, ...], ExtensionDelta]
+        ] = {}
 
-        self.initial = Marking.of(trace_place(0), *model.initial.places())
+    def position(
+        self, i: int, activity: str
+    ) -> tuple[tuple[MoveRecord, ...], ExtensionDelta]:
+        """The moves of trace position ``i`` observing ``activity``, log move
+        first, and the extension that appends them."""
+        found = self._positions.get((i, activity))
+        if found is None:
+            found = self._build_position(i, activity)
+            self._positions[i, activity] = found
+        return found
+
+    def _build_position(
+        self, i: int, activity: str
+    ) -> tuple[tuple[MoveRecord, ...], ExtensionDelta]:
+        prev_p, new_p, tt = trace_place(i - 1), trace_place(i), trace_transition(i)
+        block = [
+            MoveRecord(
+                SpnTransition(f"log:{tt}", MoveKind.LOG, tt, None, activity, None),
+                (prev_p,),
+                (new_p,),
+            )
+        ]
+        for t in self._model_by_label.get(activity, ()):
+            block.append(
+                MoveRecord(
+                    SpnTransition(
+                        f"sync:{tt}|{t}", MoveKind.SYNC, tt, t, activity, self.model.label(t)
+                    ),
+                    (prev_p,) + self.model.preset(t),
+                    (new_p,) + self.model.postset(t),
+                )
+            )
+        arcs = []
+        for r in block:
+            arcs.extend((p, r.tid) for p in r.pre)
+            arcs.extend((r.tid, p) for p in r.post)
+        self.trace_index[new_p] = i
+        delta = ExtensionDelta(new_p, tuple(r.tid for r in block), tuple(arcs))
+        return tuple(block), delta
+
+
+class SyncProductNet:
+    """Product of a growing trace net and a fixed workflow net.
+
+    One instance belongs to one case; callers extend it through
+    :func:`extend_spn` as the case's events arrive.  Its moves come from a
+    :class:`MoveTable` of the model, shared with other cases when one is
+    passed and private otherwise.  Transitions are registered model moves
+    first and then trace position by trace position; the flow heuristic
+    slices its columns by that order.
+    """
+
+    def __init__(self, model: WorkflowNet, trace: list[str], table: MoveTable | None = None):
+        if not trace:
+            raise ValueError("cannot build a product net for an empty trace")
+        if table is None:
+            table = MoveTable(model)
+        elif table.model is not model:
+            raise ValueError("the move table was built for another model")
+        self.model = model
+        self.table = table
+        self.initial = table.initial
+        self.trace: list[str] = []
+        self.version = 0
+        # blocks[0]: the model moves; blocks[i]: the moves of trace position i
+        self.blocks: list[tuple[MoveRecord, ...]] = [table.model_moves]
+        self._records: dict[str, MoveRecord] = {r.tid: r for r in table.model_moves}
+        self.derived: dict[str, object] = {}
         for activity in trace:
             self._append_position(activity)
-
-    # -- construction helpers -------------------------------------------------
-
-    def _register(self, st: SpnTransition, pre: tuple[str, ...], post: tuple[str, ...]):
-        self.transitions[st.tid] = st
-        self._order.append(st.tid)
-        self._pre[st.tid] = tuple(pre)
-        self._post[st.tid] = tuple(post)
 
     def _append_position(self, activity: str) -> ExtensionDelta:
         if activity is None:
             raise ValueError("cannot extend the trace with a silent activity")
         if not isinstance(activity, str) or not activity:
             raise ValueError("cannot extend the trace with an empty activity")
-        i = len(self.trace) + 1
+        block, delta = self.table.position(len(self.trace) + 1, activity)
         self.trace.append(activity)
-        prev_p, new_p, tt = trace_place(i - 1), trace_place(i), trace_transition(i)
-        new_transitions: list[str] = []
-        new_arcs: list[tuple[str, str]] = [(prev_p, f"log:{tt}"), (f"log:{tt}", new_p)]
-        self._register(
-            SpnTransition(f"log:{tt}", MoveKind.LOG, tt, None, activity, None),
-            pre=(prev_p,),
-            post=(new_p,),
-        )
-        new_transitions.append(f"log:{tt}")
-        for t in self._model_by_label.get(activity, ()):
-            tid = f"sync:{tt}|{t}"
-            pre = (prev_p,) + self.model.preset(t)
-            post = (new_p,) + self.model.postset(t)
-            self._register(
-                SpnTransition(tid, MoveKind.SYNC, tt, t, activity, self.model.label(t)),
-                pre=pre,
-                post=post,
-            )
-            new_transitions.append(tid)
-            for p in pre:
-                new_arcs.append((p, tid))
-            for p in post:
-                new_arcs.append((tid, p))
+        self.blocks.append(block)
+        for r in block:
+            self._records[r.tid] = r
         self.version += 1
         self.derived.clear()
-        return ExtensionDelta(new_p, tuple(new_transitions), tuple(new_arcs))
+        return delta
 
     # -- net protocol (shared with WorkflowNet) -------------------------------
 
     def transition_ids(self) -> tuple[str, ...]:
-        return tuple(self._order)
+        return tuple(self._records)
 
     def has_transition(self, t: str) -> bool:
-        return t in self._pre
+        return t in self._records
 
     def preset(self, t: str) -> tuple[str, ...]:
         try:
-            return self._pre[t]
+            return self._records[t].pre
         except KeyError:
             raise UnknownNodeError(t) from None
 
     def postset(self, t: str) -> tuple[str, ...]:
         try:
-            return self._post[t]
+            return self._records[t].post
         except KeyError:
             raise UnknownNodeError(t) from None
+
+    # -- moves -----------------------------------------------------------------
+
+    @property
+    def transitions(self) -> dict[str, SpnTransition]:
+        """Every move by id, in registration order."""
+        return {tid: r.transition for tid, r in self._records.items()}
+
+    def move(self, tid: str) -> SpnTransition:
+        return self._records[tid].transition
+
+    def candidate_moves(self, marking: Marking) -> tuple[MoveRecord, ...]:
+        """The moves that can be enabled in ``marking``, in registration order.
+
+        These are the model moves and, for each trace token on ``tp{k}``
+        with ``k < n``, the moves of position ``k + 1``; every other move
+        consumes from an empty trace place.
+        """
+        index = self.table.trace_index
+        out = self.blocks[0]
+        for k in sorted(index[p] for p, _ in marking.items if p in index):
+            if k < self.n:
+                out += self.blocks[k + 1]
+        return out
 
     # -- trace-part views ------------------------------------------------------
 
@@ -264,37 +371,40 @@ class SyncProductNet:
     def is_goal(self, marking: Marking) -> bool:
         return marking.get(self.goal_place) >= 1
 
-    def move(self, tid: str) -> SpnTransition:
-        return self.transitions[tid]
-
     def arcs(self) -> list[tuple[str, str]]:
         out = []
-        for tid in self._order:
-            out.extend((p, tid) for p in self._pre[tid])
-            out.extend((tid, p) for p in self._post[tid])
+        for r in self._records.values():
+            out.extend((p, r.tid) for p in r.pre)
+            out.extend((r.tid, p) for p in r.post)
         return out
 
     def consumers(self, place: str) -> tuple[str, ...]:
-        return tuple(t for t in self._order if place in self._pre[t])
+        return tuple(r.tid for r in self._records.values() if place in r.pre)
 
     def structure_key(self):
         """Canonical serialization used by isomorphism and golden tests."""
         return (
             tuple(sorted(self.place_ids())),
             tuple(
-                (tid, self.transitions[tid].kind.value, self._pre[tid], self._post[tid])
-                for tid in sorted(self._order)
+                (tid, r.transition.kind.value, r.pre, r.post)
+                for tid, r in sorted(self._records.items())
             ),
             self.initial.items,
         )
 
     def __repr__(self) -> str:
-        return f"SyncProductNet(n={self.n}, |T^S|={len(self._order)})"
+        return f"SyncProductNet(n={self.n}, |T^S|={len(self._records)})"
 
 
-def build_spn(model: WorkflowNet, trace: list[str]) -> SyncProductNet:
-    """Build the product net of a model and a non-empty trace."""
-    return SyncProductNet(model, list(trace))
+def build_spn(
+    model: WorkflowNet, trace: list[str], table: MoveTable | None = None
+) -> SyncProductNet:
+    """Build the product net of a model and a non-empty trace.
+
+    ``table`` is a :class:`MoveTable` of ``model`` to share moves with other
+    product nets; without one the net builds (and validates) its own.
+    """
+    return SyncProductNet(model, list(trace), table)
 
 
 def extend_spn(spn: SyncProductNet, activity: str) -> ExtensionDelta:

@@ -36,9 +36,9 @@ def test_reconstruct_shortest_path_of_running_example(n1):
     m3 = Marking.of("tp3", "p3")
     preds = {
         m0: (None, None),
-        m1: (t["sync:tt1|t1"], m0),
-        m2: (t["log:tt2"], m1),
-        m3: (t["sync:tt3|t4"], m2),
+        m1: (make_move(t["sync:tt1|t1"]), m0),
+        m2: (make_move(t["log:tt2"]), m1),
+        m3: (make_move(t["sync:tt3|t4"]), m2),
     }
     alignment = reconstruct(preds, m3, m0)
     assert alignment.total_cost == 1

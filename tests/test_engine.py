@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 import streamalign.search as search
@@ -22,7 +20,7 @@ from streamalign import (
     replay_log_as_stream,
 )
 from streamalign.search import EAGER, LAZY, memo_key
-from tests.conftest import random_net_and_trace
+from tests.conftest import SeededRandom, random_net_and_trace
 
 
 def costs_by_case(results):
@@ -45,8 +43,7 @@ def test_interleaved_cases_evolve_independently(n1):
     assert costs_by_case(results) == {"1": [0, 0], "2": [0]}
     assert engine.table.case_count() == 2
     entry = engine.table.cases["1"]
-    assert entry.trace == ["a", "b"]  # stored trace mirrors arrivals in order
-    assert entry.spn.trace == entry.trace
+    assert entry.spn.trace == ["a", "b"]  # stored trace mirrors arrivals in order
 
 
 def test_fresh_case_repeats_first_event_result(n1):
@@ -105,7 +102,7 @@ def test_replay_rejects_empty_trace():
 
 
 def test_case_isolation_under_interleaving(n1):
-    rng = random.Random(43)
+    rng = SeededRandom(43)
     for _ in range(10):
         net, _ = random_net_and_trace(rng)
         alphabet = list(net.visible_alphabet())
@@ -120,7 +117,7 @@ def test_case_isolation_under_interleaving(n1):
 
 
 def test_prefix_costs_never_decrease(n1):
-    rng = random.Random(47)
+    rng = SeededRandom(47)
     for _ in range(15):
         net, trace = random_net_and_trace(rng, max_len=6)
         engine = StreamEngine(net, "ias", "ilp")
@@ -299,3 +296,20 @@ def test_zero_heuristic_asks_for_no_estimate(preset_models, monkeypatch):
         assert [r.cost for r in results] == exact
         assert sum(r.metrics.lps_solved for r in results) == 0
     assert calls == []
+
+
+@pytest.mark.parametrize("algorithm", ["ias", "iasr", "occ-w1"])
+def test_alignments_hold_the_tables_own_moves(preset_models, algorithm):
+    noise = {"swap_p": 0.15, "drop_p": 0.1, "insert_p": 0.1}
+    for model in preset_models.values():
+        log = generate_log(model, 20, noise, max_len=8, seed=11)
+        engine = StreamEngine(model, algorithm, "ilp")
+        results = engine.run(replay_log_as_stream(log, order="round_robin"))
+        table = {id(r.move) for r in engine.moves.model_moves}
+        for trace in log:
+            for i, activity in enumerate(trace, start=1):
+                block, _ = engine.moves.position(i, activity)
+                table.update(id(r.move) for r in block)
+        moves = [mv for r in results for mv in r.alignment.moves]
+        assert moves
+        assert all(id(mv) in table for mv in moves)

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,7 @@ from streamalign import (
     solve_ilp,
     solve_lp,
 )
-from tests.conftest import random_net_and_trace
+from tests.conftest import SeededRandom, random_net_and_trace
 
 
 def test_problem_shape_for_unit_trace(n1):
@@ -49,7 +48,7 @@ def unrestricted_problem(spn, marking):
 
 
 def test_suffix_program_matches_unrestricted_program():
-    rng = random.Random(43)
+    rng = SeededRandom(43)
     checked = 0
     for _ in range(30):
         net, trace = random_net_and_trace(rng, max_len=5)
@@ -118,7 +117,7 @@ def test_unknown_mode(n1):
 
 
 def test_admissible_and_consistent_on_random_nets():
-    rng = random.Random(41)
+    rng = SeededRandom(41)
     nets = 0
     while nets < 12:
         net, trace = random_net_and_trace(rng, max_len=3)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from streamalign import (
@@ -12,7 +10,7 @@ from streamalign import (
     verify_prefix_alignment,
 )
 from streamalign.assets import trap_model
-from tests.conftest import random_net_and_trace
+from tests.conftest import SeededRandom, random_net_and_trace
 
 
 def run_occ(model, trace, window, h_mode="ilp"):
@@ -98,7 +96,7 @@ def test_trap_model_window_one_false_positive(trap):
 
 
 def test_occ_never_below_optimal_and_unbounded_matches(n1):
-    rng = random.Random(37)
+    rng = SeededRandom(37)
     for _ in range(15):
         net, trace = random_net_and_trace(rng, max_len=5)
         optimal = oracle_prefix_costs(net, trace)

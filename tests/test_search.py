@@ -1,4 +1,3 @@
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +15,18 @@ from streamalign import (
     extend_spn,
     verify_prefix_alignment,
 )
-from streamalign.search import EAGER, LAZY, OpenSet, SearchExhausted
-from tests.conftest import random_net_and_trace
+from streamalign.search import EAGER, LAZY, OpenSet, SearchExhausted, SearchObserver
+from tests.conftest import SeededRandom, random_net_and_trace
+
+
+class ExpansionLog(SearchObserver):
+    """The markings one search expanded, in order."""
+
+    def __init__(self):
+        self.markings = []
+
+    def expanded(self, marking):
+        self.markings.append(marking)
 
 
 def run_incremental(model, trace, h_mode, refresh):
@@ -80,7 +89,7 @@ def test_goal_marking_stays_in_open(n1):
 
 
 def test_lazy_solves_no_more_lps_than_eager(n1):
-    rng = random.Random(3)
+    rng = SeededRandom(3)
     for _ in range(20):
         net, trace = random_net_and_trace(rng, max_len=6)
         _, lazy = run_incremental(net, trace, "ilp", LAZY)
@@ -94,7 +103,7 @@ def test_lazy_solves_no_more_lps_than_eager(n1):
 
 
 def test_scratch_equals_incremental_and_oracle(n1):
-    rng = random.Random(13)
+    rng = SeededRandom(13)
     for _ in range(30):
         net, trace = random_net_and_trace(rng, max_len=5)
         spn, outcomes = run_incremental(net, trace, "ilp", LAZY)
@@ -137,7 +146,7 @@ def test_g_values_untouched_by_extension(n1):
 def test_closed_markings_keep_enabled_sets_across_extension(n1):
     from streamalign import enabled_transitions
 
-    rng = random.Random(7)
+    rng = SeededRandom(7)
     for _ in range(15):
         net, trace = random_net_and_trace(rng, max_len=5)
         spn = build_spn(net, trace[:1])
@@ -154,7 +163,7 @@ def test_closed_markings_keep_enabled_sets_across_extension(n1):
 
 
 def test_pop_count_bounds(n1):
-    rng = random.Random(19)
+    rng = SeededRandom(19)
     for _ in range(15):
         net, trace = random_net_and_trace(rng, max_len=5)
         for refresh, bound in ((EAGER, 1), (LAZY, 2)):
@@ -181,7 +190,7 @@ def test_pop_count_bounds(n1):
 
 
 def test_deterministic_expansion_order(n1):
-    rng = random.Random(23)
+    rng = SeededRandom(23)
     for _ in range(10):
         net, trace = random_net_and_trace(rng, max_len=5)
         runs = []
@@ -194,8 +203,9 @@ def test_deterministic_expansion_order(n1):
             for k, activity in enumerate(trace):
                 if k:
                     extend_spn(spn, activity)
-                outcome = astar_inc(spn, cache, "ilp", LAZY, record_expansions=True)
-                expansions.append(tuple(outcome.metrics.expansions))
+                log = ExpansionLog()
+                outcome = astar_inc(spn, cache, "ilp", LAZY, observer=log)
+                expansions.append(tuple(log.markings))
                 costs.append(outcome.alignment.total_cost)
                 counters.append(
                     (
@@ -212,7 +222,7 @@ def test_deterministic_expansion_order(n1):
 def test_zero_estimates_never_go_stale():
     # A zero estimate cannot change under extension, so lazy refresh has
     # nothing to recompute and must expand exactly what eager refresh does.
-    rng = random.Random(29)
+    rng = SeededRandom(29)
     for _ in range(10):
         net, trace = random_net_and_trace(rng, max_len=5)
         runs = {}
@@ -223,13 +233,12 @@ def test_zero_estimates_never_go_stale():
             for k, activity in enumerate(trace):
                 if k:
                     extend_spn(spn, activity)
-                outcome = astar_inc(spn, cache, "zero", refresh, record_expansions=True)
+                log = ExpansionLog()
+                outcome = astar_inc(spn, cache, "zero", refresh, observer=log)
                 if refresh == LAZY:
                     assert outcome.metrics.heuristic_recomputations == 0
                     assert not cache.stale
-                runs[refresh].append(
-                    (tuple(outcome.metrics.expansions), outcome.alignment.total_cost)
-                )
+                runs[refresh].append((tuple(log.markings), outcome.alignment.total_cost))
         assert runs[LAZY] == runs[EAGER]
 
 
@@ -273,7 +282,7 @@ def test_invariant_checks_survive_optimized_mode():
 
 
 def test_emitted_alignments_always_verify(n1):
-    rng = random.Random(27)
+    rng = SeededRandom(27)
     for _ in range(15):
         net, trace = random_net_and_trace(rng, max_len=5)
         spn, outcomes = run_incremental(net, trace, "ilp", LAZY)

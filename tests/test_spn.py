@@ -1,19 +1,21 @@
-import random
-
 import pytest
 
 from streamalign import (
+    Event,
     Marking,
     MoveKind,
+    StreamEngine,
     WorkflowNet,
     build_spn,
     build_trace_net,
     enabled_transitions,
     enumerate_state_space,
     extend_spn,
+    generate_log,
 )
 from streamalign.petri import NetDefinitionError
-from tests.conftest import random_net_and_trace
+from streamalign.spn import MoveTable
+from tests.conftest import SeededRandom, random_net_and_trace
 
 
 def kinds(spn):
@@ -136,7 +138,7 @@ def test_extend_rejects_silent(n1):
 
 
 def test_build_equals_extend_structurally(n1):
-    rng = random.Random(11)
+    rng = SeededRandom(11)
     for _ in range(50):
         net, trace = random_net_and_trace(rng, max_len=6)
         if len(trace) < 2:
@@ -170,7 +172,7 @@ def test_new_trace_place_has_no_consumers_until_next_extension(n1):
 def test_frontier_growth_two_step(n1):
     # markings over the place set from two extensions back never enable
     # transitions introduced by the latest extension
-    rng = random.Random(23)
+    rng = SeededRandom(23)
     for _ in range(20):
         net, trace = random_net_and_trace(rng, max_len=4)
         spn = build_spn(net, trace)
@@ -190,3 +192,88 @@ def test_one_token_in_trace_part_everywhere(n1):
     markings, _ = enumerate_state_space(spn, spn.initial, bound=5000)
     for m in markings:
         assert sum(c for p, c in m.items if p in trace_places) == 1
+
+
+def nets_and_traces(preset_models, seed):
+    """30 seeded random nets with a trace each, and noisy traces of both presets."""
+    rng = SeededRandom(seed)
+    out = [random_net_and_trace(rng, max_len=5) for _ in range(30)]
+    noise = {"swap_p": 0.15, "drop_p": 0.1, "insert_p": 0.1}
+    for model in preset_models.values():
+        out += [(model, trace) for trace in generate_log(model, 4, noise, max_len=6, seed=seed)]
+    return out
+
+
+def test_candidate_moves_are_exactly_the_enabled_moves(preset_models):
+    # The search tries only candidate_moves(m); among them it must find
+    # every enabled move, in the order of the full scan.  The table is
+    # shared with a longer case, so it knows trace places beyond this net.
+    for net, trace in nets_and_traces(preset_models, 31):
+        table = MoveTable(net)
+        build_spn(net, trace + trace, table)
+        spn = build_spn(net, trace[:1], table)
+        for k in range(1, len(trace) + 1):
+            if k > 1:
+                extend_spn(spn, trace[k - 1])
+            markings, _ = enumerate_state_space(spn, spn.initial, bound=5000)
+            for m in markings:
+                tried = [
+                    r.tid for r in spn.candidate_moves(m) if all(m.get(p) > 0 for p in r.pre)
+                ]
+                assert tried == enabled_transitions(spn, m)
+
+
+def test_cases_with_the_same_activity_share_records(n1):
+    engine = StreamEngine(n1, "ias", "ilp")
+    engine.run([Event("1", "a", 1), Event("2", "c", 2), Event("1", "b", 3), Event("2", "b", 4)])
+    one, two = engine.table.cases["1"].spn, engine.table.cases["2"].spn
+    assert one.blocks[0] is two.blocks[0] is engine.moves.model_moves
+    assert len(one.blocks[2]) == 2  # log move and the synchronous move on t3
+    for a, b in zip(one.blocks[2], two.blocks[2], strict=True):
+        assert a is b
+        assert one.move(a.tid) is two.move(b.tid)
+        assert one.preset(a.tid) is two.preset(b.tid)
+    assert not set(map(id, one.blocks[1])) & set(map(id, two.blocks[1]))
+
+
+def test_shared_table_builds_the_same_net(preset_models):
+    for net, trace in nets_and_traces(preset_models, 37):
+        table = MoveTable(net)
+        build_spn(net, list(reversed(trace)), table)  # other blocks come first
+        shared = build_spn(net, trace[:1], table)
+        alone = build_spn(net, trace[:1])
+        assert shared.structure_key() == alone.structure_key()
+        for activity in trace[1:]:
+            assert extend_spn(shared, activity) == extend_spn(alone, activity)
+            assert shared.structure_key() == alone.structure_key()
+            assert shared.transition_ids() == alone.transition_ids()
+
+
+def reserved_id_net():
+    return WorkflowNet(
+        ["tp0", "e"], ["u"], [("tp0", "u"), ("u", "e")], {"u": "a"},
+        Marking.of("tp0"), Marking.of("e"),
+    )
+
+
+def not_a_workflow_net(n1):
+    return WorkflowNet(
+        n1.places, n1.transitions, set(n1.arcs) - {("t3", "p3")},
+        n1.labels, n1.initial, n1.final,
+    )
+
+
+@pytest.mark.parametrize("make", [reserved_id_net, not_a_workflow_net])
+def test_bad_models_are_rejected_with_or_without_an_engine(make, n1):
+    net = make() if make is reserved_id_net else make(n1)
+    with pytest.raises(ValueError):
+        StreamEngine(net, "ias", "ilp")
+    with pytest.raises(NetDefinitionError):
+        build_spn(net, ["a"])
+    with pytest.raises(NetDefinitionError):
+        MoveTable(net)
+
+
+def test_table_of_another_model_is_refused(n1, trap):
+    with pytest.raises(ValueError):
+        build_spn(n1, ["a"], MoveTable(trap))
