@@ -26,7 +26,7 @@ for event in stream:
     print(f"({event.case_id}, {event.activity:>2}) -> {result.cost}")
 
 print("\ncases tracked:", engine.table.case_count())
-print("approximate cached state:", engine.table.approximate_bytes(), "bytes")
+print("markings cached by the searches:", engine.table.cached_markings())
 
 # the per-event record is what the CLI writes as JSONL
 record = result.to_record()

@@ -58,9 +58,7 @@ from .spn import (
     MoveKind,
     SpnTransition,
     SyncProductNet,
-    TraceNet,
     build_spn,
-    build_trace_net,
     extend_spn,
 )
 
@@ -88,14 +86,12 @@ __all__ = [
     "SpnTransition",
     "StreamEngine",
     "SyncProductNet",
-    "TraceNet",
     "ValidationReport",
     "WorkflowNet",
     "astar_inc",
     "astar_scratch",
     "build_problem",
     "build_spn",
-    "build_trace_net",
     "dijkstra_oracle",
     "distances_to_goal",
     "enabled",

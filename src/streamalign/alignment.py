@@ -47,13 +47,6 @@ class PrefixAlignment:
             if m.kind in (MoveKind.MODEL, MoveKind.SYNC)
         ]
 
-    def concat(self, suffix: "PrefixAlignment") -> "PrefixAlignment":
-        return PrefixAlignment(
-            self.moves + suffix.moves,
-            self.total_cost + suffix.total_cost,
-            suffix.end_marking,
-        )
-
     def to_records(self) -> list[dict]:
         return [m.to_record() for m in self.moves]
 

@@ -30,7 +30,6 @@ from .petri import WorkflowNet
 from .search import EAGER, LAZY, SearchCache, SearchMetrics, astar_inc
 from .spn import MoveTable, SyncProductNet, build_spn, extend_spn
 
-ALGORITHMS = ("ias", "iasr", "occ")
 _OCC_W = re.compile(r"^occ-w([0-9]+)$")
 
 
@@ -106,34 +105,21 @@ class CaseEntry:
 class CaseTable:
     def __init__(self):
         self.cases: dict[str, CaseEntry] = {}
-        self.order: list[str] = []
 
     def entry(self, case_id: str) -> CaseEntry:
         if case_id not in self.cases:
             self.cases[case_id] = CaseEntry()
-            self.order.append(case_id)
         return self.cases[case_id]
 
     def case_count(self) -> int:
         return len(self.cases)
 
-    def approximate_bytes(self) -> int:
-        """Coarse growth gauge over all cached per-case state."""
-        total = 0
-        for entry in self.cases.values():
-            spn = entry.spn if entry.spn is not None else (
-                entry.occ.spn if entry.occ is not None else None
-            )
-            if spn is not None:
-                total += 64 * spn.n
-                total += 128 * len(spn.transition_ids())
-            if entry.cache is not None:
-                cache = entry.cache
-                total += sum(48 + 32 * len(m.items) for m in cache.g)
-                total += 48 * (len(cache.closed) + len(cache.open))
-            if entry.occ is not None and entry.occ.alignment is not None:
-                total += 64 * len(entry.occ.alignment.moves)
-        return total
+    def cached_markings(self) -> int:
+        """Markings held in the search caches of all cases.
+
+        ``occ`` cases keep no search cache between events and count 0.
+        """
+        return sum(len(e.cache.g) for e in self.cases.values() if e.cache is not None)
 
 
 class StreamEngine:

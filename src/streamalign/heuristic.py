@@ -16,18 +16,25 @@ columns and rows are dropped: the program keeps the model moves, the moves
 at positions after ``k`` and the rows ``tp{k} .. tp{n}`` plus the model
 places, and its optimum is unchanged.  It grows with ``n - k``, which is
 small near the frontier, instead of with ``n``.
+
+Each program is read straight off the product net's move blocks
+(:mod:`streamalign.spn`): its columns are the records of the model block
+and of the blocks of positions after ``k``, in registration order, and each
+record contributes -1 to the row of every place in its preset and +1 to
+every place in its postset, so a self-loop cancels to 0.  Nothing is
+cached per net.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .alignment import InvariantViolation, move_cost
+from .alignment import InvariantViolation
 from .petri import Marking
 from .simplex import INFEASIBLE, OPTIMAL, Row, solve_ilp, solve_lp
-from .spn import SyncProductNet
+from .spn import SyncProductNet, trace_place
 
 MODES = ("lp", "ilp", "zero")
 
@@ -37,9 +44,6 @@ class HeuristicValue:
     value: Fraction | int
     infeasible: bool
     mode: str
-
-    def cost_or_none(self) -> Fraction | int | None:
-        return None if self.infeasible else self.value
 
 
 @dataclass(frozen=True)
@@ -53,65 +57,6 @@ class HeuristicProblem:
     n_model_rows: int
 
 
-class _Template:
-    """Marking-independent part of the problem, cached per net version.
-
-    The product net registers the model moves first and then the moves of
-    each trace position in turn, so the columns of a suffix program are the
-    model-move prefix plus one slice of these columns.
-    """
-
-    def __init__(self, spn: SyncProductNet):
-        self.version = spn.version
-        self.variables = spn.transition_ids()
-        self.objective = tuple(move_cost(spn.move(t)) for t in self.variables)
-        self.place_set = set(spn.place_ids())
-        self.trace_places = spn.trace_places()
-        self.trace_index = {p: i for i, p in enumerate(self.trace_places)}
-        self.model_places = spn.model_places()
-        self.goal_place = spn.goal_place
-        self.columns: dict[str, list[tuple[int, int]]] = {
-            p: [] for p in self.trace_places + self.model_places
-        }
-        positions = []  # trace position of each column, 0 for model moves
-        for j, t in enumerate(self.variables):
-            flow: dict[str, int] = {}
-            for p in spn.preset(t):
-                flow[p] = flow.get(p, 0) - 1
-            for p in spn.postset(t):
-                flow[p] = flow.get(p, 0) + 1
-            for p, c in flow.items():
-                if c:
-                    self.columns[p].append((j, c))
-            positions.append(
-                max((self.trace_index.get(p, 0) for p in spn.postset(t)), default=0)
-            )
-        # suffix_start[k]: first column of a move at a position after k
-        self.suffix_start = [
-            bisect_right(positions, k) for k in range(len(self.trace_places))
-        ]
-
-    def row(self, place: str, start: int) -> list[int]:
-        """The place's coefficients over the model moves and columns ``start..``."""
-        n_model = self.suffix_start[0]
-        shift = start - n_model
-        coeffs = [0] * (len(self.variables) - shift)
-        for j, c in self.columns[place]:
-            if j < n_model:
-                coeffs[j] = c
-            elif j >= start:
-                coeffs[j - shift] = c
-        return coeffs
-
-
-def _template(spn: SyncProductNet) -> _Template:
-    tpl = spn.derived.get("heuristic-template")
-    if tpl is None or tpl.version != spn.version:
-        tpl = _Template(spn)
-        spn.derived["heuristic-template"] = tpl
-    return tpl
-
-
 def build_problem(spn: SyncProductNet, marking: Marking) -> HeuristicProblem:
     """Assemble the suffix flow problem for one marking.
 
@@ -121,28 +66,30 @@ def build_problem(spn: SyncProductNet, marking: Marking) -> HeuristicProblem:
     ``m(p) + flow(p) >= 0``.  Only the model moves and the moves at positions
     after ``k`` are variables.
     """
-    tpl = _template(spn)
-    for p in marking.places():
-        if p not in tpl.place_set:
-            raise ValueError(f"marking refers to unknown place {p!r}")
-    held = [(tpl.trace_index[p], c) for p, c in marking.items if p in tpl.trace_index]
-    if len(held) != 1 or held[0][1] != 1:
+    k, model_part = spn.split(marking)
+    if k is None:
         raise ValueError(f"marking {marking} does not hold exactly one trace token")
-    k = held[0][0]
-
-    n_model, start = tpl.suffix_start[0], tpl.suffix_start[k]
-    rows: list[Row] = []
-    for p in tpl.trace_places[k:]:
-        target = 1 if p == tpl.goal_place else 0
-        rows.append((tpl.row(p, start), "=", target - marking.get(p)))
-    for p in tpl.model_places:
-        rows.append((tpl.row(p, start), ">=", -marking.get(p)))
+    model_places = spn.model.places
+    trace_places = [trace_place(i) for i in range(k, spn.n + 1)]
+    columns = spn.blocks[0] + tuple(chain.from_iterable(spn.blocks[k + 1 :]))
+    coeffs = {p: [0] * len(columns) for p in trace_places + list(model_places)}
+    for p, _ in model_part:
+        if p not in coeffs:
+            raise ValueError(f"marking refers to unknown place {p!r}")
+    for j, r in enumerate(columns):
+        for p in r.pre:
+            coeffs[p][j] -= 1
+        for p in r.post:
+            coeffs[p][j] += 1
+    goal = spn.goal_place
+    rows = [(coeffs[p], "=", (1 if p == goal else 0) - marking.get(p)) for p in trace_places]
+    rows += [(coeffs[p], ">=", -marking.get(p)) for p in model_places]
     return HeuristicProblem(
-        tpl.variables[:n_model] + tpl.variables[start:],
-        tpl.objective[:n_model] + tpl.objective[start:],
+        tuple(r.tid for r in columns),
+        tuple(r.cost for r in columns),
         tuple(rows),
-        n_trace_rows=len(tpl.trace_places) - k,
-        n_model_rows=len(tpl.model_places),
+        n_trace_rows=len(trace_places),
+        n_model_rows=len(model_places),
     )
 
 

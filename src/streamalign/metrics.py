@@ -51,9 +51,6 @@ class MetricsRecord:
     avg_time_s_per_trace: float
     avg_solved_lps_per_trace: float
 
-    def as_row(self) -> dict[str, object]:
-        return {family: getattr(self, family) for family in METRIC_FAMILIES}
-
 
 def group_by_case(records: list[EventResult]) -> dict[str, list[EventResult]]:
     grouped: dict[str, list[EventResult]] = {}

@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-SILENT = None  # label of an invisible transition
-
-
 class NetDefinitionError(ValueError):
     """The net refers to undeclared nodes or is otherwise malformed."""
 

@@ -30,12 +30,13 @@ remaining activities ``trace[k:]``: its columns are the model moves plus,
 per remaining position, a log move and one synchronous move per model
 transition with that label, its trace rows have right-hand sides
 ``-1, 0, ..., 0, 1`` and its model rows ``-m(p)``.  Its value is therefore
-the same in every case, at every position and on every net version, and the
-memo keys it by exactly those three things.  A memo serves one model.  It
-keeps at most :data:`MEMO_ENTRIES` values and evicts the oldest first;
-``lps_solved`` counts only the programs actually solved.  Markings without
-exactly one trace token bypass the memo, so the heuristic still rejects
-them.  Under ``zero`` no estimate is asked for at all.
+the same in every case, at every position and however far the net has
+grown, and the memo keys it by exactly those three things.  A memo serves
+one model.  It keeps at most :data:`MEMO_ENTRIES` values and evicts the
+oldest first; ``lps_solved`` counts only the programs actually solved.
+Markings without exactly one token on the net's trace places bypass the
+memo, so the heuristic still rejects them.  Under ``zero`` no estimate is
+asked for at all.
 
 :func:`dijkstra_oracle` is an independent uniform-cost sweep used as a test
 oracle; it shares nothing with the A* machinery except the net semantics.
@@ -91,9 +92,6 @@ class OpenSet:
     def markings(self) -> list[Marking]:
         return sorted(self._live, key=lambda m: m.items)
 
-    def key_of(self, marking: Marking) -> tuple:
-        return self._live[marking]
-
     def push(self, marking: Marking, f, g: int) -> None:
         self._live[marking] = (f, g)
         heapq.heappush(self._heap, (f, -g, marking.items, marking))
@@ -116,15 +114,6 @@ class SearchMetrics:
     heuristic_recomputations: int = 0
     reopened: int = 0
     wall_time: float = 0.0
-
-    def add_counters(self, other: "SearchMetrics") -> None:
-        """Accumulate every counter of ``other``."""
-        self.queued += other.queued
-        self.visited += other.visited
-        self.lps_solved += other.lps_solved
-        self.heuristic_recomputations += other.heuristic_recomputations
-        self.reopened += other.reopened
-        self.wall_time += other.wall_time
 
 
 class SearchObserver:
@@ -156,7 +145,6 @@ class SearchCache:
         self.p: dict[Marking, tuple] = {root: (None, None)}
         self.h: dict[Marking, object] = {}
         self.stale: set[Marking] = set()
-        self.totals = SearchMetrics()
         self._seed_pending = True
         self.open.push(root, 0, 0)
 
@@ -199,21 +187,12 @@ class SearchOutcome:
 
 def memo_key(spn: SyncProductNet, marking: Marking, h_mode: str) -> tuple | None:
     """(mode, model part, remaining activities) of a marking, which fix its
-    flow program; None unless the marking holds exactly one trace token."""
-    index = spn.table.trace_index
-    k = None
-    model_part = []
-    for item in marking.items:
-        i = index.get(item[0])
-        if i is None:
-            model_part.append(item)
-        elif k is not None or item[1] != 1:
-            return None
-        else:
-            k = i
+    flow program; None unless the marking holds exactly one token on the
+    net's trace places (see :meth:`~streamalign.spn.SyncProductNet.split`)."""
+    k, model_part = spn.split(marking)
     if k is None:
         return None
-    return h_mode, tuple(model_part), tuple(spn.trace[k:])
+    return h_mode, model_part, tuple(spn.trace[k:])
 
 
 def _astar(
@@ -286,7 +265,6 @@ def _astar(
                     f"search cost is {cache.g[marking]}"
                 )
             metrics.wall_time = time.perf_counter() - started
-            cache.totals.add_counters(metrics)
             return SearchOutcome(alignment, cache, metrics)
 
         cache.closed.add(marking)

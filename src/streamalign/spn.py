@@ -1,7 +1,8 @@
-"""Trace nets, synchronous product nets and their shared move table.
+"""Synchronous product nets and their shared move table.
 
-The product net couples a linear trace net with a workflow net.  Its
-transitions are alignment moves: a log move consumes only trace places, a
+The product net couples a trace, the chain of places ``tp0 .. tp{n}``, with
+a workflow net; no separate trace net is built.  Its transitions are
+alignment moves: a log move consumes only trace places, a
 model move consumes only model places, and a synchronous move pairs a trace
 transition with an equally-labeled visible model transition.  The product is
 grown in place, one trace position at a time, and extension is append-only:
@@ -15,7 +16,9 @@ built on one table refer to the same records instead of allocating their
 own.  A log or synchronous move of position ``i`` consumes from ``tp{i-1}``,
 so a marking whose trace token is on ``tp{k}`` can enable only the model
 moves and the moves of position ``k + 1``
-(:meth:`SyncProductNet.candidate_moves`).
+(:meth:`SyncProductNet.candidate_moves`).  :meth:`SyncProductNet.split`
+reads a marking's trace position and model part for both the estimate memo
+and the flow heuristic.
 """
 
 from __future__ import annotations
@@ -61,15 +64,6 @@ class SpnTransition:
     model_transition: str | None  # model transition id, None for log moves
     activity: str | None  # observed activity, None for model moves
     model_label: str | None  # label of the model transition, None for log moves
-
-    def label_pair(self) -> tuple[str, str]:
-        """The move's label pair: observed activity over model label."""
-        top = self.activity if self.kind is not MoveKind.MODEL else SKIP
-        if self.kind is MoveKind.LOG:
-            bottom = SKIP
-        else:
-            bottom = self.model_label if self.model_label is not None else "τ"
-        return top, bottom
 
     def display(self) -> tuple[str, str]:
         """Two-row table cell: activity (or skip) over model transition id."""
@@ -131,51 +125,12 @@ class MoveRecord:
 
 
 @dataclass(frozen=True)
-class TraceNet:
-    """Linear net for one activity sequence, with position lookup tables."""
-
-    net: WorkflowNet
-    length: int
-    place_ids: tuple[str, ...]  # position 0..n
-    transition_ids: tuple[str, ...]  # position 1..n
-
-
-@dataclass(frozen=True)
 class ExtensionDelta:
     """What one product-net extension appended, for inspection by callers."""
 
     new_place: str
     new_transitions: tuple[str, ...]
     new_arcs: tuple[tuple[str, str], ...]
-
-
-def build_trace_net(trace: list[str]) -> TraceNet:
-    """Build the chain net of a non-empty, fully visible trace."""
-    if not trace:
-        raise ValueError("cannot build a trace net for an empty trace")
-    for i, label in enumerate(trace):
-        if label is None:
-            raise ValueError(f"silent label at trace position {i + 1}")
-        if not isinstance(label, str) or not label:
-            raise ValueError(f"empty activity label at trace position {i + 1}")
-    n = len(trace)
-    places = [trace_place(i) for i in range(n + 1)]
-    transitions = [trace_transition(i) for i in range(1, n + 1)]
-    arcs = []
-    labels = {}
-    for i in range(1, n + 1):
-        arcs.append((trace_place(i - 1), trace_transition(i)))
-        arcs.append((trace_transition(i), trace_place(i)))
-        labels[trace_transition(i)] = trace[i - 1]
-    net = WorkflowNet(
-        places,
-        transitions,
-        arcs,
-        labels,
-        initial=Marking.of(trace_place(0)),
-        final=Marking.of(trace_place(n)),
-    )
-    return TraceNet(net, n, tuple(places), tuple(transitions))
 
 
 class MoveTable:
@@ -261,14 +216,14 @@ class MoveTable:
 
 
 class SyncProductNet:
-    """Product of a growing trace net and a fixed workflow net.
+    """Product of a growing trace and a fixed workflow net.
 
     One instance belongs to one case; callers extend it through
     :func:`extend_spn` as the case's events arrive.  Its moves come from a
     :class:`MoveTable` of the model, shared with other cases when one is
     passed and private otherwise.  Transitions are registered model moves
-    first and then trace position by trace position; the flow heuristic
-    slices its columns by that order.
+    first and then trace position by trace position, block by block; the
+    flow heuristic reads its columns off those blocks in that order.
     """
 
     def __init__(self, model: WorkflowNet, trace: list[str], table: MoveTable | None = None):
@@ -282,11 +237,9 @@ class SyncProductNet:
         self.table = table
         self.initial = table.initial
         self.trace: list[str] = []
-        self.version = 0
         # blocks[0]: the model moves; blocks[i]: the moves of trace position i
         self.blocks: list[tuple[MoveRecord, ...]] = [table.model_moves]
         self._records: dict[str, MoveRecord] = {r.tid: r for r in table.model_moves}
-        self.derived: dict[str, object] = {}
         for activity in trace:
             self._append_position(activity)
 
@@ -300,8 +253,6 @@ class SyncProductNet:
         self.blocks.append(block)
         for r in block:
             self._records[r.tid] = r
-        self.version += 1
-        self.derived.clear()
         return delta
 
     # -- net protocol (shared with WorkflowNet) -------------------------------
@@ -347,6 +298,30 @@ class SyncProductNet:
             if k < self.n:
                 out += self.blocks[k + 1]
         return out
+
+    def split(self, marking: Marking) -> tuple[int | None, tuple[tuple[str, int], ...]]:
+        """The marking's trace position and its model part.
+
+        The position is ``k`` when the marking holds exactly one token on
+        the trace places ``tp0 .. tp{n}`` of this net, on ``tp{k}``, and None
+        otherwise.  The table's trace places are shared with longer cases,
+        so a token on ``tp{j}`` with ``j > n`` makes the position None too.
+        The model part holds the (place, count) pairs of every other place.
+        """
+        index = self.table.trace_index
+        k = None
+        held = 0
+        model_part = []
+        for item in marking.items:
+            i = index.get(item[0])
+            if i is None:
+                model_part.append(item)
+            else:
+                k = i
+                held += item[1]
+        if held != 1 or k > len(self.trace):
+            k = None
+        return k, tuple(model_part)
 
     # -- trace-part views ------------------------------------------------------
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from streamalign import Marking, WorkflowNet, validate_wfnet
+from streamalign import Marking, WorkflowNet, generate_log, validate_wfnet
 from streamalign.assets import ordering_model, trap_model
 from streamalign.generator import choice_loop_model, parallel_tau_model
 
@@ -82,3 +82,13 @@ def random_net_and_trace(rng: SeededRandom, max_len: int = 6):
         f"no valid random net in {RANDOM_NET_ATTEMPTS} draws from the generator "
         f"seeded with {rng.initial_seed}"
     )
+
+
+def nets_and_traces(preset_models, seed):
+    """30 seeded random nets with a trace each, and noisy traces of both presets."""
+    rng = SeededRandom(seed)
+    out = [random_net_and_trace(rng, max_len=5) for _ in range(30)]
+    noise = {"swap_p": 0.15, "drop_p": 0.1, "insert_p": 0.1}
+    for model in preset_models.values():
+        out += [(model, trace) for trace in generate_log(model, 4, noise, max_len=6, seed=seed)]
+    return out

@@ -120,14 +120,3 @@ def test_machine_records(n1):
     assert alignment.to_records() == [
         {"kind": "sync", "activity": "a", "transition": "t1"}
     ]
-
-
-def test_concat_adds_costs(n1):
-    spn = build_spn(n1, ["a", "b"])
-    t = moves_by_id(spn)
-    first = PrefixAlignment((make_move(t["sync:tt1|t1"]),), 0, Marking.of("tp1", "p2"))
-    second = PrefixAlignment((make_move(t["log:tt2"]),), 1, Marking.of("tp2", "p2"))
-    combined = first.concat(second)
-    assert combined.total_cost == 1
-    assert len(combined.moves) == 2
-    assert combined.end_marking == second.end_marking

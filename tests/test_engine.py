@@ -131,12 +131,13 @@ def test_prefix_costs_never_decrease(n1):
 
 def test_memory_gauge_grows_with_cases(n1):
     engine = StreamEngine(n1, "ias", "ilp")
-    sizes = [engine.table.approximate_bytes()]
+    sizes = [engine.table.cached_markings()]
     for case in range(1, 4):
         engine.process_event(Event(str(case), "a", case))
-        sizes.append(engine.table.approximate_bytes())
+        sizes.append(engine.table.cached_markings())
     assert sizes == sorted(sizes)
-    assert sizes[-1] > sizes[0]
+    assert sizes[-1] > sizes[0] == 0
+    assert sizes[-1] == sum(len(e.cache.g) for e in engine.table.cases.values())
 
 
 def test_event_record_field_set(n1):

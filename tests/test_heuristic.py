@@ -11,11 +11,14 @@ from streamalign import (
     enumerate_state_space,
     estimate,
     extend_spn,
+    generate_log,
     move_cost,
     solve_ilp,
     solve_lp,
 )
-from tests.conftest import SeededRandom, random_net_and_trace
+from streamalign.search import memo_key
+from streamalign.spn import MoveTable
+from tests.conftest import SeededRandom, nets_and_traces, random_net_and_trace
 
 
 def test_problem_shape_for_unit_trace(n1):
@@ -44,14 +47,34 @@ def unrestricted_problem(spn, marking):
         for p in spn.trace_places()
     ]
     rows += [(row(p), ">=", -marking.get(p)) for p in spn.model_places()]
-    return objective, rows
+    return variables, objective, rows
 
 
-def test_suffix_program_matches_unrestricted_program():
+def restricted(spn, k, variables, objective, rows):
+    """The unrestricted program with only the model moves and the moves after
+    position ``k`` kept, in order, and the rows from ``tp{k}`` on."""
+    def kept(t):
+        tt = spn.move(t).trace_transition
+        return tt is None or int(tt[2:]) > k
+
+    cols = [j for j, t in enumerate(variables) if kept(t)]
+    return (
+        tuple(variables[j] for j in cols),
+        tuple(objective[j] for j in cols),
+        tuple(([coeffs[j] for j in cols], rel, rhs) for coeffs, rel, rhs in rows[k:]),
+    )
+
+
+def test_suffix_program_matches_unrestricted_program(preset_models):
+    # Random one-token state machines, plus the presets' loops and
+    # concurrency on seeded noisy traces.
     rng = SeededRandom(43)
+    inputs = [random_net_and_trace(rng, max_len=5) for _ in range(30)]
+    noise = {"swap_p": 0.15, "drop_p": 0.1, "insert_p": 0.1}
+    for model in preset_models.values():
+        inputs += [(model, t) for t in generate_log(model, 3, noise, max_len=5, seed=43)]
     checked = 0
-    for _ in range(30):
-        net, trace = random_net_and_trace(rng, max_len=5)
+    for net, trace in inputs:
         spn = build_spn(net, trace[:1])
         for activity in [None] + trace[1:]:
             if activity is not None:
@@ -61,14 +84,77 @@ def test_suffix_program_matches_unrestricted_program():
                 k = next(i for i, p in enumerate(spn.trace_places()) if m.get(p))
                 problem = build_problem(spn, m)
                 assert problem.n_trace_rows == spn.n - k + 1
+                assert problem.n_model_rows == len(net.places)
                 assert len(problem.variables) < len(spn.transition_ids()) or k == 0
-                objective, rows = unrestricted_problem(spn, m)
+                variables, objective, rows = unrestricted_problem(spn, m)
+                assert (problem.variables, problem.objective, problem.rows) == restricted(
+                    spn, k, variables, objective, rows
+                )
                 for solver in (solve_lp, solve_ilp):
                     mine = solver(list(problem.objective), list(problem.rows))
                     full = solver(objective, rows)
                     assert (mine.status, mine.value) == (full.status, full.value), (m, solver)
                 checked += 1
-    assert checked > 500
+    assert checked > 1000
+
+
+def test_trace_places_of_a_longer_case_are_unknown(n1):
+    table = MoveTable(n1)
+    build_spn(n1, ["a", "b", "c"], table)  # the table now knows tp0 .. tp3
+    spn = build_spn(n1, ["a"], table)
+    beyond = Marking.of("tp2", "p2")
+    assert spn.split(beyond) == (None, (("p2", 1),))
+    assert memo_key(spn, beyond, "ilp") is None
+    with pytest.raises(ValueError):
+        build_problem(spn, beyond)
+    with pytest.raises(ValueError):
+        estimate(spn, beyond, "ilp")
+
+
+def test_programs_on_a_shared_table_equal_those_on_a_private_one(preset_models):
+    for net, trace in nets_and_traces(preset_models, 53):
+        table = MoveTable(net)
+        build_spn(net, list(reversed(trace)) + trace, table)  # other blocks come first
+        shared = build_spn(net, trace[:1], table)
+        alone = build_spn(net, trace[:1])
+        for activity in [None] + trace[1:]:
+            if activity is not None:
+                extend_spn(shared, activity)
+                extend_spn(alone, activity)
+            markings, _ = enumerate_state_space(alone, alone.initial, 3000)
+            for m in markings:
+                assert build_problem(shared, m) == build_problem(alone, m)
+
+
+def test_memo_key_is_none_exactly_when_the_program_is_refused(preset_models):
+    # Reachable markings hold one trace token; the variants move it past the
+    # net's last trace place, drop it or add a second one.
+    for net, trace in nets_and_traces(preset_models, 59):
+        table = MoveTable(net)
+        build_spn(net, trace + trace, table)
+        spn = build_spn(net, trace, table)
+        beyond = f"tp{spn.n + 1}"
+        markings, _ = enumerate_state_space(spn, spn.initial, 3000)
+        refused = 0
+        for m in markings:
+            (k,) = [i for i, p in enumerate(spn.trace_places()) if m.get(p)]
+            model_part = {p: c for p, c in m.items if p != f"tp{k}"}
+            variants = [
+                m,
+                Marking(model_part),
+                Marking({**model_part, beyond: 1}),
+                Marking({**model_part, f"tp{k}": 2}),
+                Marking({**m.to_dict(), "tp0": m.get("tp0") + 1}),
+            ]
+            for v in variants:
+                try:
+                    build_problem(spn, v)
+                except ValueError:
+                    refused += 1
+                    assert memo_key(spn, v, "ilp") is None, v
+                else:
+                    assert memo_key(spn, v, "ilp") is not None, v
+        assert refused == 4 * len(markings)
 
 
 def test_problem_zero_solution_at_goal(n1):

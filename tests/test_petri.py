@@ -208,3 +208,9 @@ def test_import_leaves_networkx_out():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in streamalign.__all__ if not hasattr(streamalign, name)]
+    assert missing == []
+    assert len(set(streamalign.__all__)) == len(streamalign.__all__)

@@ -7,15 +7,13 @@ from streamalign import (
     StreamEngine,
     WorkflowNet,
     build_spn,
-    build_trace_net,
     enabled_transitions,
     enumerate_state_space,
     extend_spn,
-    generate_log,
 )
 from streamalign.petri import NetDefinitionError
 from streamalign.spn import MoveTable
-from tests.conftest import SeededRandom, random_net_and_trace
+from tests.conftest import SeededRandom, nets_and_traces, random_net_and_trace
 
 
 def kinds(spn):
@@ -25,31 +23,11 @@ def kinds(spn):
     return out
 
 
-def test_trace_net_abc():
-    tn = build_trace_net(["a", "b", "c"])
-    assert tn.length == 3
-    assert tn.place_ids == ("tp0", "tp1", "tp2", "tp3")
-    assert tn.transition_ids == ("tt1", "tt2", "tt3")
-    assert tn.net.initial == Marking.of("tp0")
-    assert tn.net.final == Marking.of("tp3")
-    for i, t in enumerate(tn.transition_ids, start=1):
-        assert tn.net.preset(t) == (f"tp{i-1}",)
-        assert tn.net.postset(t) == (f"tp{i}",)
-        assert tn.net.label(t) == "abc"[i - 1]
-
-
-def test_trace_net_unit_and_repeated():
-    assert build_trace_net(["a"]).length == 1
-    tn = build_trace_net(["a", "a"])
-    assert len(tn.place_ids) == 3
-    assert [tn.net.label(t) for t in tn.transition_ids] == ["a", "a"]
-
-
-def test_trace_net_rejects_empty_and_silent():
+def test_spn_rejects_empty_and_silent_traces(n1):
     with pytest.raises(ValueError):
-        build_trace_net([])
+        build_spn(n1, [])
     with pytest.raises(ValueError):
-        build_trace_net(["a", None])
+        build_spn(n1, ["a", None])
 
 
 def test_spn_of_n1_abc_matches_figure(n1):
@@ -106,14 +84,6 @@ def test_spn_rejects_reserved_model_ids():
     )
     with pytest.raises(NetDefinitionError):
         build_spn(net, ["a"])
-
-
-def test_move_label_pairs(n1):
-    spn = build_spn(n1, ["a"])
-    assert spn.move("log:tt1").label_pair() == ("a", ">>")
-    assert spn.move("model:t2").label_pair() == (">>", "τ")
-    assert spn.move("model:t3").label_pair() == (">>", "b")
-    assert spn.move("sync:tt1|t1").label_pair() == ("a", "a")
 
 
 def test_extend_matches_figure_delta(n1):
@@ -192,16 +162,6 @@ def test_one_token_in_trace_part_everywhere(n1):
     markings, _ = enumerate_state_space(spn, spn.initial, bound=5000)
     for m in markings:
         assert sum(c for p, c in m.items if p in trace_places) == 1
-
-
-def nets_and_traces(preset_models, seed):
-    """30 seeded random nets with a trace each, and noisy traces of both presets."""
-    rng = SeededRandom(seed)
-    out = [random_net_and_trace(rng, max_len=5) for _ in range(30)]
-    noise = {"swap_p": 0.15, "drop_p": 0.1, "insert_p": 0.1}
-    for model in preset_models.values():
-        out += [(model, trace) for trace in generate_log(model, 4, noise, max_len=6, seed=seed)]
-    return out
 
 
 def test_candidate_moves_are_exactly_the_enabled_moves(preset_models):
