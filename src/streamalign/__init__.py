@@ -54,9 +54,7 @@ from .search import (
 )
 from .simplex import solve_ilp, solve_lp
 from .spn import (
-    ExtensionDelta,
     MoveKind,
-    SpnTransition,
     SyncProductNet,
     build_spn,
     extend_spn,
@@ -69,7 +67,6 @@ __all__ = [
     "Event",
     "EventError",
     "EventResult",
-    "ExtensionDelta",
     "HeuristicProblem",
     "HeuristicValue",
     "InvariantViolation",
@@ -83,7 +80,6 @@ __all__ = [
     "SearchCache",
     "SearchMetrics",
     "SearchOutcome",
-    "SpnTransition",
     "StreamEngine",
     "SyncProductNet",
     "ValidationReport",

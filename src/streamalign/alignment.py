@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .petri import Marking, WorkflowNet, fire_sequence, NotEnabledError
-from .spn import Move, MoveKind, SpnTransition, move_cost
+from .spn import Move, MoveKind, move_cost
 
 
 class InvariantViolation(RuntimeError):
@@ -34,7 +34,7 @@ class PrefixAlignment:
     def activities(self) -> list[str]:
         """First-row projection: observed activities of log and sync moves."""
         return [
-            m.transition.activity
+            m.activity
             for m in self.moves
             if m.kind in (MoveKind.LOG, MoveKind.SYNC)
         ]
@@ -42,7 +42,7 @@ class PrefixAlignment:
     def model_transitions(self) -> list[str]:
         """Second-row projection: model transitions of model and sync moves."""
         return [
-            m.transition.model_transition
+            m.model_transition
             for m in self.moves
             if m.kind in (MoveKind.MODEL, MoveKind.SYNC)
         ]
@@ -51,8 +51,9 @@ class PrefixAlignment:
         return [m.to_record() for m in self.moves]
 
 
-def make_move(t: SpnTransition) -> Move:
-    return Move(t, move_cost(t))
+def make_move(t: Move) -> Move:
+    """The move itself: a :class:`Move` carries its cost from construction."""
+    return t
 
 
 class BrokenPredecessorChain(KeyError):
@@ -95,9 +96,8 @@ def verify_prefix_alignment(
     alignment: PrefixAlignment, trace: list[str], model: WorkflowNet
 ) -> bool:
     """Check both projections and per-move consistency; never raises."""
-    for move in alignment.moves:
-        t = move.transition
-        if move.cost != move_cost(t):
+    for t in alignment.moves:
+        if t.cost != move_cost(t):
             return False
         if t.kind is MoveKind.SYNC:
             if t.model_label is None or t.activity != t.model_label:

@@ -18,9 +18,9 @@ places, and its optimum is unchanged.  It grows with ``n - k``, which is
 small near the frontier, instead of with ``n``.
 
 Each program is read straight off the product net's move blocks
-(:mod:`streamalign.spn`): its columns are the records of the model block
+(:mod:`streamalign.spn`): its columns are the moves of the model block
 and of the blocks of positions after ``k``, in registration order, and each
-record contributes -1 to the row of every place in its preset and +1 to
+move contributes -1 to the row of every place in its preset and +1 to
 every place in its postset, so a self-loop cancels to 0.  Nothing is
 cached per net.
 """

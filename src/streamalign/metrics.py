@@ -12,6 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 
+from .alignment import InvariantViolation
 from .engine import EventResult
 
 METRIC_FAMILIES = (
@@ -75,7 +76,7 @@ def trace_stats(
         costs = tuple(r.cost for r in rs)
         fp = any(c > o for c, o in zip(costs, optimal))
         if any(c < o for c, o in zip(costs, optimal)):
-            raise AssertionError(
+            raise InvariantViolation(
                 f"case {case!r}: reported cost below the optimal cost; broken oracle"
             )
         out.append(

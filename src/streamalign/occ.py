@@ -55,7 +55,7 @@ def revert_alignment(
             removed += 1
     while moves and moves[-1].kind is MoveKind.MODEL:
         moves.pop()
-    restart = fire_sequence(spn, spn.initial, [mv.transition.tid for mv in moves])
+    restart = fire_sequence(spn, spn.initial, [mv.tid for mv in moves])
     return tuple(moves), restart
 
 

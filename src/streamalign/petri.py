@@ -109,10 +109,10 @@ class Marking:
 class WorkflowNet:
     """A labeled Petri net with designated initial and final markings.
 
-    Construction checks that ids resolve and that places and transitions are
-    disjoint; the workflow-net structural properties (unique source/sink,
-    every node on a source-to-sink path) are checked by :func:`validate_wfnet`
-    and reported as data rather than raised.
+    Construction checks that ids are strings that resolve and that places
+    and transitions are disjoint; the workflow-net structural properties
+    (unique source/sink, every node on a source-to-sink path) are checked by
+    :func:`validate_wfnet` and reported as data rather than raised.
     """
 
     def __init__(
@@ -124,6 +124,10 @@ class WorkflowNet:
         initial: Marking,
         final: Marking,
     ):
+        places, transitions = list(places), list(transitions)
+        for node in places + transitions:
+            if not isinstance(node, str):
+                raise NetDefinitionError(f"node id {node!r} is not a string")
         self.places: tuple[str, ...] = tuple(sorted(set(places)))
         self.transitions: tuple[str, ...] = tuple(sorted(set(transitions)))
         place_set, trans_set = set(self.places), set(self.transitions)

@@ -17,8 +17,8 @@ on ``tp{k}`` tries only the model moves and then the moves of position
 ``k + 1`` (:meth:`~streamalign.spn.SyncProductNet.candidate_moves`); every
 other move consumes from an empty trace place.  That is the order of a scan
 over all moves with the moves that cannot be enabled left out, so ties
-break as in the full scan.  Each move comes as a record of the product
-net's move table, whose cost and :class:`~streamalign.alignment.Move` the
+break as in the full scan.  Each move is a :class:`~streamalign.spn.Move`
+of the product net's move table, which carries its cost and which the
 search stores in the predecessor map, so reconstruction allocates no moves.
 An optional :class:`SearchObserver` sees every expansion and every refreshed
 estimate; without one nothing is recorded.
@@ -273,16 +273,16 @@ def _astar(
             observer.expanded(marking)
         g_here = cache.g[marking]
 
-        for rec in spn.candidate_moves(marking):
+        for move in spn.candidate_moves(marking):
             enabled_here = True
-            for p in rec.pre:
+            for p in move.pre:
                 if marking.get(p) <= 0:
                     enabled_here = False
                     break
             if not enabled_here:
                 continue
-            successor = fire(spn, marking, rec.tid)
-            new_g = g_here + rec.cost
+            successor = fire(spn, marking, move.tid)
+            new_g = g_here + move.cost
             old_g = cache.g.get(successor)
             if successor in cache.closed:
                 if new_g >= old_g:
@@ -294,7 +294,7 @@ def _astar(
                 # branch is unreachable.
                 cache.closed.discard(successor)
                 cache.g[successor] = new_g
-                cache.p[successor] = (rec.move, marking)
+                cache.p[successor] = (move, marking)
                 hv = refresh_h(successor)
                 cache.open.push(successor, new_g + hv, new_g)
                 metrics.reopened += 1
@@ -303,7 +303,7 @@ def _astar(
             if old_g is not None and new_g >= old_g:
                 continue  # already in open at least as cheaply
             cache.g[successor] = new_g
-            cache.p[successor] = (rec.move, marking)
+            cache.p[successor] = (move, marking)
             if successor in cache.stale:
                 hv = cache.h[successor]  # outdated estimate stays until popped
             else:

@@ -10,21 +10,21 @@ existing places, transitions and arcs are never modified.
 
 Every move is built once, in a :class:`MoveTable` of the model: one block
 of model moves, and one block per (trace position, activity) holding that
-position's log move and synchronous moves.  Each record carries the move's
-id, transition, cost, preset, postset and :class:`Move`, so product nets
-built on one table refer to the same records instead of allocating their
-own.  A log or synchronous move of position ``i`` consumes from ``tp{i-1}``,
-so a marking whose trace token is on ``tp{k}`` can enable only the model
-moves and the moves of position ``k + 1``
-(:meth:`SyncProductNet.candidate_moves`).  :meth:`SyncProductNet.split`
-reads a marking's trace position and model part for both the estimate memo
-and the flow heuristic.
+position's log move and synchronous moves.  Each :class:`Move` carries its
+id, kind, trace and model transition, activity, label, preset, postset and
+cost, so product nets built on one table, and the alignments found on
+them, refer to the same moves instead of allocating their own.  A log or
+synchronous move of position ``i`` consumes from ``tp{i-1}``, so a marking
+whose trace token is on ``tp{k}`` can enable only the model moves and the
+moves of position ``k + 1`` (:meth:`SyncProductNet.candidate_moves`).
+:meth:`SyncProductNet.split` reads a marking's trace position and model
+part for both the estimate memo and the flow heuristic.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .petri import (
@@ -54,9 +54,9 @@ class MoveKind(Enum):
     SYNC = "sync"
 
 
-@dataclass(frozen=True)
-class SpnTransition:
-    """One alignment move of the product net."""
+@dataclass(frozen=True, slots=True)
+class Move:
+    """One alignment move: a transition of the product net and its cost."""
 
     tid: str
     kind: MoveKind
@@ -64,6 +64,12 @@ class SpnTransition:
     model_transition: str | None  # model transition id, None for log moves
     activity: str | None  # observed activity, None for model moves
     model_label: str | None  # label of the model transition, None for log moves
+    pre: tuple[str, ...]
+    post: tuple[str, ...]
+    cost: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cost", move_cost(self))
 
     def display(self) -> tuple[str, str]:
         """Two-row table cell: activity (or skip) over model transition id."""
@@ -71,66 +77,24 @@ class SpnTransition:
         bottom = self.model_transition if self.kind is not MoveKind.LOG else SKIP
         return top, bottom
 
+    def to_record(self) -> dict:
+        return {
+            "kind": self.kind.value,
+            "activity": self.activity,
+            "transition": self.model_transition,
+        }
+
     def __repr__(self) -> str:
         return self.tid
 
 
-def move_cost(t: SpnTransition) -> int:
+def move_cost(t: Move) -> int:
     """Standard costs: synchronous and silent model moves are free, others cost one."""
     if t.kind is MoveKind.SYNC:
         return 0
     if t.kind is MoveKind.MODEL and t.model_label is None:
         return 0
     return 1
-
-
-@dataclass(frozen=True)
-class Move:
-    """One step of an alignment: a product-net move and its cost."""
-
-    transition: SpnTransition
-    cost: int
-
-    @property
-    def kind(self) -> MoveKind:
-        return self.transition.kind
-
-    def display(self) -> tuple[str, str]:
-        return self.transition.display()
-
-    def to_record(self) -> dict:
-        return {
-            "kind": self.transition.kind.value,
-            "activity": self.transition.activity,
-            "transition": self.transition.model_transition,
-        }
-
-
-class MoveRecord:
-    """Everything the search and the alignment need about one move.
-
-    Records are shared by every product net built on one table, so nothing
-    may change them after construction.
-    """
-
-    __slots__ = ("tid", "transition", "cost", "pre", "post", "move")
-
-    def __init__(self, transition: SpnTransition, pre: tuple[str, ...], post: tuple[str, ...]):
-        self.tid = transition.tid
-        self.transition = transition
-        self.cost = move_cost(transition)
-        self.pre = tuple(pre)
-        self.post = tuple(post)
-        self.move = Move(transition, self.cost)
-
-
-@dataclass(frozen=True)
-class ExtensionDelta:
-    """What one product-net extension appended, for inspection by callers."""
-
-    new_place: str
-    new_transitions: tuple[str, ...]
-    new_arcs: tuple[tuple[str, str], ...]
 
 
 class MoveTable:
@@ -160,59 +124,33 @@ class MoveTable:
             label = model.label(t)
             if label is not None:
                 self._model_by_label.setdefault(label, []).append(t)
-        self.model_moves: tuple[MoveRecord, ...] = tuple(
-            MoveRecord(
-                SpnTransition(f"model:{t}", MoveKind.MODEL, None, t, None, model.label(t)),
-                model.preset(t),
-                model.postset(t),
+        self.model_moves: tuple[Move, ...] = tuple(
+            Move(
+                f"model:{t}", MoveKind.MODEL, None, t, None, model.label(t),
+                model.preset(t), model.postset(t),
             )
             for t in model.transitions
         )
         # trace place id -> its position, for every position built so far
         self.trace_index: dict[str, int] = {trace_place(0): 0}
-        self._positions: dict[
-            tuple[int, str], tuple[tuple[MoveRecord, ...], ExtensionDelta]
-        ] = {}
+        self._positions: dict[tuple[int, str], tuple[Move, ...]] = {}
 
-    def position(
-        self, i: int, activity: str
-    ) -> tuple[tuple[MoveRecord, ...], ExtensionDelta]:
-        """The moves of trace position ``i`` observing ``activity``, log move
-        first, and the extension that appends them."""
-        found = self._positions.get((i, activity))
-        if found is None:
-            found = self._build_position(i, activity)
-            self._positions[i, activity] = found
-        return found
-
-    def _build_position(
-        self, i: int, activity: str
-    ) -> tuple[tuple[MoveRecord, ...], ExtensionDelta]:
-        prev_p, new_p, tt = trace_place(i - 1), trace_place(i), trace_transition(i)
-        block = [
-            MoveRecord(
-                SpnTransition(f"log:{tt}", MoveKind.LOG, tt, None, activity, None),
-                (prev_p,),
-                (new_p,),
-            )
-        ]
-        for t in self._model_by_label.get(activity, ()):
-            block.append(
-                MoveRecord(
-                    SpnTransition(
-                        f"sync:{tt}|{t}", MoveKind.SYNC, tt, t, activity, self.model.label(t)
-                    ),
-                    (prev_p,) + self.model.preset(t),
-                    (new_p,) + self.model.postset(t),
+    def position(self, i: int, activity: str) -> tuple[Move, ...]:
+        """The moves of trace position ``i`` observing ``activity``, log move first."""
+        block = self._positions.get((i, activity))
+        if block is None:
+            prev_p, new_p, tt = trace_place(i - 1), trace_place(i), trace_transition(i)
+            log = Move(f"log:{tt}", MoveKind.LOG, tt, None, activity, None, (prev_p,), (new_p,))
+            block = (log,) + tuple(
+                Move(
+                    f"sync:{tt}|{t}", MoveKind.SYNC, tt, t, activity, self.model.label(t),
+                    (prev_p,) + self.model.preset(t), (new_p,) + self.model.postset(t),
                 )
+                for t in self._model_by_label.get(activity, ())
             )
-        arcs = []
-        for r in block:
-            arcs.extend((p, r.tid) for p in r.pre)
-            arcs.extend((r.tid, p) for p in r.post)
-        self.trace_index[new_p] = i
-        delta = ExtensionDelta(new_p, tuple(r.tid for r in block), tuple(arcs))
-        return tuple(block), delta
+            self.trace_index[new_p] = i
+            self._positions[i, activity] = block
+        return block
 
 
 class SyncProductNet:
@@ -238,22 +176,22 @@ class SyncProductNet:
         self.initial = table.initial
         self.trace: list[str] = []
         # blocks[0]: the model moves; blocks[i]: the moves of trace position i
-        self.blocks: list[tuple[MoveRecord, ...]] = [table.model_moves]
-        self._records: dict[str, MoveRecord] = {r.tid: r for r in table.model_moves}
+        self.blocks: list[tuple[Move, ...]] = [table.model_moves]
+        self._records: dict[str, Move] = {r.tid: r for r in table.model_moves}
         for activity in trace:
             self._append_position(activity)
 
-    def _append_position(self, activity: str) -> ExtensionDelta:
+    def _append_position(self, activity: str) -> tuple[Move, ...]:
         if activity is None:
             raise ValueError("cannot extend the trace with a silent activity")
         if not isinstance(activity, str) or not activity:
             raise ValueError("cannot extend the trace with an empty activity")
-        block, delta = self.table.position(len(self.trace) + 1, activity)
+        block = self.table.position(len(self.trace) + 1, activity)
         self.trace.append(activity)
         self.blocks.append(block)
         for r in block:
             self._records[r.tid] = r
-        return delta
+        return block
 
     # -- net protocol (shared with WorkflowNet) -------------------------------
 
@@ -278,14 +216,14 @@ class SyncProductNet:
     # -- moves -----------------------------------------------------------------
 
     @property
-    def transitions(self) -> dict[str, SpnTransition]:
+    def transitions(self) -> dict[str, Move]:
         """Every move by id, in registration order."""
-        return {tid: r.transition for tid, r in self._records.items()}
+        return dict(self._records)
 
-    def move(self, tid: str) -> SpnTransition:
-        return self._records[tid].transition
+    def move(self, tid: str) -> Move:
+        return self._records[tid]
 
-    def candidate_moves(self, marking: Marking) -> tuple[MoveRecord, ...]:
+    def candidate_moves(self, marking: Marking) -> tuple[Move, ...]:
         """The moves that can be enabled in ``marking``, in registration order.
 
         These are the model moves and, for each trace token on ``tp{k}``
@@ -346,13 +284,6 @@ class SyncProductNet:
     def is_goal(self, marking: Marking) -> bool:
         return marking.get(self.goal_place) >= 1
 
-    def arcs(self) -> list[tuple[str, str]]:
-        out = []
-        for r in self._records.values():
-            out.extend((p, r.tid) for p in r.pre)
-            out.extend((r.tid, p) for p in r.post)
-        return out
-
     def consumers(self, place: str) -> tuple[str, ...]:
         return tuple(r.tid for r in self._records.values() if place in r.pre)
 
@@ -361,7 +292,7 @@ class SyncProductNet:
         return (
             tuple(sorted(self.place_ids())),
             tuple(
-                (tid, r.transition.kind.value, r.pre, r.post)
+                (tid, r.kind.value, r.pre, r.post)
                 for tid, r in sorted(self._records.items())
             ),
             self.initial.items,
@@ -382,10 +313,11 @@ def build_spn(
     return SyncProductNet(model, list(trace), table)
 
 
-def extend_spn(spn: SyncProductNet, activity: str) -> ExtensionDelta:
-    """Append one observed activity to the product net.
+def extend_spn(spn: SyncProductNet, activity: str) -> tuple[Move, ...]:
+    """Append one observed activity to the product net and return its moves.
 
-    Adds exactly one trace place, one log move and one synchronous move per
-    equally-labeled visible model transition; nothing else changes.
+    Adds exactly one trace place, the new ``spn.goal_place``, one log move
+    and one synchronous move per equally-labeled visible model transition;
+    nothing else changes.  The returned block is the move table's own.
     """
     return spn._append_position(activity)

@@ -110,25 +110,26 @@ def suite() -> SuiteData:
                     }
                     g_before = repr(sorted((m.items, g) for m, g in ias_cache.g.items()))
                     closed_before = set(ias_cache.closed)
-                    delta = extend_spn(ias_spn, activity)
+                    new_moves = {m.tid for m in extend_spn(ias_spn, activity)}
+                    new_place = ias_spn.goal_place
                     g_after = repr(sorted((m.items, g) for m, g in ias_cache.g.items()))
                     if g_before != g_after:
                         data.g_map_changes += 1
                     # frontier growth: every transition added by this
                     # extension consumes the pre-extension goal place and no
                     # older trace place; the new place has no consumers yet
-                    older = set(ias_spn.trace_places()) - {old_goal, delta.new_place}
-                    for tid in delta.new_transitions:
+                    older = set(ias_spn.trace_places()) - {old_goal, new_place}
+                    for tid in new_moves:
                         pre = set(ias_spn.preset(tid))
                         if old_goal not in pre or pre & older:
                             data.structure_failures.append((preset_name, trace, tid))
-                    if ias_spn.consumers(delta.new_place):
-                        data.structure_failures.append((preset_name, trace, delta.new_place))
+                    if ias_spn.consumers(new_place):
+                        data.structure_failures.append((preset_name, trace, new_place))
                     # closed states never mark the frontier, so none of the
                     # new transitions can be enabled there
                     for m in closed_before:
                         if m.get(old_goal) != 0 or any(
-                            t in delta.new_transitions
+                            t in new_moves
                             for t in enabled_transitions(ias_spn, m)
                         ):
                             data.structure_failures.append((preset_name, trace, m))

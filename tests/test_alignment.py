@@ -10,16 +10,12 @@ from streamalign import (
     render_alignment,
     verify_prefix_alignment,
 )
-from streamalign.alignment import BrokenPredecessorChain, make_move
-
-
-def moves_by_id(spn):
-    return {t.tid: t for t in spn.transitions.values()}
+from streamalign.alignment import BrokenPredecessorChain
 
 
 def test_move_costs(n1):
     spn = build_spn(n1, ["a", "b", "c"])
-    t = moves_by_id(spn)
+    t = spn.transitions
     assert move_cost(t["sync:tt1|t1"]) == 0
     assert move_cost(t["log:tt2"]) == 1
     assert move_cost(t["model:t2"]) == 0  # silent
@@ -29,20 +25,20 @@ def test_move_costs(n1):
 def test_reconstruct_shortest_path_of_running_example(n1):
     # chain: sync a, log b, sync c — the cost-1 alignment
     spn = build_spn(n1, ["a", "b", "c"])
-    t = moves_by_id(spn)
+    t = spn.transitions
     m0 = spn.initial
     m1 = Marking.of("tp1", "p2")
     m2 = Marking.of("tp2", "p2")
     m3 = Marking.of("tp3", "p3")
     preds = {
         m0: (None, None),
-        m1: (make_move(t["sync:tt1|t1"]), m0),
-        m2: (make_move(t["log:tt2"]), m1),
-        m3: (make_move(t["sync:tt3|t4"]), m2),
+        m1: (t["sync:tt1|t1"], m0),
+        m2: (t["log:tt2"], m1),
+        m3: (t["sync:tt3|t4"], m2),
     }
     alignment = reconstruct(preds, m3, m0)
     assert alignment.total_cost == 1
-    assert [mv.transition.tid for mv in alignment.moves] == [
+    assert [mv.tid for mv in alignment.moves] == [
         "sync:tt1|t1",
         "log:tt2",
         "sync:tt3|t4",
@@ -67,9 +63,9 @@ def test_reconstruct_broken_chain(n1):
 def test_third_figure_alignment_costs_four(n1):
     # (a,>>), (>>,t2), (b,>>), (>>,t3), (c,>>)
     spn = build_spn(n1, ["a", "b", "c"])
-    t = moves_by_id(spn)
+    t = spn.transitions
     moves = tuple(
-        make_move(t[tid])
+        t[tid]
         for tid in ["log:tt1", "model:t2", "log:tt2", "model:t3", "log:tt3"]
     )
     total = sum(m.cost for m in moves)
@@ -80,32 +76,32 @@ def test_third_figure_alignment_costs_four(n1):
 
 def test_verify_rejects_projection_mismatch(n1):
     spn = build_spn(n1, ["a", "b", "c"])
-    t = moves_by_id(spn)
-    moves = (make_move(t["sync:tt1|t1"]), make_move(t["log:tt2"]), make_move(t["sync:tt3|t4"]))
+    t = spn.transitions
+    moves = (t["sync:tt1|t1"], t["log:tt2"], t["sync:tt3|t4"])
     alignment = PrefixAlignment(moves, 1, Marking.of("tp3", "p3"))
     assert not verify_prefix_alignment(alignment, ["a", "c"], n1)
 
 
 def test_verify_rejects_unfirable_model_projection(n1):
     spn = build_spn(n1, ["b"])
-    t = moves_by_id(spn)
+    t = spn.transitions
     # model b before anything marks p2
-    moves = (make_move(t["sync:tt1|t3"]),)
+    moves = (t["sync:tt1|t3"],)
     alignment = PrefixAlignment(moves, 0, Marking.of("tp1", "p3"))
     assert not verify_prefix_alignment(alignment, ["b"], n1)
 
 
 def test_verify_rejects_wrong_total(n1):
     spn = build_spn(n1, ["a"])
-    t = moves_by_id(spn)
-    alignment = PrefixAlignment((make_move(t["log:tt1"]),), 0, Marking.of("tp1", "p1"))
+    t = spn.transitions
+    alignment = PrefixAlignment((t["log:tt1"],), 0, Marking.of("tp1", "p1"))
     assert not verify_prefix_alignment(alignment, ["a"], n1)
 
 
 def test_render_two_rows(n1):
     spn = build_spn(n1, ["a", "b", "c"])
-    t = moves_by_id(spn)
-    moves = (make_move(t["sync:tt1|t1"]), make_move(t["log:tt2"]), make_move(t["sync:tt3|t4"]))
+    t = spn.transitions
+    moves = (t["sync:tt1|t1"], t["log:tt2"], t["sync:tt3|t4"])
     alignment = PrefixAlignment(moves, 1, Marking.of("tp3", "p3"))
     text = render_alignment(alignment)
     top, bottom = text.splitlines()
@@ -115,8 +111,8 @@ def test_render_two_rows(n1):
 
 def test_machine_records(n1):
     spn = build_spn(n1, ["a"])
-    t = moves_by_id(spn)
-    alignment = PrefixAlignment((make_move(t["sync:tt1|t1"]),), 0, Marking.of("tp1", "p2"))
+    t = spn.transitions
+    alignment = PrefixAlignment((t["sync:tt1|t1"],), 0, Marking.of("tp1", "p2"))
     assert alignment.to_records() == [
         {"kind": "sync", "activity": "a", "transition": "t1"}
     ]

@@ -4,7 +4,7 @@ import pytest
 
 from streamalign.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from streamalign.fileio import load_traces, save_net
-from streamalign.metrics import METRIC_FAMILIES
+from streamalign.metrics import METRIC_FAMILIES, oracle_costs_by_case
 from streamalign import Marking, WorkflowNet
 
 
@@ -137,10 +137,55 @@ def test_generation_failure_is_data_error(capsys, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_invariant_violation_is_internal_error(capsys, monkeypatch):
-    import streamalign.search
+@pytest.mark.parametrize(
+    "places, transitions",
+    [
+        (["i", 2], ["t"]),
+        (["i", "o"], [1, "t"]),
+        ([0, 1], [2]),
+    ],
+    ids=["place", "transition", "all"],
+)
+@pytest.mark.parametrize("command", ["validate", "replay"])
+def test_non_string_node_ids_are_data_errors(capsys, tmp_path, command, places, transitions):
+    doc = {
+        "places": places,
+        "transitions": [{"id": t, "label": "a"} for t in transitions],
+        "arcs": [[places[0], transitions[-1]], [transitions[-1], places[-1]]],
+        "initial": {str(places[0]): 1},
+        "final": {str(places[-1]): 1},
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["validate", "--model", str(path)]
+    if command == "replay":
+        argv = ["replay", "--model", str(path), "--log", "bundled-3traces",
+                "--out", str(tmp_path / "out"), "--timing", "off"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "is not a string" in err
 
-    monkeypatch.setattr(streamalign.search, "verify_prefix_alignment", lambda *args: False)
-    code, _, err = run_cli(capsys, "align", "--model", "n1", "--trace", "a,b")
+
+def inflated_oracle(records):
+    return {case: [c + 1 for c in costs] for case, costs in oracle_costs_by_case(records).items()}
+
+
+@pytest.mark.parametrize(
+    "site, fault, argv",
+    [
+        ("streamalign.search.verify_prefix_alignment", lambda *args: False,
+         ["align", "--model", "n1", "--trace", "a,b"]),
+        ("streamalign.cli.oracle_costs_by_case", inflated_oracle,
+         ["replay", "--model", "n1", "--log", "bundled-3traces", "--algorithms", "ias,occ",
+          "--timing", "off"]),
+    ],
+    ids=["verify", "oracle"],
+)
+def test_invariant_violation_is_internal_error(capsys, monkeypatch, tmp_path, site, fault, argv):
+    monkeypatch.setattr(site, fault)
+    if argv[0] == "replay":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_INTERNAL
     assert err.startswith("internal error: InvariantViolation")

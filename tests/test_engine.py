@@ -306,11 +306,10 @@ def test_alignments_hold_the_tables_own_moves(preset_models, algorithm):
         log = generate_log(model, 20, noise, max_len=8, seed=11)
         engine = StreamEngine(model, algorithm, "ilp")
         results = engine.run(replay_log_as_stream(log, order="round_robin"))
-        table = {id(r.move) for r in engine.moves.model_moves}
+        table = {id(r) for r in engine.moves.model_moves}
         for trace in log:
             for i, activity in enumerate(trace, start=1):
-                block, _ = engine.moves.position(i, activity)
-                table.update(id(r.move) for r in block)
+                table.update(map(id, engine.moves.position(i, activity)))
         moves = [mv for r in results for mv in r.alignment.moves]
         assert moves
         assert all(id(mv) in table for mv in moves)

@@ -1,6 +1,6 @@
 import pytest
 
-from streamalign import StreamEngine, replay_log_as_stream
+from streamalign import InvariantViolation, StreamEngine, replay_log_as_stream
 from streamalign.assets import trap_model
 from streamalign.metrics import (
     METRIC_FAMILIES,
@@ -40,6 +40,13 @@ def test_identical_traces_count_once_per_variant(trap):
     record, _ = compute_metrics("occ-w1", run(trap, log, "occ-w1"), oracle)
     assert record.traces_with_fp == 2
     assert record.variants_with_fp == 1
+
+
+def test_cost_below_the_oracle_is_an_invariant_violation(n1):
+    results = run(n1, [["a", "b"], ["b", "c"]], "ias")
+    oracle = {case: [c + 1 for c in costs] for case, costs in oracle_costs_by_case(results).items()}
+    with pytest.raises(InvariantViolation, match="below the optimal cost"):
+        compute_metrics("ias", results, oracle)
 
 
 def test_missing_oracle_cost_is_an_error(n1):

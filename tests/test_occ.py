@@ -53,7 +53,7 @@ def test_revert_examples(n1):
     alignment = results[-1][0]
     assert alignment.total_cost == 0
     surviving, restart = revert_alignment(state.spn, alignment, 1)
-    assert [mv.transition.tid for mv in surviving] == ["sync:tt1|t1"]
+    assert [mv.tid for mv in surviving] == ["sync:tt1|t1"]
     assert restart == Marking.of("tp1", "p2")  # replay of the surviving move
     # unbounded window reverts everything
     assert revert_alignment(state.spn, alignment, None) == ((), state.spn.initial)
@@ -66,7 +66,7 @@ def test_revert_strips_trailing_model_moves(n1):
     # also drop the dangling silent move before it
     state, results = run_occ(n1, ["b"], window=None)
     alignment = results[-1][0]
-    assert [mv.transition.tid for mv in alignment.moves] == ["model:t2", "sync:tt1|t3"]
+    assert [mv.tid for mv in alignment.moves] == ["model:t2", "sync:tt1|t3"]
     surviving, restart = revert_alignment(state.spn, alignment, 1)
     assert surviving == ()
     assert restart == state.spn.initial

@@ -73,7 +73,7 @@ def test_single_event_c_is_free(n1):
     spn = build_spn(n1, ["c"])
     outcome = astar_scratch(spn, "ilp")
     assert outcome.alignment.total_cost == 0
-    assert [m.transition.tid for m in outcome.alignment.moves] == [
+    assert [m.tid for m in outcome.alignment.moves] == [
         "model:t2",
         "sync:tt1|t4",
     ]

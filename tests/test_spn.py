@@ -10,6 +10,7 @@ from streamalign import (
     enabled_transitions,
     enumerate_state_space,
     extend_spn,
+    move_cost,
 )
 from streamalign.petri import NetDefinitionError
 from streamalign.spn import MoveTable
@@ -86,19 +87,33 @@ def test_spn_rejects_reserved_model_ids():
         build_spn(net, ["a"])
 
 
+def tids(block):
+    return tuple(m.tid for m in block)
+
+
 def test_extend_matches_figure_delta(n1):
     spn = build_spn(n1, ["a"])
-    delta = extend_spn(spn, "b")
-    assert delta.new_place == "tp2"
-    assert set(delta.new_transitions) == {"log:tt2", "sync:tt2|t3"}
+    block = extend_spn(spn, "b")
+    assert set(tids(block)) == {"log:tt2", "sync:tt2|t3"}
     assert spn.n == 2
     assert spn.goal_place == "tp2"
 
 
 def test_extend_by_unmatched_label_adds_log_only(n1):
     spn = build_spn(n1, ["a"])
-    delta = extend_spn(spn, "z")
-    assert delta.new_transitions == ("log:tt2",)
+    assert tids(extend_spn(spn, "z")) == ("log:tt2",)
+
+
+def test_extend_returns_the_tables_block_and_grows_the_goal(n1):
+    spn = build_spn(n1, ["a"])
+    for activity in ["b", "z", "c"]:
+        old_places = set(spn.place_ids())
+        block = extend_spn(spn, activity)
+        assert block is spn.table.position(spn.n, activity)
+        assert spn.blocks[-1] is block
+        assert set(spn.place_ids()) - old_places == {spn.goal_place}
+        assert spn.goal_place == f"tp{spn.n}"
+        assert all(m.pre[0] == f"tp{spn.n - 1}" and m.post[0] == spn.goal_place for m in block)
 
 
 def test_extend_rejects_silent(n1):
@@ -132,11 +147,12 @@ def test_extension_is_append_only(n1):
 def test_new_trace_place_has_no_consumers_until_next_extension(n1):
     # no transition can leave a marking that holds the newest trace place token
     spn = build_spn(n1, ["a"])
-    delta = extend_spn(spn, "b")
-    assert spn.consumers(delta.new_place) == ()
-    delta2 = extend_spn(spn, "c")
-    assert spn.consumers(delta.new_place) != ()
-    assert spn.consumers(delta2.new_place) == ()
+    extend_spn(spn, "b")
+    new_place = spn.goal_place
+    assert spn.consumers(new_place) == ()
+    extend_spn(spn, "c")
+    assert spn.consumers(new_place) != ()
+    assert spn.consumers(spn.goal_place) == ()
 
 
 def test_frontier_growth_two_step(n1):
@@ -149,11 +165,11 @@ def test_frontier_growth_two_step(n1):
         old_places = set(spn.place_ids())
         markings, _ = enumerate_state_space(spn, spn.initial, bound=5000)
         extend_spn(spn, trace[0])
-        delta2 = extend_spn(spn, trace[-1])
+        newest = set(tids(extend_spn(spn, trace[-1])))
         enabled_before_sets = {m: set(enabled_transitions(spn, m)) for m in markings}
         for m, now_enabled in enabled_before_sets.items():
             assert set(m.places()) <= old_places
-            assert not (now_enabled & set(delta2.new_transitions))
+            assert not (now_enabled & newest)
 
 
 def test_one_token_in_trace_part_everywhere(n1):
@@ -237,3 +253,25 @@ def test_bad_models_are_rejected_with_or_without_an_engine(make, n1):
 def test_table_of_another_model_is_refused(n1, trap):
     with pytest.raises(ValueError):
         build_spn(n1, ["a"], MoveTable(trap))
+
+
+def test_moves_of_two_tables_compare_by_value(preset_models):
+    for net, trace in nets_and_traces(preset_models, 41):
+        one, two = MoveTable(net), MoveTable(net)
+        assert one.model_moves == two.model_moves
+        assert list(map(hash, one.model_moves)) == list(map(hash, two.model_moves))
+        for i, activity in enumerate(trace, start=1):
+            a, b = one.position(i, activity), two.position(i, activity)
+            assert a is not b and a == b
+            assert all(x is not y and hash(x) == hash(y) for x, y in zip(a, b, strict=True))
+            assert a != two.position(i + 1, activity)
+            assert a[0] != two.position(i, activity + "'")[0]
+
+
+def test_every_move_carries_its_standard_cost(preset_models):
+    for net, trace in nets_and_traces(preset_models, 43):
+        spn = build_spn(net, trace)
+        moves = spn.transitions.values()
+        assert all(m.cost == move_cost(m) for m in moves)
+        assert {m.cost for m in moves if m.kind is MoveKind.SYNC} <= {0}
+        assert {m.cost for m in moves if m.kind is MoveKind.LOG} <= {1}
