@@ -27,8 +27,8 @@ spn = build_spn(model, ["register", "approve", "check", "archive"])
 _, _, true_distance = distances_to_goal(spn)
 print("marking                         lp    ilp   true")
 for marking in [spn.initial, Marking.of("tp1", "q1"), Marking.of("tp2", "q1")]:
-    lp = estimate(spn, marking, "lp").value
-    ilp = estimate(spn, marking, "ilp").value
+    lp = estimate(spn, marking, "lp")
+    ilp = estimate(spn, marking, "ilp")
     print(f"{str(marking):<28} {str(lp):>5} {ilp:>6} {true_distance[marking]:>6}")
 
 # search effort across heuristic modes and refresh policies

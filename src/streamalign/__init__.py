@@ -29,7 +29,7 @@ from .engine import (
     replay_log_as_stream,
 )
 from .generator import PRESETS, generate_log
-from .heuristic import HeuristicProblem, HeuristicValue, build_problem, estimate
+from .heuristic import HeuristicProblem, build_problem, estimate
 from .occ import OccState, occ_process_event, revert_alignment
 from .petri import (
     Marking,
@@ -68,7 +68,6 @@ __all__ = [
     "EventError",
     "EventResult",
     "HeuristicProblem",
-    "HeuristicValue",
     "InvariantViolation",
     "Marking",
     "Move",

@@ -19,7 +19,6 @@ and die with their engine.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -130,7 +129,6 @@ class StreamEngine:
         model: WorkflowNet,
         algorithm: str = "ias",
         heuristic: str = "ilp",
-        sink=None,
     ):
         self.moves = MoveTable(model)  # validates; moves shared by all cases
         if heuristic not in MODES:
@@ -139,17 +137,10 @@ class StreamEngine:
         self.kind, self.window = parse_algorithm(algorithm)
         self.algorithm = algorithm
         self.heuristic = heuristic
-        self.sink = sink
         self.table = CaseTable()
         self.memo: dict = {}  # flow-program values shared by all cases
 
     def process_event(self, event: Event) -> EventResult | EventError:
-        outcome = self._handle(event)
-        if self.sink is not None:
-            self.sink(outcome.to_record())
-        return outcome
-
-    def _handle(self, event: Event) -> EventResult | EventError:
         activity = event.activity
         if not isinstance(activity, str) or not activity:
             return EventError(
@@ -166,14 +157,13 @@ class StreamEngine:
 
         if entry.spn is None:
             entry.spn = build_spn(self.model, [activity], self.moves)
-            entry.cache = SearchCache.fresh(entry.spn)
+            entry.cache = SearchCache(entry.spn.initial)
         else:
             extend_spn(entry.spn, activity)
         refresh = LAZY if self.kind == "ias" else EAGER
         outcome = astar_inc(
             entry.spn, entry.cache, self.heuristic, refresh, memo=self.memo
         )
-        entry.cache = outcome.cache
         return EventResult(
             event.case_id, event.index, activity, outcome.alignment, outcome.metrics
         )
@@ -188,7 +178,7 @@ def replay_log_as_stream(
     """Turn a list of traces into an event stream with case ids 1..n.
 
     ``sequential`` emits each trace in full before the next one starts;
-    ``round_robin`` interleaves one event per live case per round.
+    ``round-robin`` interleaves one event per live case per round.
     """
     if any(not trace for trace in log):
         raise ValueError("log contains an empty trace")
@@ -199,7 +189,7 @@ def replay_log_as_stream(
             for activity in trace:
                 events.append(Event(str(case_no), activity, idx))
                 idx += 1
-    elif order in ("round_robin", "round-robin"):
+    elif order == "round-robin":
         idx = 1
         position = 0
         while True:
@@ -215,12 +205,3 @@ def replay_log_as_stream(
     else:
         raise ValueError(f"unknown replay order {order!r}")
     return events
-
-
-def jsonl_sink(handle):
-    """Sink writing one canonical JSON record per line."""
-
-    def emit(record: dict) -> None:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-    return emit

@@ -33,17 +33,10 @@ from itertools import chain
 
 from .alignment import InvariantViolation
 from .petri import Marking
-from .simplex import INFEASIBLE, OPTIMAL, Row, solve_ilp, solve_lp
+from .simplex import OPTIMAL, Row, solve_ilp, solve_lp
 from .spn import SyncProductNet, trace_place
 
 MODES = ("lp", "ilp", "zero")
-
-
-@dataclass(frozen=True)
-class HeuristicValue:
-    value: Fraction | int
-    infeasible: bool
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -93,17 +86,24 @@ def build_problem(spn: SyncProductNet, marking: Marking) -> HeuristicProblem:
     )
 
 
-def estimate(spn: SyncProductNet, marking: Marking, mode: str = "ilp") -> HeuristicValue:
-    """Remaining-cost estimate for a marking under the given mode."""
+def estimate(spn: SyncProductNet, marking: Marking, mode: str = "ilp") -> Fraction | int:
+    """Remaining-cost estimate for a marking: an ``int`` under ``ilp`` and
+    ``zero``, a ``Fraction`` under ``lp``.
+
+    Every program :func:`build_problem` accepts is feasible: firing each log
+    move at the positions after the marking's trace token once carries that
+    token to the last trace place and leaves the model places alone.  No
+    cost is negative, so the optimum is bounded too.  Any status other than
+    optimal is therefore a solver fault and raises
+    :class:`~streamalign.alignment.InvariantViolation`.
+    """
     if mode not in MODES:
         raise ValueError(f"unknown heuristic mode {mode!r}")
     if mode == "zero":
-        return HeuristicValue(0, False, mode)
+        return 0
     problem = build_problem(spn, marking)
     solver = solve_lp if mode == "lp" else solve_ilp
     result = solver(list(problem.objective), list(problem.rows))
-    if result.status == INFEASIBLE:
-        return HeuristicValue(0, True, mode)
     if result.status != OPTIMAL:
         raise InvariantViolation(f"flow program for {marking} is {result.status}")
     value = result.value
@@ -111,6 +111,4 @@ def estimate(spn: SyncProductNet, marking: Marking, mode: str = "ilp") -> Heuris
         raise InvariantViolation(
             f"{mode} estimate {value} for {marking} is negative or fractional"
         )
-    if mode == "ilp":
-        return HeuristicValue(int(value), False, mode)
-    return HeuristicValue(value, False, mode)
+    return int(value) if mode == "ilp" else value

@@ -109,10 +109,11 @@ class Marking:
 class WorkflowNet:
     """A labeled Petri net with designated initial and final markings.
 
-    Construction checks that ids are strings that resolve and that places
-    and transitions are disjoint; the workflow-net structural properties
-    (unique source/sink, every node on a source-to-sink path) are checked by
-    :func:`validate_wfnet` and reported as data rather than raised.
+    Construction checks that ids are strings, that arcs are pairs of ids
+    that resolve and that places and transitions are disjoint; the
+    workflow-net structural properties (unique source/sink, every node on a
+    source-to-sink path) are checked by :func:`validate_wfnet` and reported
+    as data rather than raised.
     """
 
     def __init__(
@@ -135,6 +136,10 @@ class WorkflowNet:
             raise NetDefinitionError(
                 f"ids used both as place and transition: {sorted(place_set & trans_set)}"
             )
+        arcs = list(arcs)
+        for arc in arcs:
+            if not (isinstance(arc, tuple) and len(arc) == 2 and all(isinstance(n, str) for n in arc)):
+                raise NetDefinitionError(f"arc {arc!r} is not a pair of strings")
         self.arcs: frozenset[tuple[str, str]] = frozenset(arcs)
         for src, tgt in self.arcs:
             ok = (src in place_set and tgt in trans_set) or (

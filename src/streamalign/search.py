@@ -20,8 +20,8 @@ over all moves with the moves that cannot be enabled left out, so ties
 break as in the full scan.  Each move is a :class:`~streamalign.spn.Move`
 of the product net's move table, which carries its cost and which the
 search stores in the predecessor map, so reconstruction allocates no moves.
-An optional :class:`SearchObserver` sees every expansion and every refreshed
-estimate; without one nothing is recorded.
+The search reports what it did only through :class:`SearchMetrics`; it
+asks the net for a marking's candidate moves exactly once per expansion.
 
 Callers may pass a ``memo``, a dict of estimates shared by every search of
 one model.  The flow program of a marking whose trace token sits on
@@ -47,7 +47,6 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from math import inf
 
 from .alignment import (
     InvariantViolation,
@@ -116,20 +115,6 @@ class SearchMetrics:
     wall_time: float = 0.0
 
 
-class SearchObserver:
-    """Watches one search; the methods do nothing unless overridden.
-
-    Pass an instance as ``observer`` to :func:`astar_inc` or
-    :func:`astar_scratch`.  Without one the search records nothing.
-    """
-
-    def expanded(self, marking: Marking) -> None:
-        """``marking`` was closed and its successors are about to be generated."""
-
-    def refreshed(self, marking: Marking, old, new) -> None:
-        """A held estimate ``old`` of ``marking`` was recomputed as ``new``."""
-
-
 class SearchCache:
     """Reusable A* state of one case: open, closed, g, predecessors.
 
@@ -147,10 +132,6 @@ class SearchCache:
         self.stale: set[Marking] = set()
         self._seed_pending = True
         self.open.push(root, 0, 0)
-
-    @classmethod
-    def fresh(cls, spn: SyncProductNet, start: Marking | None = None) -> "SearchCache":
-        return cls(start if start is not None else spn.initial)
 
     def invariants_ok(self) -> bool:
         open_markings = set(self.open.markings())
@@ -181,7 +162,6 @@ class SearchCache:
 @dataclass
 class SearchOutcome:
     alignment: PrefixAlignment
-    cache: SearchCache
     metrics: SearchMetrics
 
 
@@ -201,7 +181,6 @@ def _astar(
     h_mode: str,
     refresh: str,
     memo: dict | None = None,
-    observer: SearchObserver | None = None,
 ) -> SearchOutcome:
     started = time.perf_counter()
     metrics = SearchMetrics()
@@ -217,9 +196,8 @@ def _astar(
             value = memo.get(key)
             if value is not None:
                 return value
-        result = estimate(spn, marking, h_mode)
+        value = estimate(spn, marking, h_mode)
         metrics.lps_solved += 1
-        value = inf if result.infeasible else result.value
         if key is not None:
             if len(memo) >= MEMO_ENTRIES:
                 del memo[next(iter(memo))]
@@ -231,8 +209,6 @@ def _astar(
         value = fresh_h(marking)
         if old is not None:
             metrics.heuristic_recomputations += 1
-            if observer is not None:
-                observer.refreshed(marking, old, value)
         cache.h[marking] = value
         return value
 
@@ -265,12 +241,10 @@ def _astar(
                     f"search cost is {cache.g[marking]}"
                 )
             metrics.wall_time = time.perf_counter() - started
-            return SearchOutcome(alignment, cache, metrics)
+            return SearchOutcome(alignment, metrics)
 
         cache.closed.add(marking)
         metrics.visited += 1
-        if observer is not None:
-            observer.expanded(marking)
         g_here = cache.g[marking]
 
         for move in spn.candidate_moves(marking):
@@ -327,16 +301,15 @@ def astar_inc(
     h_mode: str = "ilp",
     refresh: str = LAZY,
     memo: dict | None = None,
-    observer: SearchObserver | None = None,
 ) -> SearchOutcome:
     """Continue the case's search after (at most) one extension.
 
-    The cache must be freshly initialized or be the untouched result of the
-    previous call for the same product net.  ``memo`` is an optional
-    estimate memo for the net's model (see the module docstring);
-    ``observer`` an optional :class:`SearchObserver`.
+    The cache must be freshly initialized or be left as the previous call
+    for the same product net left it; the call updates it in place.
+    ``memo`` is an optional estimate memo for the net's model (see the
+    module docstring).
     """
-    outcome = _astar(spn, cache, h_mode, refresh, memo, observer)
+    outcome = _astar(spn, cache, h_mode, refresh, memo)
     if not verify_prefix_alignment(outcome.alignment, spn.trace, spn.model):
         raise InvariantViolation(
             f"alignment {outcome.alignment.moves} is not a prefix-alignment "
@@ -350,11 +323,10 @@ def astar_scratch(
     h_mode: str = "ilp",
     start: Marking | None = None,
     memo: dict | None = None,
-    observer: SearchObserver | None = None,
 ) -> SearchOutcome:
     """One-shot search from ``start`` (default: the initial marking)."""
-    cache = SearchCache.fresh(spn, start)
-    return _astar(spn, cache, h_mode, EAGER, memo, observer)
+    cache = SearchCache(start if start is not None else spn.initial)
+    return _astar(spn, cache, h_mode, EAGER, memo)
 
 
 def dijkstra_oracle(

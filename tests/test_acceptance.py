@@ -44,7 +44,6 @@ from streamalign.cli import EXIT_OK
 from streamalign.cli import main as cli_main
 from streamalign.generator import PRESETS
 from streamalign.metrics import compute_metrics, oracle_costs_by_case
-from streamalign.search import SearchObserver
 
 NOISE = {"swap_p": 0.15, "drop_p": 0.1, "insert_p": 0.1}
 TRACES_PER_PRESET = 100
@@ -73,18 +72,6 @@ class SuiteData:
     wall_time: float = 0.0
 
 
-class ShrinkLog(SearchObserver):
-    """Refreshed estimates that fell below the value they replaced."""
-
-    def __init__(self, entries: list, context: tuple):
-        self.entries = entries
-        self.context = context
-
-    def refreshed(self, marking, old, new):
-        if new < old:
-            self.entries.append(self.context + (marking, old, new))
-
-
 @pytest.fixture(scope="module")
 def suite() -> SuiteData:
     data = SuiteData()
@@ -96,10 +83,11 @@ def suite() -> SuiteData:
         for trace in log:
             data.pair_count += 1
             ias_spn = build_spn(model, trace[:1])
-            ias_cache = SearchCache.fresh(ias_spn)
+            ias_cache = SearchCache(ias_spn.initial)
             iasr_spn = build_spn(model, trace[:1])
-            iasr_cache = SearchCache.fresh(iasr_spn)
+            iasr_cache = SearchCache(iasr_spn.initial)
             occ_state = OccState(window=None)
+            stale = {}
             for k, activity in enumerate(trace, start=1):
                 if k > 1:
                     # -- instrumentation around the extension ----------------
@@ -146,8 +134,13 @@ def suite() -> SuiteData:
                                     (preset_name, trace[:k], name, m, h_old, dist.get(m))
                                 )
                 ias_out = astar_inc(ias_spn, ias_cache, HEURISTIC, "lazy")
-                shrinks = ShrinkLog(data.h_regressions, (preset_name, trace[:k]))
-                iasr_out = astar_inc(iasr_spn, iasr_cache, HEURISTIC, "eager", observer=shrinks)
+                iasr_out = astar_inc(iasr_spn, iasr_cache, HEURISTIC, "eager")
+                # eager refresh recomputed every estimate held before the
+                # extension: record those that fell below the value they replaced
+                for m, h_old in stale.get("iasr", {}).items():
+                    h_new = iasr_cache.h[m]
+                    if h_new < h_old:
+                        data.h_regressions.append((preset_name, trace[:k], m, h_old, h_new))
                 totals["ias"] += ias_out.metrics.lps_solved
                 totals["iasr"] += iasr_out.metrics.lps_solved
                 occ_alignment, _ = occ_process_event(occ_state, model, activity, HEURISTIC)
@@ -224,8 +217,8 @@ def test_check_3_heuristic_soundness():
         instances += 1
         values = {"lp": {}, "ilp": {}}
         for m in markings:
-            lp = estimate(spn, m, "lp").value
-            ilp = estimate(spn, m, "ilp").value
+            lp = estimate(spn, m, "lp")
+            ilp = estimate(spn, m, "ilp")
             values["lp"][m], values["ilp"][m] = lp, ilp
             if not lp <= ilp <= dist[m]:
                 failures.append(("order", trace, m, lp, ilp, dist[m]))

@@ -5,6 +5,7 @@ import pytest
 from streamalign.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from streamalign.fileio import load_traces, save_net
 from streamalign.metrics import METRIC_FAMILIES, oracle_costs_by_case
+from streamalign.simplex import INFEASIBLE, LpResult
 from streamalign import Marking, WorkflowNet
 
 
@@ -138,20 +139,28 @@ def test_generation_failure_is_data_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "places, transitions",
+    "places, transitions, arcs, message",
     [
-        (["i", 2], ["t"]),
-        (["i", "o"], [1, "t"]),
-        ([0, 1], [2]),
+        (["i", 2], ["t"], None, "is not a string"),
+        (["i", "o"], [1, "t"], None, "is not a string"),
+        ([0, 1], [2], None, "is not a string"),
+        (["p1", "p2"], ["t1"], [[["p1"], "t1"], ["t1", "p2"]],
+         "arc (['p1'], 't1') is not a pair of strings"),
+        (["p1", "p2"], ["t1"], [["p1", "t1", "x"], ["t1", "p2"]],
+         "arc ('p1', 't1', 'x') is not a pair of strings"),
     ],
-    ids=["place", "transition", "all"],
+    ids=["place", "transition", "all", "arc-node", "arc-length"],
 )
 @pytest.mark.parametrize("command", ["validate", "replay"])
-def test_non_string_node_ids_are_data_errors(capsys, tmp_path, command, places, transitions):
+def test_non_string_node_ids_are_data_errors(
+    capsys, tmp_path, command, places, transitions, arcs, message
+):
+    if arcs is None:
+        arcs = [[places[0], transitions[-1]], [transitions[-1], places[-1]]]
     doc = {
         "places": places,
         "transitions": [{"id": t, "label": "a"} for t in transitions],
-        "arcs": [[places[0], transitions[-1]], [transitions[-1], places[-1]]],
+        "arcs": arcs,
         "initial": {str(places[0]): 1},
         "final": {str(places[-1]): 1},
     }
@@ -164,7 +173,7 @@ def test_non_string_node_ids_are_data_errors(capsys, tmp_path, command, places, 
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_DATA
     assert err.startswith("error: ") and "Traceback" not in err
-    assert "is not a string" in err
+    assert message in err
 
 
 def inflated_oracle(records):
@@ -179,8 +188,10 @@ def inflated_oracle(records):
         ("streamalign.cli.oracle_costs_by_case", inflated_oracle,
          ["replay", "--model", "n1", "--log", "bundled-3traces", "--algorithms", "ias,occ",
           "--timing", "off"]),
+        ("streamalign.heuristic.solve_ilp", lambda *args: LpResult(INFEASIBLE, None, None),
+         ["align", "--model", "n1", "--trace", "a,b"]),
     ],
-    ids=["verify", "oracle"],
+    ids=["verify", "oracle", "estimate"],
 )
 def test_invariant_violation_is_internal_error(capsys, monkeypatch, tmp_path, site, fault, argv):
     monkeypatch.setattr(site, fault)

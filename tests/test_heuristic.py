@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import streamalign.heuristic as heuristic
 from streamalign import (
+    InvariantViolation,
     Marking,
     WorkflowNet,
     build_problem,
@@ -17,6 +19,7 @@ from streamalign import (
     solve_lp,
 )
 from streamalign.search import memo_key
+from streamalign.simplex import INFEASIBLE, UNBOUNDED, LpResult
 from streamalign.spn import MoveTable
 from tests.conftest import SeededRandom, nets_and_traces, random_net_and_trace
 
@@ -166,7 +169,7 @@ def test_problem_zero_solution_at_goal(n1):
             assert rhs == 0
         else:
             assert rhs <= 0
-    assert estimate(spn, goal, "ilp").value == 0
+    assert estimate(spn, goal, "ilp") == 0
 
 
 def test_problem_rejects_bad_markings(n1):
@@ -185,15 +188,25 @@ def test_estimate_examples_match_oracle(n1):
     assert dist[m_sync] == 0
     assert dist[m_behind] == 1
     for mode in ("lp", "ilp"):
-        assert estimate(spn, m_sync, mode).value == 0
-        assert estimate(spn, m_behind, mode).value == 1
-    assert estimate(spn, Marking.of("tp1", "p2"), "ilp").value == 0
+        assert estimate(spn, m_sync, mode) == 0
+        assert estimate(spn, m_behind, mode) == 1
+    assert estimate(spn, Marking.of("tp1", "p2"), "ilp") == 0
 
 
 def test_zero_mode(n1):
     spn = build_spn(n1, ["a", "b"])
-    value = estimate(spn, spn.initial, "zero")
-    assert value.value == 0 and not value.infeasible
+    assert estimate(spn, spn.initial, "zero") == 0
+
+
+@pytest.mark.parametrize("status", [INFEASIBLE, UNBOUNDED])
+def test_non_optimal_flow_program_is_an_invariant_violation(n1, monkeypatch, status):
+    # every accepted marking has a feasible, bounded program, so any other
+    # solver status is a fault and must not turn into a silent estimate
+    spn = build_spn(n1, ["a"])
+    for mode, solver in (("ilp", "solve_ilp"), ("lp", "solve_lp")):
+        monkeypatch.setattr(heuristic, solver, lambda *args: LpResult(status, None, None))
+        with pytest.raises(InvariantViolation, match=status):
+            estimate(spn, spn.initial, mode)
 
 
 def test_unknown_mode(n1):
@@ -215,7 +228,7 @@ def test_admissible_and_consistent_on_random_nets():
         values = {mode: {} for mode in ("lp", "ilp")}
         for mode in ("lp", "ilp"):
             for m in markings:
-                values[mode][m] = estimate(spn, m, mode).value
+                values[mode][m] = estimate(spn, m, mode)
                 assert values[mode][m] <= dist[m], (mode, m)
         for m in markings:
             assert values["lp"][m] <= values["ilp"][m] <= dist[m]
@@ -236,8 +249,8 @@ def test_lp_can_be_fractional_below_ilp():
         Marking.of("e"),
     )
     spn = build_spn(net, ["c", "c"])
-    lp = estimate(spn, spn.initial, "lp").value
-    ilp = estimate(spn, spn.initial, "ilp").value
+    lp = estimate(spn, spn.initial, "lp")
+    ilp = estimate(spn, spn.initial, "ilp")
     assert lp <= ilp
     assert isinstance(lp, Fraction)
 
@@ -260,10 +273,10 @@ def test_estimates_can_shrink_under_extension():
     )
     spn = build_spn(net, ["d", "b"])
     lent = Marking.of("tp1", "p1")
-    before = {mode: estimate(spn, lent, mode).value for mode in ("lp", "ilp")}
+    before = {mode: estimate(spn, lent, mode) for mode in ("lp", "ilp")}
     assert before == {"lp": 1, "ilp": 1}
     extend_spn(spn, "a")
-    after = {mode: estimate(spn, lent, mode).value for mode in ("lp", "ilp")}
+    after = {mode: estimate(spn, lent, mode) for mode in ("lp", "ilp")}
     assert after == {"lp": 0, "ilp": 0}
     # the drop is sound: true remaining distance is still above the estimate
     _, _, dist = distances_to_goal(spn)

@@ -15,28 +15,36 @@ from streamalign import (
     extend_spn,
     verify_prefix_alignment,
 )
-from streamalign.search import EAGER, LAZY, OpenSet, SearchExhausted, SearchObserver
+from streamalign.search import EAGER, LAZY, OpenSet, SearchExhausted
 from tests.conftest import SeededRandom, random_net_and_trace
 
 
-class ExpansionLog(SearchObserver):
-    """The markings one search expanded, in order."""
+class ExpansionLog:
+    """The markings the searches on one product net expanded, in order.
 
-    def __init__(self):
+    The search asks the net for a marking's candidate moves exactly once per
+    expansion, so wrapping that method on the instance sees every expansion.
+    """
+
+    def __init__(self, spn):
         self.markings = []
+        candidate_moves = spn.candidate_moves
 
-    def expanded(self, marking):
-        self.markings.append(marking)
+        def logged(marking):
+            self.markings.append(marking)
+            return candidate_moves(marking)
+
+        spn.candidate_moves = logged
 
 
 def run_incremental(model, trace, h_mode, refresh):
     """Per-event outcomes of the resumed search over a growing trace."""
     spn = build_spn(model, trace[:1])
-    cache = SearchCache.fresh(spn)
+    cache = SearchCache(spn.initial)
     outcomes = [astar_inc(spn, cache, h_mode, refresh)]
     for activity in trace[1:]:
         extend_spn(spn, activity)
-        outcomes.append(astar_inc(spn, outcomes[-1].cache, h_mode, refresh))
+        outcomes.append(astar_inc(spn, cache, h_mode, refresh))
     return spn, outcomes
 
 
@@ -81,7 +89,7 @@ def test_single_event_c_is_free(n1):
 
 def test_goal_marking_stays_in_open(n1):
     spn = build_spn(n1, ["a"])
-    cache = SearchCache.fresh(spn)
+    cache = SearchCache(spn.initial)
     outcome = astar_inc(spn, cache, "ilp", LAZY)
     assert outcome.alignment.end_marking in cache.open
     assert outcome.alignment.end_marking not in cache.closed
@@ -135,7 +143,7 @@ def test_dijkstra_oracle_running_example(n1):
 
 def test_g_values_untouched_by_extension(n1):
     spn = build_spn(n1, ["a"])
-    cache = SearchCache.fresh(spn)
+    cache = SearchCache(spn.initial)
     astar_inc(spn, cache, "ilp", LAZY)
     snapshot = repr(sorted((m.items, g) for m, g in cache.g.items())).encode()
     extend_spn(spn, "b")
@@ -150,7 +158,7 @@ def test_closed_markings_keep_enabled_sets_across_extension(n1):
     for _ in range(15):
         net, trace = random_net_and_trace(rng, max_len=5)
         spn = build_spn(net, trace[:1])
-        cache = SearchCache.fresh(spn)
+        cache = SearchCache(spn.initial)
         astar_inc(spn, cache, "ilp", LAZY)
         for activity in trace[1:]:
             before = {m: tuple(enabled_transitions(spn, m)) for m in cache.closed}
@@ -168,7 +176,7 @@ def test_pop_count_bounds(n1):
         net, trace = random_net_and_trace(rng, max_len=5)
         for refresh, bound in ((EAGER, 1), (LAZY, 2)):
             spn = build_spn(net, trace[:1])
-            cache = SearchCache.fresh(spn)
+            cache = SearchCache(spn.initial)
             for k, activity in enumerate(trace):
                 if k:
                     extend_spn(spn, activity)
@@ -196,15 +204,16 @@ def test_deterministic_expansion_order(n1):
         runs = []
         for _ in range(2):
             spn = build_spn(net, trace[:1])
-            cache = SearchCache.fresh(spn)
+            cache = SearchCache(spn.initial)
+            log = ExpansionLog(spn)
             expansions = []
             costs = []
             counters = []
             for k, activity in enumerate(trace):
                 if k:
                     extend_spn(spn, activity)
-                log = ExpansionLog()
-                outcome = astar_inc(spn, cache, "ilp", LAZY, observer=log)
+                log.markings.clear()
+                outcome = astar_inc(spn, cache, "ilp", LAZY)
                 expansions.append(tuple(log.markings))
                 costs.append(outcome.alignment.total_cost)
                 counters.append(
@@ -228,13 +237,14 @@ def test_zero_estimates_never_go_stale():
         runs = {}
         for refresh in (LAZY, EAGER):
             spn = build_spn(net, trace[:1])
-            cache = SearchCache.fresh(spn)
+            cache = SearchCache(spn.initial)
+            log = ExpansionLog(spn)
             runs[refresh] = []
             for k, activity in enumerate(trace):
                 if k:
                     extend_spn(spn, activity)
-                log = ExpansionLog()
-                outcome = astar_inc(spn, cache, "zero", refresh, observer=log)
+                log.markings.clear()
+                outcome = astar_inc(spn, cache, "zero", refresh)
                 if refresh == LAZY:
                     assert outcome.metrics.heuristic_recomputations == 0
                     assert not cache.stale
@@ -256,7 +266,7 @@ for module in (search, occ):
     module.verify_prefix_alignment = lambda *args: False
 try:
     spn = build_spn(model, ["a"])
-    search.astar_inc(spn, SearchCache.fresh(spn))
+    search.astar_inc(spn, SearchCache(spn.initial))
 except InvariantViolation:
     print("search raised")
 try:
@@ -331,7 +341,7 @@ def test_reopening_repairs_stale_key_misordering():
 def test_search_exhausted_is_unreachable_on_product_nets(n1):
     # empty the open set by hand to show the guard exists
     spn = build_spn(n1, ["a"])
-    cache = SearchCache.fresh(spn)
+    cache = SearchCache(spn.initial)
     cache.open.pop()
     with pytest.raises(SearchExhausted):
         astar_inc(spn, cache, "ilp", LAZY)
