@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .petri import Marking, WorkflowNet, fire_sequence, NotEnabledError
-from .spn import Move, MoveKind, move_cost
+from .spn import Move, MoveKind, SyncProductNet, move_cost
 
 
 class InvariantViolation(RuntimeError):
@@ -61,35 +61,32 @@ class BrokenPredecessorChain(KeyError):
 
 
 def reconstruct(
-    predecessors: dict[Marking, tuple[Move | None, Marking | None]],
-    goal: Marking,
-    initial: Marking,
+    predecessors: dict[int, Move | None], goal: int, root: int, net: SyncProductNet
 ) -> PrefixAlignment:
     """Walk the predecessor map back from the goal and emit moves in order.
 
-    Each entry maps a marking to the move that reached it and the marking
-    it was fired from.  The chain must terminate at the initial marking,
-    which maps to the null sentinel ``(None, None)``.  The returned
-    alignment holds the map's own :class:`Move` objects.
+    Each entry maps a packed state of ``net`` to the move that reached it,
+    so the state it was fired from is the state minus the move's delta.
+    The chain must terminate at the root state, which maps to None.  The
+    returned alignment holds the map's own :class:`Move` objects and the
+    goal's marking.
     """
     moves: list[Move] = []
-    current = goal
+    state = goal
     while True:
-        if current not in predecessors:
-            raise BrokenPredecessorChain(
-                f"marking {current} has no predecessor entry"
-            )
-        move, previous = predecessors[current]
+        if state not in predecessors:
+            raise BrokenPredecessorChain(f"state {state:#x} has no predecessor entry")
+        move = predecessors[state]
         if move is None:
-            if current != initial:
+            if state != root:
                 raise BrokenPredecessorChain(
-                    f"chain ends at {current}, expected initial {initial}"
+                    f"chain ends at {net.decode(state)}, expected {net.decode(root)}"
                 )
             break
         moves.append(move)
-        current = previous
+        state -= move.delta
     moves.reverse()
-    return PrefixAlignment(tuple(moves), sum(m.cost for m in moves), goal)
+    return PrefixAlignment(tuple(moves), sum(m.cost for m in moves), net.decode(goal))
 
 
 def verify_prefix_alignment(

@@ -6,7 +6,8 @@ alignment table for one trace, ``generate`` writes a synthetic log and
 ``validate`` checks workflow-net structure.  Exit codes: 0 ok, 1 usage,
 2 data error (including a model that yields no trace within ``--max-len``),
 3 internal failure (an invariant violation, an exhausted search, branch and
-bound past its depth limit or a state space past its bound).
+bound past its depth limit or a state space past its bound, such as a place
+past the packed state's token limit on an unbounded net).
 """
 
 from __future__ import annotations

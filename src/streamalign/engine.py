@@ -157,7 +157,7 @@ class StreamEngine:
 
         if entry.spn is None:
             entry.spn = build_spn(self.model, [activity], self.moves)
-            entry.cache = SearchCache(entry.spn.initial)
+            entry.cache = SearchCache(entry.spn)
         else:
             extend_spn(entry.spn, activity)
         refresh = LAZY if self.kind == "ias" else EAGER

@@ -33,19 +33,30 @@ def net_to_dict(net: WorkflowNet) -> dict:
 
 
 def net_from_dict(doc: dict) -> WorkflowNet:
+    if not isinstance(doc, dict):
+        raise DataError("malformed net document: not a JSON object")
+    for name in ("places", "transitions", "arcs"):
+        if name in doc and not isinstance(doc[name], list):
+            raise DataError(f"net document field {name!r} is not a list")
     try:
         places = doc["places"]
         transitions = [t["id"] for t in doc["transitions"]]
         labels = {t["id"]: t["label"] for t in doc["transitions"]}
         arcs = [tuple(arc) for arc in doc["arcs"]]
-        initial = Marking(doc["initial"])
-        final = Marking(doc["final"])
+        initial, final = _marking(doc, "initial"), _marking(doc, "final")
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed net document: {exc!r}") from exc
     try:
         return WorkflowNet(places, transitions, arcs, labels, initial, final)
     except NetDefinitionError as exc:
         raise DataError(str(exc)) from exc
+
+
+def _marking(doc: dict, name: str) -> Marking:
+    try:
+        return Marking(doc[name])
+    except ValueError as exc:
+        raise DataError(f"net document field {name!r}: {exc}") from exc
 
 
 def save_net(net: WorkflowNet, path: str | Path) -> None:

@@ -2,8 +2,10 @@
 
 Transitions carry an activity label; silent transitions are labeled ``None``
 (never an empty or reserved string).  Markings are immutable multisets of
-place ids, hashable and canonically ordered so they can serve as search
-states.  Arc weights are fixed at one.
+place ids, hashable and canonically ordered.  :class:`Marking` is the
+public type of a marking everywhere, the oracles search over it directly,
+and the A* search encodes each product marking as one ``int`` (see
+:mod:`streamalign.spn`).  Arc weights are fixed at one.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ class Marking:
 
     Internally a tuple of (place, count) pairs sorted by place id with zero
     counts dropped, which makes equality, hashing and ordering canonical.
+    Counts must be ``int`` (not ``bool``): the search adds them into bit
+    fields of a packed state.
     """
 
     __slots__ = ("items", "_map", "_hash")
@@ -46,6 +50,8 @@ class Marking:
         pairs = counts.items() if isinstance(counts, Mapping) else counts
         acc: dict[str, int] = {}
         for place, count in pairs:
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise ValueError(f"token count {count!r} for place {place!r} is not an integer")
             if count < 0:
                 raise ValueError(f"negative token count {count} for place {place!r}")
             if count:

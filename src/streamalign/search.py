@@ -9,19 +9,33 @@ one state at a time when it is popped, skipping its goal test and expansion
 for that pop.  Under the ``zero`` heuristic nothing is marked outdated,
 since a zero estimate cannot change.
 
-The returned goal marking is deliberately left in the open set: the next
+The returned goal state is deliberately left in the open set: the next
 extension may grow cheaper continuations through it.
 
-Expansion is indexed by trace position.  A marking whose trace token sits
+The search runs on packed states: each product marking is one ``int`` in
+the layout of the net's move table (see :mod:`streamalign.spn`), so the
+cache, the open set and the predecessor map hold ints, which the cyclic
+garbage collector does not track.  :class:`~streamalign.petri.Marking`
+stays the type at every boundary: the start marking is encoded once, the
+alignment's end marking and the flow program's marking are decoded, and
+:class:`SearchCache` shows ``g``, ``h``, ``closed`` and ``open.markings()``
+keyed by marking.
+
+Expansion is indexed by trace position.  A state whose trace token sits
 on ``tp{k}`` tries only the model moves and then the moves of position
 ``k + 1`` (:meth:`~streamalign.spn.SyncProductNet.candidate_moves`); every
 other move consumes from an empty trace place.  That is the order of a scan
 over all moves with the moves that cannot be enabled left out, so ties
-break as in the full scan.  Each move is a :class:`~streamalign.spn.Move`
-of the product net's move table, which carries its cost and which the
-search stores in the predecessor map, so reconstruction allocates no moves.
-The search reports what it did only through :class:`SearchMetrics`; it
-asks the net for a marking's candidate moves exactly once per expansion.
+break as in the full scan.  One mask per expanded state marks its nonempty
+model places; a move is enabled when its ``need`` bits are all marked, and
+firing adds its ``delta``.  A firing that would overflow a place's field
+raises :class:`~streamalign.petri.StateSpaceTooLarge`.  Each move is a
+:class:`~streamalign.spn.Move` of the product net's move table, which
+carries its cost and which the search stores as a state's predecessor
+entry: the state it was fired from is the state minus the move's delta, so
+reconstruction allocates no moves.  The search reports what it did only
+through :class:`SearchMetrics`; it asks the net for a state's candidate
+moves exactly once per expansion.
 
 Callers may pass a ``memo``, a dict of estimates shared by every search of
 one model.  The flow program of a marking whose trace token sits on
@@ -31,12 +45,11 @@ per remaining position, a log move and one synchronous move per model
 transition with that label, its trace rows have right-hand sides
 ``-1, 0, ..., 0, 1`` and its model rows ``-m(p)``.  Its value is therefore
 the same in every case, at every position and however far the net has
-grown, and the memo keys it by exactly those three things.  A memo serves
-one model.  It keeps at most :data:`MEMO_ENTRIES` values and evicts the
-oldest first; ``lps_solved`` counts only the programs actually solved.
-Markings without exactly one token on the net's trace places bypass the
-memo, so the heuristic still rejects them.  Under ``zero`` no estimate is
-asked for at all.
+grown, and the memo keys it by exactly those three things, the model part
+as the state's model fields (:func:`memo_key`).  A memo serves one model.
+It keeps at most :data:`MEMO_ENTRIES` values and evicts the oldest first;
+``lps_solved`` counts only the programs actually solved.  Under ``zero``
+no estimate is asked for at all.
 
 :func:`dijkstra_oracle` is an independent uniform-cost sweep used as a test
 oracle; it shares nothing with the A* machinery except the net semantics.
@@ -47,6 +60,8 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Iterator
 
 from .alignment import (
     InvariantViolation,
@@ -57,7 +72,7 @@ from .alignment import (
 )
 from .heuristic import estimate
 from .petri import Marking, StateSpaceTooLarge, enumerate_state_space, fire
-from .spn import SyncProductNet
+from .spn import Move, MoveTable, SyncProductNet
 
 MEMO_ENTRIES = 2**14  # estimates one memo keeps before evicting the oldest
 
@@ -71,37 +86,42 @@ LAZY = "lazy"
 
 
 class OpenSet:
-    """Priority structure over markings with lazy invalidation.
+    """Priority structure over packed states with lazy invalidation.
 
     Keys order by f ascending, then larger cost-so-far, then the canonical
-    marking order, which makes every pop deterministic.  Decrease-key pushes
-    a fresh entry and abandons the old one.
+    marking order (:meth:`~streamalign.spn.MoveTable.tie_key`), which makes
+    every pop deterministic.  Decrease-key pushes a fresh entry and abandons
+    the old one.
     """
 
-    def __init__(self):
+    def __init__(self, table: MoveTable):
         self._heap: list[tuple] = []
-        self._live: dict[Marking, tuple] = {}
+        self._live: dict[int, tuple] = {}  # state -> its current heap entry
+        self._table = table
 
     def __len__(self) -> int:
         return len(self._live)
 
-    def __contains__(self, marking: Marking) -> bool:
-        return marking in self._live
+    def states(self) -> list[int]:
+        """The open states in the canonical marking order."""
+        return [entry[3] for entry in sorted(self._live.values(), key=itemgetter(2))]
 
     def markings(self) -> list[Marking]:
-        return sorted(self._live, key=lambda m: m.items)
+        return [self._table.decode(state) for state in self.states()]
 
-    def push(self, marking: Marking, f, g: int) -> None:
-        self._live[marking] = (f, g)
-        heapq.heappush(self._heap, (f, -g, marking.items, marking))
+    def push(self, state: int, f, g: int) -> None:
+        entry = (f, -g, self._table.tie_key(state), state)
+        self._live[state] = entry
+        heapq.heappush(self._heap, entry)
 
-    def pop(self) -> tuple[Marking, object, int]:
-        while self._heap:
-            f, neg_g, _, marking = heapq.heappop(self._heap)
-            current = self._live.get(marking)
-            if current is not None and current == (f, -neg_g):
-                del self._live[marking]
-                return marking, f, -neg_g
+    def pop(self) -> tuple[int, object, int]:
+        heap, live = self._heap, self._live
+        while heap:
+            entry = heapq.heappop(heap)
+            state = entry[3]
+            if live.get(state) is entry:
+                del live[state]
+                return state, entry[0], -entry[1]
         raise IndexError("pop from an empty open set")
 
 
@@ -115,47 +135,93 @@ class SearchMetrics:
     wall_time: float = 0.0
 
 
+class _Decoded:
+    """Read-only view, keyed by marking, of a dict or set keyed by packed state."""
+
+    def __init__(self, states, net: SyncProductNet):
+        self._states = states
+        self._net = net
+
+    def _state(self, marking: Marking) -> int | None:
+        try:
+            return self._net.encode(marking)
+        except ValueError:
+            return None
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __iter__(self) -> Iterator[Marking]:
+        return map(self._net.decode, self._states)
+
+    def __contains__(self, marking: Marking) -> bool:
+        return self._state(marking) in self._states
+
+    def __getitem__(self, marking: Marking):
+        return self._states[self._state(marking)]
+
+    def items(self):
+        return [(self._net.decode(s), v) for s, v in self._states.items()]
+
+
 class SearchCache:
     """Reusable A* state of one case: open, closed, g, predecessors.
 
-    Also keeps the last computed estimate per marking and the set of open
-    markings whose estimate predates the latest extension (lazy refresh).
+    Also keeps the last computed estimate per state and the set of open
+    states whose estimate predates the latest extension (lazy refresh).
+    Everything is keyed by packed state; :attr:`g`, :attr:`h`,
+    :attr:`closed` and ``open.markings()`` show it keyed by marking.  The
+    search starts from ``start``, by default the net's initial marking.
     """
 
-    def __init__(self, root: Marking):
-        self.root = root
-        self.open = OpenSet()
-        self.closed: set[Marking] = set()
-        self.g: dict[Marking, int] = {root: 0}
-        self.p: dict[Marking, tuple] = {root: (None, None)}
-        self.h: dict[Marking, object] = {}
-        self.stale: set[Marking] = set()
+    def __init__(self, spn: SyncProductNet, start: Marking | None = None):
+        self.spn = spn
+        self.root = spn.encode(start if start is not None else spn.initial)
+        self.open = OpenSet(spn.table)
+        self._closed: set[int] = set()
+        self._g: dict[int, int] = {self.root: 0}
+        self._p: dict[int, Move | None] = {self.root: None}  # the move that reached a state
+        self._h: dict[int, object] = {}
+        self._stale: set[int] = set()
         self._seed_pending = True
-        self.open.push(root, 0, 0)
+        self.open.push(self.root, 0, 0)
+
+    @property
+    def g(self) -> _Decoded:
+        return _Decoded(self._g, self.spn)
+
+    @property
+    def h(self) -> _Decoded:
+        return _Decoded(self._h, self.spn)
+
+    @property
+    def closed(self) -> _Decoded:
+        return _Decoded(self._closed, self.spn)
+
+    @property
+    def stale(self) -> _Decoded:
+        return _Decoded(self._stale, self.spn)
 
     def invariants_ok(self) -> bool:
-        open_markings = set(self.open.markings())
-        if open_markings & self.closed:
+        open_states = set(self.open.states())
+        if open_states & self._closed:
             return False
-        for m in open_markings | self.closed:
-            if m not in self.g:
+        for s in open_states | self._closed:
+            if s not in self._g or s not in self._p:
                 return False
-            if m != self.root and m not in self.p:
-                return False
-        if self.g.get(self.root) != 0:
+        if self._g.get(self.root) != 0 or self._p.get(self.root, 0) is not None:
             return False
-        # predecessor chains must be acyclic and end at the root sentinel
-        for m in open_markings | self.closed:
+        # predecessor chains must be acyclic and end at the root
+        for s in open_states | self._closed:
             seen = set()
-            cur = m
-            while True:
-                if cur in seen:
-                    return False
-                seen.add(cur)
-                t, prev = self.p[cur]
-                if t is None:
+            while s in self._p and s not in seen:
+                seen.add(s)
+                move = self._p[s]
+                if move is None:
                     break
-                cur = prev
+                s -= move.delta
+            if s != self.root:
+                return False
         return True
 
 
@@ -165,14 +231,11 @@ class SearchOutcome:
     metrics: SearchMetrics
 
 
-def memo_key(spn: SyncProductNet, marking: Marking, h_mode: str) -> tuple | None:
-    """(mode, model part, remaining activities) of a marking, which fix its
-    flow program; None unless the marking holds exactly one token on the
-    net's trace places (see :meth:`~streamalign.spn.SyncProductNet.split`)."""
-    k, model_part = spn.split(marking)
-    if k is None:
-        return None
-    return h_mode, model_part, tuple(spn.trace[k:])
+def memo_key(spn: SyncProductNet, state: int, h_mode: str) -> tuple:
+    """(mode, model part, remaining activities) of a packed state, which fix
+    its flow program."""
+    table = spn.table
+    return h_mode, state & table.model_mask, tuple(spn.trace[state >> table.shift :])
 
 
 def _astar(
@@ -187,16 +250,19 @@ def _astar(
     if cache._seed_pending:
         metrics.queued += 1
         cache._seed_pending = False
+    table = spn.table
+    g_map, p_map, h_map = cache._g, cache._p, cache._h
+    closed, stale, open_set = cache._closed, cache._stale, cache.open
 
-    def fresh_h(marking: Marking):
+    def fresh_h(state: int):
         if h_mode == "zero":
             return 0
-        key = None if memo is None else memo_key(spn, marking, h_mode)
+        key = None if memo is None else memo_key(spn, state, h_mode)
         if key is not None:
             value = memo.get(key)
             if value is not None:
                 return value
-        value = estimate(spn, marking, h_mode)
+        value = estimate(spn, spn.decode(state), h_mode)
         metrics.lps_solved += 1
         if key is not None:
             if len(memo) >= MEMO_ENTRIES:
@@ -204,61 +270,60 @@ def _astar(
             memo[key] = value
         return value
 
-    def refresh_h(marking: Marking):
-        old = cache.h.get(marking)
-        value = fresh_h(marking)
+    def refresh_h(state: int):
+        old = h_map.get(state)
+        value = fresh_h(state)
         if old is not None:
             metrics.heuristic_recomputations += 1
-        cache.h[marking] = value
+        h_map[state] = value
         return value
 
     if refresh == EAGER:
-        for m in cache.open.markings():
-            hv = refresh_h(m)
-            cache.open.push(m, cache.g[m] + hv, cache.g[m])
-        cache.stale.clear()
+        for s in open_set.states():
+            hv = refresh_h(s)
+            open_set.push(s, g_map[s] + hv, g_map[s])
+        stale.clear()
     elif refresh == LAZY:
         if h_mode != "zero":  # a zero estimate never goes out of date
-            cache.stale.update(cache.open.markings())
+            stale.update(open_set.states())
     else:
         raise ValueError(f"unknown refresh policy {refresh!r}")
 
-    while len(cache.open):
-        marking, f, _ = cache.open.pop()
+    n, shift, guards, lows = spn.n, table.shift, table.guards, table.lows
+    while len(open_set):
+        state, f, g_here = open_set.pop()
 
-        if marking in cache.stale:
-            hv = refresh_h(marking)
-            cache.stale.discard(marking)
-            cache.open.push(marking, cache.g[marking] + hv, cache.g[marking])
+        if state in stale:
+            hv = refresh_h(state)
+            stale.discard(state)
+            open_set.push(state, g_here + hv, g_here)
             continue
 
-        if spn.is_goal(marking):
-            cache.open.push(marking, f, cache.g[marking])  # stays in open
-            alignment = reconstruct(cache.p, marking, cache.root)
-            if alignment.total_cost != cache.g[marking]:
+        if state >> shift == n:  # the trace token is on the goal place
+            open_set.push(state, f, g_here)  # stays in open
+            alignment = reconstruct(p_map, state, cache.root, spn)
+            if alignment.total_cost != g_here:
                 raise InvariantViolation(
-                    f"alignment to {marking} costs {alignment.total_cost}, "
-                    f"search cost is {cache.g[marking]}"
+                    f"alignment to {alignment.end_marking} costs {alignment.total_cost}, "
+                    f"search cost is {g_here}"
                 )
             metrics.wall_time = time.perf_counter() - started
             return SearchOutcome(alignment, metrics)
 
-        cache.closed.add(marking)
+        closed.add(state)
         metrics.visited += 1
-        g_here = cache.g[marking]
+        marked = ((state | guards) - lows) & guards  # guard bits of nonempty model places
 
-        for move in spn.candidate_moves(marking):
-            enabled_here = True
-            for p in move.pre:
-                if marking.get(p) <= 0:
-                    enabled_here = False
-                    break
-            if not enabled_here:
+        for move in spn.candidate_moves(state):
+            need = move.need
+            if marked & need != need:
                 continue
-            successor = fire(spn, marking, move.tid)
+            successor = state + move.delta
+            if successor & guards:
+                raise table.overflow(successor)
             new_g = g_here + move.cost
-            old_g = cache.g.get(successor)
-            if successor in cache.closed:
+            old_g = g_map.get(successor)
+            if successor in closed:
                 if new_g >= old_g:
                     continue
                 # A strictly cheaper path to an already-closed marking can
@@ -266,26 +331,26 @@ def _astar(
                 # pops (estimates may shrink under extension).  Reopen it so
                 # the cheaper cost propagates; with up-to-date estimates this
                 # branch is unreachable.
-                cache.closed.discard(successor)
-                cache.g[successor] = new_g
-                cache.p[successor] = (move, marking)
+                closed.discard(successor)
+                g_map[successor] = new_g
+                p_map[successor] = move
                 hv = refresh_h(successor)
-                cache.open.push(successor, new_g + hv, new_g)
+                open_set.push(successor, new_g + hv, new_g)
                 metrics.reopened += 1
                 metrics.queued += 1
                 continue
             if old_g is not None and new_g >= old_g:
                 continue  # already in open at least as cheaply
-            cache.g[successor] = new_g
-            cache.p[successor] = (move, marking)
-            if successor in cache.stale:
-                hv = cache.h[successor]  # outdated estimate stays until popped
+            g_map[successor] = new_g
+            p_map[successor] = move
+            if successor in stale:
+                hv = h_map[successor]  # outdated estimate stays until popped
             else:
-                hv = cache.h.get(successor)
+                hv = h_map.get(successor)
                 if hv is None:
                     hv = fresh_h(successor)
-                    cache.h[successor] = hv
-            cache.open.push(successor, new_g + hv, new_g)
+                    h_map[successor] = hv
+            open_set.push(successor, new_g + hv, new_g)
             if old_g is None:
                 metrics.queued += 1
 
@@ -325,7 +390,7 @@ def astar_scratch(
     memo: dict | None = None,
 ) -> SearchOutcome:
     """One-shot search from ``start`` (default: the initial marking)."""
-    cache = SearchCache(start if start is not None else spn.initial)
+    cache = SearchCache(spn, start)
     return _astar(spn, cache, h_mode, EAGER, memo)
 
 

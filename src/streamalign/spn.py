@@ -18,18 +18,38 @@ synchronous move of position ``i`` consumes from ``tp{i-1}``, so a marking
 whose trace token is on ``tp{k}`` can enable only the model moves and the
 moves of position ``k + 1`` (:meth:`SyncProductNet.candidate_moves`).
 :meth:`SyncProductNet.split` reads a marking's trace position and model
-part for both the estimate memo and the flow heuristic.
+part for the flow heuristic.
+
+:class:`~streamalign.petri.Marking` is the public type of a product
+marking; the search runs on the table's encoding of it as one ``int``
+(:meth:`MoveTable.encode`, :meth:`MoveTable.decode`).  Every reachable
+product marking holds exactly one trace token, so a state is its trace
+position ``k`` and its model marking.  ``k`` sits above bit
+:attr:`MoveTable.shift`; below it lie one field per place, in sorted
+place-id order with the first place highest.  A model place has
+:data:`FIELD_BITS` bits, a count under a guard bit, so it holds at most
+:data:`FIELD_MAX` tokens.  The trace token has one field per run of trace
+place ids between two model place ids (usually a single run), holding a
+number whose order is the string order of ``tp{k}`` (``tp10`` sorts before
+``tp2``).  Each move carries the int it adds to a state (``delta``: postset
+minus preset, and one step of the trace token for log and synchronous
+moves) and the guard bits of its model preset (``need``); a state enables
+a move iff every needed field is nonzero, and a firing whose result sets a
+guard bit would overflow a field, so it raises
+:class:`~streamalign.petri.StateSpaceTooLarge` instead of wrapping.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .petri import (
     Marking,
     NetDefinitionError,
+    StateSpaceTooLarge,
     UnknownNodeError,
     WorkflowNet,
     validate_wfnet,
@@ -38,6 +58,26 @@ from .petri import (
 SKIP = ">>"
 
 _RESERVED_ID = re.compile(r"^t[pt][0-9]+$")
+
+FIELD_BITS = 8  # bits per model place in a packed state: a count under a guard bit
+FIELD_MAX = (1 << (FIELD_BITS - 1)) - 1  # most tokens one model place can hold
+TRACE_DIGITS = 9  # packed states reach trace positions below 10**TRACE_DIGITS
+_TRACE_BITS = (11**TRACE_DIGITS - 1).bit_length() + 1  # order code under a guard bit
+
+
+def _order_code(k: int) -> int:
+    """A positive number below 11**TRACE_DIGITS ordered as the id ``tp{k}``.
+
+    Each decimal digit d becomes d + 1 in base 11 and missing digits 0, so
+    a prefix sorts first, as in string order.
+    """
+    digits = str(k)
+    if len(digits) > TRACE_DIGITS:
+        raise StateSpaceTooLarge(f"trace position {k} is past the packed state's limit")
+    code = 0
+    for i in range(TRACE_DIGITS):
+        code = code * 11 + (int(digits[i]) + 1 if i < len(digits) else 0)
+    return code
 
 
 def trace_place(i: int) -> str:
@@ -66,6 +106,8 @@ class Move:
     model_label: str | None  # label of the model transition, None for log moves
     pre: tuple[str, ...]
     post: tuple[str, ...]
+    delta: int = field(compare=False)  # added to a packed state by firing
+    need: int = field(compare=False)  # guard bits of the model preset
     cost: int = field(init=False)
 
     def __post_init__(self):
@@ -98,14 +140,17 @@ def move_cost(t: Move) -> int:
 
 
 class MoveTable:
-    """Every product-net move of one model, each built once.
+    """Every product-net move of one model, each built once, and the packed
+    state layout of the model's product nets.
 
     Construction validates the model and rejects model ids that match the
     generated trace-part ids (``tp#``/``tt#``), since the marking universe
     mixes both.  The block of a trace position is built the first time a
     product net reaches that position with that activity, and kept for the
     table's lifetime, so the table grows with the distinct (position,
-    activity) pairs seen, not with the number of cases.
+    activity) pairs seen, not with the number of cases.  The layout is fixed
+    at construction, since the model's places are (see the module
+    docstring).
     """
 
     def __init__(self, model: WorkflowNet):
@@ -119,6 +164,7 @@ class MoveTable:
                 )
         self.model = model
         self.initial = Marking.of(trace_place(0), *model.initial.places())
+        self._layout(model.places)
         self._model_by_label: dict[str, list[str]] = {}
         for t in model.transitions:
             label = model.label(t)
@@ -128,29 +174,152 @@ class MoveTable:
             Move(
                 f"model:{t}", MoveKind.MODEL, None, t, None, model.label(t),
                 model.preset(t), model.postset(t),
+                *self._model_delta(model.preset(t), model.postset(t)),
             )
             for t in model.transitions
         )
         # trace place id -> its position, for every position built so far
-        self.trace_index: dict[str, int] = {trace_place(0): 0}
+        self.trace_index: dict[str, int] = {}
+        # position -> the bits of a state whose trace token is on it
+        self._trace_bits: dict[int, int] = {}
+        self._add_trace_place(0)
         self._positions: dict[tuple[int, str], tuple[Move, ...]] = {}
+        self._expansions: dict[tuple[int, str], tuple[Move, ...]] = {}
+
+    def _layout(self, places: tuple[str, ...]) -> None:
+        # Every trace place id sorts in [tp0, tp:), so the trace token can
+        # only fall into the gaps between model ids that this range covers.
+        self._places = places
+        first, last = bisect_left(places, trace_place(0)), bisect_left(places, "tp:")
+        slots: list[str | int] = []  # sorted order: model places and gap numbers
+        for gap in range(len(places) + 1):
+            if first <= gap <= last:
+                slots.append(gap)
+            if gap < len(places):
+                slots.append(places[gap])
+        offset = 0
+        self._offsets: dict[str, int] = {}
+        self._gap_offsets: dict[int, int] = {}
+        for slot in reversed(slots):  # the first place in sorted order ends up highest
+            if isinstance(slot, int):
+                self._gap_offsets[slot] = offset
+                offset += _TRACE_BITS
+            else:
+                self._offsets[slot] = offset
+                offset += FIELD_BITS
+        self.shift = offset  # the trace position lies above every field
+        guard = 1 << (FIELD_BITS - 1)
+        self.guards = sum(guard << o for o in self._offsets.values())
+        self.lows = sum(1 << o for o in self._offsets.values())
+        self.model_mask = sum(((1 << FIELD_BITS) - 1) << o for o in self._offsets.values())
+        trace_guard = 1 << (_TRACE_BITS - 1)
+        self._tie_guards = self.guards + sum(trace_guard << o for o in self._gap_offsets.values())
+        self._tie_lows = self.lows + sum(1 << o for o in self._gap_offsets.values())
+        self._fields = tuple(self._offsets.items())
+
+    def _add_trace_place(self, i: int) -> None:
+        place = trace_place(i)
+        offset = self._gap_offsets[bisect_left(self._places, place)]
+        self.trace_index[place] = i
+        self._trace_bits[i] = (i << self.shift) + (_order_code(i) << offset)
+
+    def _model_delta(self, pre: tuple[str, ...], post: tuple[str, ...]) -> tuple[int, int]:
+        offsets, guard = self._offsets, 1 << (FIELD_BITS - 1)
+        delta = sum(1 << offsets[p] for p in post) - sum(1 << offsets[p] for p in pre)
+        return delta, sum(guard << offsets[p] for p in pre)
 
     def position(self, i: int, activity: str) -> tuple[Move, ...]:
         """The moves of trace position ``i`` observing ``activity``, log move first."""
         block = self._positions.get((i, activity))
         if block is None:
+            if i not in self._trace_bits:
+                self._add_trace_place(i)
+            step = self._trace_bits[i] - self._trace_bits[i - 1]
             prev_p, new_p, tt = trace_place(i - 1), trace_place(i), trace_transition(i)
-            log = Move(f"log:{tt}", MoveKind.LOG, tt, None, activity, None, (prev_p,), (new_p,))
-            block = (log,) + tuple(
-                Move(
-                    f"sync:{tt}|{t}", MoveKind.SYNC, tt, t, activity, self.model.label(t),
-                    (prev_p,) + self.model.preset(t), (new_p,) + self.model.postset(t),
-                )
-                for t in self._model_by_label.get(activity, ())
+            log = Move(
+                f"log:{tt}", MoveKind.LOG, tt, None, activity, None, (prev_p,), (new_p,), step, 0
             )
-            self.trace_index[new_p] = i
+            syncs = []
+            for t in self._model_by_label.get(activity, ()):
+                pre, post = self.model.preset(t), self.model.postset(t)
+                delta, need = self._model_delta(pre, post)
+                syncs.append(Move(
+                    f"sync:{tt}|{t}", MoveKind.SYNC, tt, t, activity, self.model.label(t),
+                    (prev_p,) + pre, (new_p,) + post, step + delta, need,
+                ))
+            block = (log, *syncs)
             self._positions[i, activity] = block
+            self._expansions[i, activity] = self.model_moves + block
         return block
+
+    def expansion(self, i: int, activity: str) -> tuple[Move, ...]:
+        """The moves a state on ``tp{i-1}`` can try: the model moves, then
+        :meth:`position` ``(i, activity)``."""
+        self.position(i, activity)
+        return self._expansions[i, activity]
+
+    # -- packed states ---------------------------------------------------------
+
+    def encode(self, marking: Marking) -> int:
+        """The packed state of a product marking.
+
+        Raises ValueError unless the marking holds exactly one token on a
+        trace place of this table and its other places are model places,
+        and StateSpaceTooLarge for a count past :data:`FIELD_MAX`.
+        """
+        state, k = 0, None
+        for place, count in marking.items:
+            offset = self._offsets.get(place)
+            if offset is not None:
+                if count > FIELD_MAX:
+                    raise StateSpaceTooLarge(
+                        f"place {place!r} holds {count} tokens, more than {FIELD_MAX}"
+                    )
+                state += count << offset
+            elif place in self.trace_index:
+                if k is not None or count != 1:
+                    raise ValueError(f"marking {marking} holds more than one trace token")
+                k = self.trace_index[place]
+            else:
+                raise ValueError(f"marking {marking} marks {place!r}, not a place of the table")
+        if k is None:
+            raise ValueError(f"marking {marking} holds no trace token")
+        return state + self._trace_bits[k]
+
+    def decode(self, state: int) -> Marking:
+        """The product marking of a packed state."""
+        counts = {trace_place(state >> self.shift): 1}
+        mask = (1 << FIELD_BITS) - 1
+        for place, offset in self._fields:
+            count = (state >> offset) & mask
+            if count:
+                counts[place] = count
+        return Marking._trusted(counts)
+
+    def tie_key(self, state: int) -> int:
+        """An int that orders states as the ``items`` of their markings.
+
+        Walking the places in sorted order, ``items`` compares counts and
+        puts a place a marking lacks after every count when the marking
+        still has a later place (the other marking's tuple is shorter
+        there) and before it otherwise.  So each empty field before the last
+        marked one gets its guard bit, which exceeds every count; the
+        trace fields take part with their order codes.
+        """
+        fields = state & ((1 << self.shift) - 1)
+        guards = self._tie_guards
+        marked = ((fields | guards) - self._tie_lows) & guards
+        last = marked & -marked
+        return fields | ((guards ^ marked) & -(last << 1))
+
+    def overflow(self, state: int) -> StateSpaceTooLarge:
+        """The error for a firing that produced ``state`` with a guard bit set."""
+        guard = 1 << (FIELD_BITS - 1)
+        full = [p for p, offset in self._fields if state & (guard << offset)]
+        return StateSpaceTooLarge(
+            f"place {full[0]!r} would hold more than {FIELD_MAX} tokens; "
+            "the product net is unbounded or too large to search"
+        )
 
 
 class SyncProductNet:
@@ -161,7 +330,9 @@ class SyncProductNet:
     :class:`MoveTable` of the model, shared with other cases when one is
     passed and private otherwise.  Transitions are registered model moves
     first and then trace position by trace position, block by block; the
-    flow heuristic reads its columns off those blocks in that order.
+    flow heuristic reads its columns off those blocks in that order.  The
+    search sees the net's markings as the table's packed states
+    (:meth:`encode`, :meth:`decode`, :meth:`candidate_moves`).
     """
 
     def __init__(self, model: WorkflowNet, trace: list[str], table: MoveTable | None = None):
@@ -177,6 +348,9 @@ class SyncProductNet:
         self.trace: list[str] = []
         # blocks[0]: the model moves; blocks[i]: the moves of trace position i
         self.blocks: list[tuple[Move, ...]] = [table.model_moves]
+        # expansions[k]: the moves a state on tp{k} can try, for k < n
+        self._expansions: list[tuple[Move, ...]] = []
+        self._shift = table.shift
         self._records: dict[str, Move] = {r.tid: r for r in table.model_moves}
         for activity in trace:
             self._append_position(activity)
@@ -186,7 +360,9 @@ class SyncProductNet:
             raise ValueError("cannot extend the trace with a silent activity")
         if not isinstance(activity, str) or not activity:
             raise ValueError("cannot extend the trace with an empty activity")
-        block = self.table.position(len(self.trace) + 1, activity)
+        i = len(self.trace) + 1
+        block = self.table.position(i, activity)
+        self._expansions.append(self.table.expansion(i, activity))
         self.trace.append(activity)
         self.blocks.append(block)
         for r in block:
@@ -223,19 +399,28 @@ class SyncProductNet:
     def move(self, tid: str) -> Move:
         return self._records[tid]
 
-    def candidate_moves(self, marking: Marking) -> tuple[Move, ...]:
-        """The moves that can be enabled in ``marking``, in registration order.
+    def candidate_moves(self, state: int) -> tuple[Move, ...]:
+        """The moves that can be enabled in a packed state, in registration order.
 
-        These are the model moves and, for each trace token on ``tp{k}``
+        These are the model moves and, when the trace token is on ``tp{k}``
         with ``k < n``, the moves of position ``k + 1``; every other move
         consumes from an empty trace place.
         """
-        index = self.table.trace_index
-        out = self.blocks[0]
-        for k in sorted(index[p] for p, _ in marking.items if p in index):
-            if k < self.n:
-                out += self.blocks[k + 1]
-        return out
+        k = state >> self._shift
+        return self._expansions[k] if k < len(self._expansions) else self.blocks[0]
+
+    def encode(self, marking: Marking) -> int:
+        """The packed state of a marking of this net (see :meth:`MoveTable.encode`).
+
+        Also raises ValueError when the trace token lies beyond ``tp{n}``.
+        """
+        state = self.table.encode(marking)
+        if state >> self._shift > self.n:
+            raise ValueError(f"marking {marking} has its trace token beyond {self.goal_place}")
+        return state
+
+    def decode(self, state: int) -> Marking:
+        return self.table.decode(state)
 
     def split(self, marking: Marking) -> tuple[int | None, tuple[tuple[str, int], ...]]:
         """The marking's trace position and its model part.

@@ -19,6 +19,25 @@ def trap() -> WorkflowNet:
 
 
 @pytest.fixture
+def unbounded() -> WorkflowNet:
+    """A workflow net whose silent loop tg: p -> p, q pumps tokens without end.
+
+    Its other transitions are t0: source -> p (silent), ta: p -> sink
+    (labelled a) and td: q -> sink (silent), so every count of q and sink is
+    reachable at cost zero.
+    """
+    arcs = [
+        ("source", "t0"), ("t0", "p"), ("p", "tg"), ("tg", "p"), ("tg", "q"),
+        ("p", "ta"), ("ta", "sink"), ("q", "td"), ("td", "sink"),
+    ]
+    labels = {"t0": None, "tg": None, "ta": "a", "td": None}
+    return WorkflowNet(
+        ["source", "p", "q", "sink"], list(labels), arcs, labels,
+        Marking.of("source"), Marking.of("sink"),
+    )
+
+
+@pytest.fixture
 def preset_models() -> dict[str, WorkflowNet]:
     return {"choice-loop": choice_loop_model(), "parallel-tau": parallel_tau_model()}
 
@@ -54,6 +73,73 @@ def make_random_wfnet(rng: random.Random) -> WorkflowNet | None:
     if not validate_wfnet(net).ok or not net.visible_alphabet():
         return None
     return net
+
+
+# Place ids that sort before, among and after the trace place ids tp0, tp1,
+# ..., tp10, ... (string order: "tp1" < "tp10" < "tp1a" < "tp2").
+INTERLEAVED_IDS = (
+    "a0", "b1", "q2", "tp", "tp0a", "tp1a", "tp10x", "tp2_", "tp9z", "tq", "u0", "u3", "z9",
+)
+
+
+def make_random_concurrent_wfnet(rng: random.Random, max_depth: int = 3) -> WorkflowNet:
+    """Random block-structured workflow nets with choices, AND-splits and
+    joins, and loops whose redo part runs back to the loop's entry.
+
+    Blocks nest, so every draw is a safe workflow net (one token per place
+    at most) whose markings can mark several places at once.  Place ids
+    come from ``INTERLEAVED_IDS`` as far as they reach.
+    """
+    alphabet = ["a", "b", "c", "d"][: rng.randint(2, 4)]
+    places: list[str] = []
+    transitions, labels, arcs = [], {}, []
+
+    def place() -> str:
+        places.append(f"p{len(places)}")
+        return places[-1]
+
+    def transition(label, inputs, outputs) -> None:
+        t = f"t{len(transitions)}"
+        transitions.append(t)
+        labels[t] = label
+        arcs.extend([(p, t) for p in inputs] + [(t, p) for p in outputs])
+
+    def block(entry: str, exit: str, depth: int) -> None:
+        kind = rng.choice(["task", "task", "seq", "xor", "and", "loop"] if depth else ["task"])
+        if kind == "task":
+            transition(rng.choice(alphabet + [None]), [entry], [exit])
+        elif kind == "seq":
+            middle = place()
+            block(entry, middle, depth - 1)
+            block(middle, exit, depth - 1)
+        elif kind == "xor":
+            block(entry, exit, depth - 1)
+            block(entry, exit, depth - 1)
+        elif kind == "and":
+            starts, ends = [place(), place()], [place(), place()]
+            transition(rng.choice([None, None, rng.choice(alphabet)]), [entry], starts)
+            for s, e in zip(starts, ends):
+                block(s, e, depth - 1)
+            transition(rng.choice([None, None, rng.choice(alphabet)]), ends, [exit])
+        else:  # loop: do part from head to tail, redo part back from tail to head
+            head, tail = place(), place()
+            transition(None, [entry], [head])
+            block(head, tail, depth - 1)
+            block(tail, head, depth - 1)
+            transition(rng.choice([None, rng.choice(alphabet)]), [tail], [exit])
+
+    source, sink = place(), place()
+    block(source, sink, max_depth)
+    names = list(INTERLEAVED_IDS)
+    rng.shuffle(names)
+    rename = dict(zip(places, names))
+    arcs = [(rename.get(x, x), rename.get(y, y)) for x, y in arcs]
+    places = [rename.get(p, p) for p in places]
+    if all(label is None for label in labels.values()):
+        labels[transitions[0]] = alphabet[0]
+    return WorkflowNet(
+        places, transitions, arcs, labels, Marking.of(places[0]), Marking.of(places[1])
+    )
 
 
 # About 99% of draws give a valid net, and 20,000 draws from one seed never

@@ -83,9 +83,9 @@ def suite() -> SuiteData:
         for trace in log:
             data.pair_count += 1
             ias_spn = build_spn(model, trace[:1])
-            ias_cache = SearchCache(ias_spn.initial)
+            ias_cache = SearchCache(ias_spn)
             iasr_spn = build_spn(model, trace[:1])
-            iasr_cache = SearchCache(iasr_spn.initial)
+            iasr_cache = SearchCache(iasr_spn)
             occ_state = OccState(window=None)
             stale = {}
             for k, activity in enumerate(trace, start=1):

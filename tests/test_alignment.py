@@ -30,13 +30,16 @@ def test_reconstruct_shortest_path_of_running_example(n1):
     m1 = Marking.of("tp1", "p2")
     m2 = Marking.of("tp2", "p2")
     m3 = Marking.of("tp3", "p3")
+    s0, s1, s2, s3 = map(spn.encode, (m0, m1, m2, m3))
     preds = {
-        m0: (None, None),
-        m1: (t["sync:tt1|t1"], m0),
-        m2: (t["log:tt2"], m1),
-        m3: (t["sync:tt3|t4"], m2),
+        s0: None,
+        s1: t["sync:tt1|t1"],
+        s2: t["log:tt2"],
+        s3: t["sync:tt3|t4"],
     }
-    alignment = reconstruct(preds, m3, m0)
+    # each entry's predecessor is the state minus the move's delta
+    assert [s - preds[s].delta for s in (s1, s2, s3)] == [s0, s1, s2]
+    alignment = reconstruct(preds, s3, s0, spn)
     assert alignment.total_cost == 1
     assert [mv.tid for mv in alignment.moves] == [
         "sync:tt1|t1",
@@ -49,15 +52,24 @@ def test_reconstruct_shortest_path_of_running_example(n1):
 
 def test_reconstruct_goal_equals_initial(n1):
     spn = build_spn(n1, ["a"])
-    alignment = reconstruct({spn.initial: (None, None)}, spn.initial, spn.initial)
+    root = spn.encode(spn.initial)
+    alignment = reconstruct({root: None}, root, root, spn)
     assert alignment.moves == ()
     assert alignment.total_cost == 0
+    assert alignment.end_marking == spn.initial
 
 
 def test_reconstruct_broken_chain(n1):
     spn = build_spn(n1, ["a"])
+    root = spn.encode(spn.initial)
     with pytest.raises(BrokenPredecessorChain):
-        reconstruct({}, spn.initial, spn.initial)
+        reconstruct({}, root, root, spn)
+    # a chain that ends at the initial state when the root is another one
+    goal = spn.encode(Marking.of("tp1", "p2"))
+    preds = {goal: spn.move("sync:tt1|t1"), root: None}
+    assert reconstruct(preds, goal, root, spn).end_marking == Marking.of("tp1", "p2")
+    with pytest.raises(BrokenPredecessorChain):
+        reconstruct(preds, goal, spn.encode(Marking.of("tp0", "p2")), spn)
 
 
 def test_third_figure_alignment_costs_four(n1):

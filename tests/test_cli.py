@@ -1,6 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import streamalign
 
 from streamalign.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from streamalign.fileio import load_traces, save_net
@@ -176,6 +181,48 @@ def test_non_string_node_ids_are_data_errors(
     assert message in err
 
 
+def good_net_document():
+    return {
+        "places": ["p1", "p2"],
+        "transitions": [{"id": "t1", "label": "a"}],
+        "arcs": [["p1", "t1"], ["t1", "p2"]],
+        "initial": {"p1": 1},
+        "final": {"p2": 1},
+    }
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("initial", {"p1": True}, "field 'initial': token count True for place 'p1'"),
+        ("initial", {"p1": "1"}, "field 'initial': token count '1' for place 'p1'"),
+        ("final", {"p2": 1.0}, "field 'final': token count 1.0 for place 'p2'"),
+        ("places", "p1", "field 'places' is not a list"),
+        ("transitions", {"id": "t1", "label": "a"}, "field 'transitions' is not a list"),
+        ("arcs", "p1t1", "field 'arcs' is not a list"),
+    ],
+    ids=["bool-count", "text-count", "float-count", "places", "transitions", "arcs"],
+)
+@pytest.mark.parametrize("command", ["validate", "replay"])
+def test_mistyped_net_document_fields_are_data_errors(
+    capsys, tmp_path, command, field, value, message
+):
+    doc = good_net_document()
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, "validate", "--model", str(path))[0] == EXIT_OK
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    argv = ["validate", "--model", str(path)]
+    if command == "replay":
+        argv = ["replay", "--model", str(path), "--log", "bundled-3traces",
+                "--out", str(tmp_path / "out"), "--timing", "off"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err
+
+
 def inflated_oracle(records):
     return {case: [c + 1 for c in costs] for case, costs in oracle_costs_by_case(records).items()}
 
@@ -200,3 +247,20 @@ def test_invariant_violation_is_internal_error(capsys, monkeypatch, tmp_path, si
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_INTERNAL
     assert err.startswith("internal error: InvariantViolation")
+
+
+def test_replay_of_an_unbounded_net_exits_3(tmp_path, unbounded):
+    # Searching this net used to grow memory without end; in a fresh
+    # interpreter it must now stop with the internal-failure code.
+    save_net(unbounded, tmp_path / "unbounded.json")
+    (tmp_path / "log.jsonl").write_text('{"case": "1", "activity": "a"}\n')
+    src = str(Path(streamalign.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "streamalign", "replay", "--model", "unbounded.json",
+         "--log", "log.jsonl", "--out", "out", "--timing", "off"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=60,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert done.returncode == EXIT_INTERNAL, done.stderr
+    assert done.stderr.startswith("internal error: StateSpaceTooLarge: place 'sink'")
+    assert "Traceback" not in done.stderr

@@ -19,7 +19,9 @@ from streamalign import (
     parse_algorithm,
     replay_log_as_stream,
 )
+from streamalign.petri import StateSpaceTooLarge
 from streamalign.search import EAGER, LAZY, memo_key
+from streamalign.spn import FIELD_MAX
 from tests.conftest import SeededRandom, random_net_and_trace
 
 
@@ -173,7 +175,7 @@ def memoless_replay(model, events, algorithm, heuristic):
         else:
             if event.case_id not in cases:
                 spn = build_spn(model, [event.activity])
-                cases[event.case_id] = (spn, SearchCache(spn.initial))
+                cases[event.case_id] = (spn, SearchCache(spn))
             else:
                 extend_spn(cases[event.case_id][0], event.activity)
             spn, cache = cases[event.case_id]
@@ -255,9 +257,12 @@ def test_memo_stays_within_its_bound(preset_models, monkeypatch):
 def test_marking_without_a_trace_token_still_raises(n1):
     spn = build_spn(n1, ["a"])
     model_only = Marking.of(*n1.initial.places())
-    assert memo_key(spn, model_only, "ilp") is None
-    assert memo_key(spn, Marking.of("tp0", "tp1", "p1"), "ilp") is None
-    assert memo_key(spn, Marking.of("tp0", "p1"), "ilp") == ("ilp", (("p1", 1),), ("a",))
+    for marking in (model_only, Marking.of("tp0", "tp1", "p1")):
+        with pytest.raises(ValueError, match="trace token"):
+            spn.encode(marking)
+    p1 = spn.encode(Marking.of("tp0", "p1")) - spn.encode(Marking.of("tp0"))
+    assert memo_key(spn, spn.encode(Marking.of("tp0", "p1")), "ilp") == ("ilp", p1, ("a",))
+    assert memo_key(spn, spn.encode(Marking.of("tp1", "p1")), "ilp") == ("ilp", p1, ())
     with pytest.raises(ValueError, match="trace token"):
         astar_scratch(spn, "ilp", start=model_only, memo={})
 
@@ -290,3 +295,14 @@ def test_alignments_hold_the_tables_own_moves(preset_models, algorithm):
         moves = [mv for r in results for mv in r.alignment.moves]
         assert moves
         assert all(id(mv) in table for mv in moves)
+
+
+@pytest.mark.parametrize("heuristic", ["zero", "ilp"])
+@pytest.mark.parametrize("algorithm", ["ias", "iasr", "occ", "occ-w1"])
+def test_an_unbounded_net_raises_instead_of_searching_forever(unbounded, algorithm, heuristic):
+    # The zero-cost markings [p, q^c, sink^b, tp0] sort before the goal
+    # [sink, tp1] for every c and b, so the search never reaches the goal;
+    # the first count to pass the packed field's limit is sink's.
+    engine = StreamEngine(unbounded, algorithm, heuristic)
+    with pytest.raises(StateSpaceTooLarge, match=f"place 'sink' would hold more than {FIELD_MAX}"):
+        engine.process_event(Event("1", "a", 1))

@@ -107,7 +107,8 @@ def test_trace_places_of_a_longer_case_are_unknown(n1):
     spn = build_spn(n1, ["a"], table)
     beyond = Marking.of("tp2", "p2")
     assert spn.split(beyond) == (None, (("p2", 1),))
-    assert memo_key(spn, beyond, "ilp") is None
+    with pytest.raises(ValueError):
+        spn.encode(beyond)
     with pytest.raises(ValueError):
         build_problem(spn, beyond)
     with pytest.raises(ValueError):
@@ -129,9 +130,11 @@ def test_programs_on_a_shared_table_equal_those_on_a_private_one(preset_models):
                 assert build_problem(shared, m) == build_problem(alone, m)
 
 
-def test_memo_key_is_none_exactly_when_the_program_is_refused(preset_models):
+def test_a_marking_is_a_search_state_exactly_when_its_program_is_built(preset_models):
     # Reachable markings hold one trace token; the variants move it past the
-    # net's last trace place, drop it or add a second one.
+    # net's last trace place, drop it or add a second one.  The search can
+    # encode exactly the markings whose program exists, and the memo keys a
+    # state by its model part and the activities after its trace token.
     for net, trace in nets_and_traces(preset_models, 59):
         table = MoveTable(net)
         build_spn(net, trace + trace, table)
@@ -154,9 +157,16 @@ def test_memo_key_is_none_exactly_when_the_program_is_refused(preset_models):
                     build_problem(spn, v)
                 except ValueError:
                     refused += 1
-                    assert memo_key(spn, v, "ilp") is None, v
+                    with pytest.raises(ValueError):
+                        spn.encode(v)
                 else:
-                    assert memo_key(spn, v, "ilp") is not None, v
+                    state = spn.encode(v)
+                    assert spn.decode(state) == v
+                    position, _ = spn.split(v)
+                    trace_only = spn.encode(Marking.of(f"tp{position}"))
+                    assert memo_key(spn, state, "ilp") == (
+                        "ilp", state - trace_only, tuple(spn.trace[position:])
+                    ), v
         assert refused == 4 * len(markings)
 
 

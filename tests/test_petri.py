@@ -36,6 +36,14 @@ def test_marking_rejects_negative_counts():
         Marking({"a": -1})
 
 
+@pytest.mark.parametrize("count", [True, False, 1.0, "1", None])
+def test_marking_rejects_counts_that_are_not_integers(count):
+    with pytest.raises(ValueError, match="not an integer"):
+        Marking({"a": count})
+    with pytest.raises(ValueError, match="not an integer"):
+        Marking([("a", count)])
+
+
 def test_construction_rejects_dangling_arcs():
     with pytest.raises(NetDefinitionError):
         WorkflowNet(["p"], ["t"], [("p", "nope")], {"t": "a"}, Marking.of("p"), Marking.of("p"))

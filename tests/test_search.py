@@ -22,7 +22,7 @@ from tests.conftest import SeededRandom, random_net_and_trace
 class ExpansionLog:
     """The markings the searches on one product net expanded, in order.
 
-    The search asks the net for a marking's candidate moves exactly once per
+    The search asks the net for a state's candidate moves exactly once per
     expansion, so wrapping that method on the instance sees every expansion.
     """
 
@@ -30,9 +30,9 @@ class ExpansionLog:
         self.markings = []
         candidate_moves = spn.candidate_moves
 
-        def logged(marking):
-            self.markings.append(marking)
-            return candidate_moves(marking)
+        def logged(state):
+            self.markings.append(spn.decode(state))
+            return candidate_moves(state)
 
         spn.candidate_moves = logged
 
@@ -40,7 +40,7 @@ class ExpansionLog:
 def run_incremental(model, trace, h_mode, refresh):
     """Per-event outcomes of the resumed search over a growing trace."""
     spn = build_spn(model, trace[:1])
-    cache = SearchCache(spn.initial)
+    cache = SearchCache(spn)
     outcomes = [astar_inc(spn, cache, h_mode, refresh)]
     for activity in trace[1:]:
         extend_spn(spn, activity)
@@ -48,19 +48,30 @@ def run_incremental(model, trace, h_mode, refresh):
     return spn, outcomes
 
 
-def test_open_set_orders_by_f_then_deeper_g_then_marking():
-    open_set = OpenSet()
-    open_set.push(Marking.of("b"), 2, 0)
-    open_set.push(Marking.of("a"), 1, 0)
-    open_set.push(Marking.of("c"), 1, 1)
-    assert open_set.pop()[0] == Marking.of("c")  # same f, larger g wins
-    assert open_set.pop()[0] == Marking.of("a")
-    assert open_set.pop()[0] == Marking.of("b")
+def test_open_set_orders_by_f_then_deeper_g_then_marking(n1):
+    spn = build_spn(n1, ["a"])
+    a, b, c = (spn.encode(Marking.of("tp0", p)) for p in ("p1", "p2", "p3"))
+    open_set = OpenSet(spn.table)
+    open_set.push(b, 2, 0)
+    open_set.push(a, 1, 0)
+    open_set.push(c, 1, 1)
+    assert open_set.markings() == [Marking.of("tp0", p) for p in ("p1", "p2", "p3")]
+    assert open_set.pop()[0] == c  # same f, larger g wins
+    assert open_set.pop()[0] == a
+    assert open_set.pop()[0] == b
+    # same f and g: the marking order decides, in which tp10 precedes tp2
+    longer = build_spn(n1, ["b"] * 10)
+    on_2, on_10 = (longer.encode(Marking.of(f"tp{k}", "p1")) for k in (2, 10))
+    ties = OpenSet(longer.table)
+    ties.push(on_2, 3, 1)
+    ties.push(on_10, 3, 1)
+    assert [ties.pop()[0] for _ in range(2)] == [on_10, on_2]
 
 
-def test_open_set_decrease_key():
-    open_set = OpenSet()
-    m = Marking.of("a")
+def test_open_set_decrease_key(n1):
+    spn = build_spn(n1, ["a"])
+    open_set = OpenSet(spn.table)
+    m = spn.encode(Marking.of("tp0", "p1"))
     open_set.push(m, 5, 0)
     open_set.push(m, 2, 1)
     assert len(open_set) == 1
@@ -89,9 +100,9 @@ def test_single_event_c_is_free(n1):
 
 def test_goal_marking_stays_in_open(n1):
     spn = build_spn(n1, ["a"])
-    cache = SearchCache(spn.initial)
+    cache = SearchCache(spn)
     outcome = astar_inc(spn, cache, "ilp", LAZY)
-    assert outcome.alignment.end_marking in cache.open
+    assert outcome.alignment.end_marking in cache.open.markings()
     assert outcome.alignment.end_marking not in cache.closed
     assert cache.invariants_ok()
 
@@ -143,7 +154,7 @@ def test_dijkstra_oracle_running_example(n1):
 
 def test_g_values_untouched_by_extension(n1):
     spn = build_spn(n1, ["a"])
-    cache = SearchCache(spn.initial)
+    cache = SearchCache(spn)
     astar_inc(spn, cache, "ilp", LAZY)
     snapshot = repr(sorted((m.items, g) for m, g in cache.g.items())).encode()
     extend_spn(spn, "b")
@@ -158,7 +169,7 @@ def test_closed_markings_keep_enabled_sets_across_extension(n1):
     for _ in range(15):
         net, trace = random_net_and_trace(rng, max_len=5)
         spn = build_spn(net, trace[:1])
-        cache = SearchCache(spn.initial)
+        cache = SearchCache(spn)
         astar_inc(spn, cache, "ilp", LAZY)
         for activity in trace[1:]:
             before = {m: tuple(enabled_transitions(spn, m)) for m in cache.closed}
@@ -176,7 +187,7 @@ def test_pop_count_bounds(n1):
         net, trace = random_net_and_trace(rng, max_len=5)
         for refresh, bound in ((EAGER, 1), (LAZY, 2)):
             spn = build_spn(net, trace[:1])
-            cache = SearchCache(spn.initial)
+            cache = SearchCache(spn)
             for k, activity in enumerate(trace):
                 if k:
                     extend_spn(spn, activity)
@@ -204,7 +215,7 @@ def test_deterministic_expansion_order(n1):
         runs = []
         for _ in range(2):
             spn = build_spn(net, trace[:1])
-            cache = SearchCache(spn.initial)
+            cache = SearchCache(spn)
             log = ExpansionLog(spn)
             expansions = []
             costs = []
@@ -237,7 +248,7 @@ def test_zero_estimates_never_go_stale():
         runs = {}
         for refresh in (LAZY, EAGER):
             spn = build_spn(net, trace[:1])
-            cache = SearchCache(spn.initial)
+            cache = SearchCache(spn)
             log = ExpansionLog(spn)
             runs[refresh] = []
             for k, activity in enumerate(trace):
@@ -266,7 +277,7 @@ for module in (search, occ):
     module.verify_prefix_alignment = lambda *args: False
 try:
     spn = build_spn(model, ["a"])
-    search.astar_inc(spn, SearchCache(spn.initial))
+    search.astar_inc(spn, SearchCache(spn))
 except InvariantViolation:
     print("search raised")
 try:
@@ -341,7 +352,7 @@ def test_reopening_repairs_stale_key_misordering():
 def test_search_exhausted_is_unreachable_on_product_nets(n1):
     # empty the open set by hand to show the guard exists
     spn = build_spn(n1, ["a"])
-    cache = SearchCache(spn.initial)
+    cache = SearchCache(spn)
     cache.open.pop()
     with pytest.raises(SearchExhausted):
         astar_inc(spn, cache, "ilp", LAZY)

@@ -10,6 +10,7 @@ from streamalign import (
     enabled_transitions,
     enumerate_state_space,
     extend_spn,
+    fire,
     move_cost,
 )
 from streamalign.petri import NetDefinitionError
@@ -181,8 +182,9 @@ def test_one_token_in_trace_part_everywhere(n1):
 
 
 def test_candidate_moves_are_exactly_the_enabled_moves(preset_models):
-    # The search tries only candidate_moves(m); among them it must find
-    # every enabled move, in the order of the full scan.  The table is
+    # The search tries only candidate_moves(s) of a packed state s; among
+    # them its mask test must find every enabled move, in the order of the
+    # full scan, and adding a move's delta must fire it.  The table is
     # shared with a longer case, so it knows trace places beyond this net.
     for net, trace in nets_and_traces(preset_models, 31):
         table = MoveTable(net)
@@ -193,10 +195,12 @@ def test_candidate_moves_are_exactly_the_enabled_moves(preset_models):
                 extend_spn(spn, trace[k - 1])
             markings, _ = enumerate_state_space(spn, spn.initial, bound=5000)
             for m in markings:
-                tried = [
-                    r.tid for r in spn.candidate_moves(m) if all(m.get(p) > 0 for p in r.pre)
-                ]
-                assert tried == enabled_transitions(spn, m)
+                s = spn.encode(m)
+                marked = ((s | table.guards) - table.lows) & table.guards
+                tried = [r for r in spn.candidate_moves(s) if marked & r.need == r.need]
+                assert [r.tid for r in tried] == enabled_transitions(spn, m)
+                for r in tried:
+                    assert spn.decode(s + r.delta) == fire(spn, m, r.tid)
 
 
 def test_cases_with_the_same_activity_share_records(n1):
