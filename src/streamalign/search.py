@@ -41,9 +41,9 @@ Callers may pass a ``memo``, a dict of estimates shared by every search of
 one model.  The flow program of a marking whose trace token sits on
 ``tp{k}`` is determined by the mode, the marking's model part and the
 remaining activities ``trace[k:]``: its columns are the model moves plus,
-per remaining position, a log move and one synchronous move per model
-transition with that label, its trace rows have right-hand sides
-``-1, 0, ..., 0, 1`` and its model rows ``-m(p)``.  Its value is therefore
+per remaining activity, a log move and one synchronous move per model
+transition with that label, its activity rows have the activities' counts
+as right-hand sides and its model rows ``-m(p)``.  Its value is therefore
 the same in every case, at every position and however far the net has
 grown, and the memo keys it by exactly those three things, the model part
 as the state's model fields (:func:`memo_key`).  A memo serves one model.

@@ -17,8 +17,6 @@ them, refer to the same moves instead of allocating their own.  A log or
 synchronous move of position ``i`` consumes from ``tp{i-1}``, so a marking
 whose trace token is on ``tp{k}`` can enable only the model moves and the
 moves of position ``k + 1`` (:meth:`SyncProductNet.candidate_moves`).
-:meth:`SyncProductNet.split` reads a marking's trace position and model
-part for the flow heuristic.
 
 :class:`~streamalign.petri.Marking` is the public type of a product
 marking; the search runs on the table's encoding of it as one ``int``
@@ -329,8 +327,7 @@ class SyncProductNet:
     :func:`extend_spn` as the case's events arrive.  Its moves come from a
     :class:`MoveTable` of the model, shared with other cases when one is
     passed and private otherwise.  Transitions are registered model moves
-    first and then trace position by trace position, block by block; the
-    flow heuristic reads its columns off those blocks in that order.  The
+    first and then trace position by trace position, block by block.  The
     search sees the net's markings as the table's packed states
     (:meth:`encode`, :meth:`decode`, :meth:`candidate_moves`).
     """
@@ -346,8 +343,6 @@ class SyncProductNet:
         self.table = table
         self.initial = table.initial
         self.trace: list[str] = []
-        # blocks[0]: the model moves; blocks[i]: the moves of trace position i
-        self.blocks: list[tuple[Move, ...]] = [table.model_moves]
         # expansions[k]: the moves a state on tp{k} can try, for k < n
         self._expansions: list[tuple[Move, ...]] = []
         self._shift = table.shift
@@ -364,7 +359,6 @@ class SyncProductNet:
         block = self.table.position(i, activity)
         self._expansions.append(self.table.expansion(i, activity))
         self.trace.append(activity)
-        self.blocks.append(block)
         for r in block:
             self._records[r.tid] = r
         return block
@@ -407,7 +401,7 @@ class SyncProductNet:
         consumes from an empty trace place.
         """
         k = state >> self._shift
-        return self._expansions[k] if k < len(self._expansions) else self.blocks[0]
+        return self._expansions[k] if k < len(self._expansions) else self.table.model_moves
 
     def encode(self, marking: Marking) -> int:
         """The packed state of a marking of this net (see :meth:`MoveTable.encode`).
@@ -421,30 +415,6 @@ class SyncProductNet:
 
     def decode(self, state: int) -> Marking:
         return self.table.decode(state)
-
-    def split(self, marking: Marking) -> tuple[int | None, tuple[tuple[str, int], ...]]:
-        """The marking's trace position and its model part.
-
-        The position is ``k`` when the marking holds exactly one token on
-        the trace places ``tp0 .. tp{n}`` of this net, on ``tp{k}``, and None
-        otherwise.  The table's trace places are shared with longer cases,
-        so a token on ``tp{j}`` with ``j > n`` makes the position None too.
-        The model part holds the (place, count) pairs of every other place.
-        """
-        index = self.table.trace_index
-        k = None
-        held = 0
-        model_part = []
-        for item in marking.items:
-            i = index.get(item[0])
-            if i is None:
-                model_part.append(item)
-            else:
-                k = i
-                held += item[1]
-        if held != 1 or k > len(self.trace):
-            k = None
-        return k, tuple(model_part)
 
     # -- trace-part views ------------------------------------------------------
 

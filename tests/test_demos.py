@@ -17,7 +17,7 @@ def run_demo(path: Path) -> subprocess.CompletedProcess:
         [sys.executable, str(path)],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
         timeout=60,
     )
 

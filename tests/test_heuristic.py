@@ -27,14 +27,13 @@ from tests.conftest import SeededRandom, nets_and_traces, random_net_and_trace
 def test_problem_shape_for_unit_trace(n1):
     spn = build_spn(n1, ["a"])
     problem = build_problem(spn, spn.initial)
-    assert len(problem.variables) == 6  # 1 log + 4 model + 1 sync
-    assert problem.n_trace_rows == 2
+    assert len(problem.variables) == 6  # 4 model + 1 log + 1 sync
+    assert problem.n_activity_rows == 1
     assert problem.n_model_rows == 3
     rels = [rel for _, rel, _ in problem.rows]
-    assert rels.count("=") == 2 and rels.count(">=") == 3
-    # trace token behind the target: constants demand one unit of net flow
-    # out of tp0 (rhs -1) and one unit into tp1 (rhs +1)
-    assert [rhs for _, rel, rhs in problem.rows if rel == "="] == [-1, 1]
+    assert rels.count("=") == 1 and rels.count(">=") == 3
+    # the one remaining a must be consumed once, by its log or sync move
+    assert problem.rows[0] == ([0, 0, 0, 0, 1, 1], "=", 1)
 
 
 def unrestricted_problem(spn, marking):
@@ -53,19 +52,11 @@ def unrestricted_problem(spn, marking):
     return variables, objective, rows
 
 
-def restricted(spn, k, variables, objective, rows):
-    """The unrestricted program with only the model moves and the moves after
-    position ``k`` kept, in order, and the rows from ``tp{k}`` on."""
-    def kept(t):
-        tt = spn.move(t).trace_transition
-        return tt is None or int(tt[2:]) > k
-
-    cols = [j for j, t in enumerate(variables) if kept(t)]
-    return (
-        tuple(variables[j] for j in cols),
-        tuple(objective[j] for j in cols),
-        tuple(([coeffs[j] for j in cols], rel, rhs) for coeffs, rel, rhs in rows[k:]),
-    )
+def assert_same_optimum(problem, objective, rows, context):
+    for solver in (solve_lp, solve_ilp):
+        mine = solver(list(problem.objective), list(problem.rows))
+        full = solver(objective, rows)
+        assert (mine.status, mine.value) == (full.status, full.value), (context, solver)
 
 
 def test_suffix_program_matches_unrestricted_program(preset_models):
@@ -76,7 +67,7 @@ def test_suffix_program_matches_unrestricted_program(preset_models):
     noise = {"swap_p": 0.15, "drop_p": 0.1, "insert_p": 0.1}
     for model in preset_models.values():
         inputs += [(model, t) for t in generate_log(model, 3, noise, max_len=5, seed=43)]
-    checked = 0
+    checked = repeated = 0
     for net, trace in inputs:
         spn = build_spn(net, trace[:1])
         for activity in [None] + trace[1:]:
@@ -85,20 +76,66 @@ def test_suffix_program_matches_unrestricted_program(preset_models):
             markings, _ = enumerate_state_space(spn, spn.initial, 3000)
             for m in markings:
                 k = next(i for i, p in enumerate(spn.trace_places()) if m.get(p))
+                remaining = spn.trace[k:]
+                distinct = list(dict.fromkeys(remaining))
                 problem = build_problem(spn, m)
-                assert problem.n_trace_rows == spn.n - k + 1
+                assert problem.n_activity_rows == len(distinct)
                 assert problem.n_model_rows == len(net.places)
-                assert len(problem.variables) < len(spn.transition_ids()) or k == 0
                 variables, objective, rows = unrestricted_problem(spn, m)
-                assert (problem.variables, problem.objective, problem.rows) == restricted(
-                    spn, k, variables, objective, rows
+                # each column is a model move or the log or a synchronous move
+                # of its activity's first remaining position, with that move's
+                # cost and model flow and +1 in its activity's row
+                blocks = [spn.table.position(remaining.index(a) + k + 1, a) for a in distinct]
+                assert problem.variables == tuple(
+                    r.tid for r in spn.table.model_moves + sum(blocks, ())
                 )
-                for solver in (solve_lp, solve_ilp):
-                    mine = solver(list(problem.objective), list(problem.rows))
-                    full = solver(objective, rows)
-                    assert (mine.status, mine.value) == (full.status, full.value), (m, solver)
+                activity_rows = problem.rows[: problem.n_activity_rows]
+                model_rows = problem.rows[problem.n_activity_rows :]
+                assert [rhs for _, _, rhs in activity_rows] == [remaining.count(a) for a in distinct]
+                full = {t: j for j, t in enumerate(variables)}
+                full_model_rows = rows[spn.n + 1 :]
+                for j, t in enumerate(problem.variables):
+                    assert problem.objective[j] == objective[full[t]]
+                    assert [c[j] for c, _, _ in activity_rows] == [
+                        int(a == spn.move(t).activity) for a in distinct
+                    ]
+                    assert [c[j] for c, _, _ in model_rows] == [
+                        c[full[t]] for c, _, _ in full_model_rows
+                    ]
+                assert [rhs for *_, rhs in model_rows] == [rhs for *_, rhs in full_model_rows]
+                assert_same_optimum(problem, objective, rows, m)
                 checked += 1
+                repeated += any(rhs >= 2 for _, _, rhs in activity_rows)
     assert checked > 1000
+    assert repeated > 0
+
+
+def test_estimates_ignore_the_order_of_the_remaining_activities(preset_models):
+    # Every marking of a net, on tp{k}, is also a marking of the net whose
+    # trace keeps the first k activities and shuffles the rest.  The two
+    # share the model part and the multiset of remaining activities, so the
+    # estimates agree, and both equal the per-position program's optimum.
+    rng = SeededRandom(67)
+    checked = reordered = 0
+    for net, trace in nets_and_traces(preset_models, 67):
+        spn = build_spn(net, trace)
+        shuffled = {}
+        for k in range(spn.n):
+            rest = trace[k:]
+            shuffled[k] = build_spn(net, trace[:k] + rng.sample(rest, len(rest)))
+        shuffled[spn.n] = spn
+        markings, _ = enumerate_state_space(spn, spn.initial, 3000)
+        for m in markings:
+            k = spn.encode(m) >> spn.table.shift
+            other = shuffled[k]
+            for mode in ("lp", "ilp"):
+                assert estimate(spn, m, mode) == estimate(other, m, mode), (m, mode)
+            for case in (spn, other):
+                _, objective, rows = unrestricted_problem(case, m)
+                assert_same_optimum(build_problem(case, m), objective, rows, m)
+            checked += 1
+            reordered += other.trace != spn.trace
+    assert checked > 500 and reordered > 100
 
 
 def test_trace_places_of_a_longer_case_are_unknown(n1):
@@ -106,7 +143,7 @@ def test_trace_places_of_a_longer_case_are_unknown(n1):
     build_spn(n1, ["a", "b", "c"], table)  # the table now knows tp0 .. tp3
     spn = build_spn(n1, ["a"], table)
     beyond = Marking.of("tp2", "p2")
-    assert spn.split(beyond) == (None, (("p2", 1),))
+    assert table.encode(beyond) >> table.shift == 2 > spn.n
     with pytest.raises(ValueError):
         spn.encode(beyond)
     with pytest.raises(ValueError):
@@ -162,7 +199,8 @@ def test_a_marking_is_a_search_state_exactly_when_its_program_is_built(preset_mo
                 else:
                     state = spn.encode(v)
                     assert spn.decode(state) == v
-                    position, _ = spn.split(v)
+                    position = state >> spn.table.shift
+                    assert position == k
                     trace_only = spn.encode(Marking.of(f"tp{position}"))
                     assert memo_key(spn, state, "ilp") == (
                         "ilp", state - trace_only, tuple(spn.trace[position:])

@@ -211,7 +211,7 @@ def test_import_leaves_networkx_out():
          "import sys, streamalign, streamalign.cli; print('networkx' in sys.modules)"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
         timeout=60,
     )
     assert done.returncode == 0, done.stderr

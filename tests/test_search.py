@@ -295,7 +295,7 @@ def test_invariant_checks_survive_optimized_mode():
         [sys.executable, "-O", "-c", OPTIMIZED_CHECK],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
         timeout=60,
     )
     assert done.returncode == 0, done.stderr

@@ -110,8 +110,8 @@ def test_extend_returns_the_tables_block_and_grows_the_goal(n1):
     for activity in ["b", "z", "c"]:
         old_places = set(spn.place_ids())
         block = extend_spn(spn, activity)
-        assert block is spn.table.position(spn.n, activity)
-        assert spn.blocks[-1] is block
+        assert block is spn.table.position(spn.n, spn.trace[-1])
+        assert all(spn.move(m.tid) is m for m in block)
         assert set(spn.place_ids()) - old_places == {spn.goal_place}
         assert spn.goal_place == f"tp{spn.n}"
         assert all(m.pre[0] == f"tp{spn.n - 1}" and m.post[0] == spn.goal_place for m in block)
@@ -207,13 +207,19 @@ def test_cases_with_the_same_activity_share_records(n1):
     engine = StreamEngine(n1, "ias", "ilp")
     engine.run([Event("1", "a", 1), Event("2", "c", 2), Event("1", "b", 3), Event("2", "b", 4)])
     one, two = engine.table.cases["1"].spn, engine.table.cases["2"].spn
-    assert one.blocks[0] is two.blocks[0] is engine.moves.model_moves
-    assert len(one.blocks[2]) == 2  # log move and the synchronous move on t3
-    for a, b in zip(one.blocks[2], two.blocks[2], strict=True):
-        assert a is b
-        assert one.move(a.tid) is two.move(b.tid)
-        assert one.preset(a.tid) is two.preset(b.tid)
-    assert not set(map(id, one.blocks[1])) & set(map(id, two.blocks[1]))
+    moves = engine.moves
+    for spn in (one, two):
+        goal = spn.encode(Marking.of(spn.goal_place))
+        assert spn.candidate_moves(goal) is moves.model_moves
+    block = moves.position(2, "b")
+    assert len(block) == 2  # log move and the synchronous move on t3
+    for a in block:
+        assert one.move(a.tid) is two.move(a.tid) is a
+        assert one.preset(a.tid) is two.preset(a.tid)
+    first_a, first_c = moves.position(1, "a"), moves.position(1, "c")
+    assert all(one.move(a.tid) is a for a in first_a)
+    assert all(two.move(c.tid) is c for c in first_c)
+    assert not set(map(id, first_a)) & set(map(id, first_c))
 
 
 def test_shared_table_builds_the_same_net(preset_models):
