@@ -20,6 +20,7 @@ from .alignment import (
     verify_prefix_alignment,
 )
 from .engine import (
+    CaseEntry,
     CaseTable,
     Event,
     EventError,
@@ -30,7 +31,7 @@ from .engine import (
 )
 from .generator import PRESETS, generate_log
 from .heuristic import HeuristicProblem, build_problem, estimate
-from .occ import OccState, occ_process_event, revert_alignment
+from .occ import occ_process_event, revert_alignment
 from .petri import (
     Marking,
     NotEnabledError,
@@ -63,6 +64,7 @@ from .spn import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "CaseEntry",
     "CaseTable",
     "Event",
     "EventError",
@@ -73,7 +75,6 @@ __all__ = [
     "Move",
     "MoveKind",
     "NotEnabledError",
-    "OccState",
     "PRESETS",
     "PrefixAlignment",
     "SearchCache",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .alignment import PrefixAlignment
 from .heuristic import MODES
-from .occ import OccState, occ_process_event
+from .occ import occ_process_event
 from .petri import WorkflowNet
 from .search import EAGER, LAZY, SearchCache, SearchMetrics, astar_inc
 from .spn import MoveTable, SyncProductNet, build_spn, extend_spn
@@ -94,11 +94,12 @@ class EventError:
 
 @dataclass
 class CaseEntry:
-    """One case's state: its product net and search cache, or its ``occ`` state."""
+    """One case's state: its product net, then its search cache (``ias``,
+    ``iasr``) or its last alignment (``occ``, ``occ-wN``)."""
 
     spn: SyncProductNet | None = None
     cache: SearchCache | None = None
-    occ: OccState | None = None
+    alignment: PrefixAlignment | None = None
 
 
 class CaseTable:
@@ -148,10 +149,8 @@ class StreamEngine:
             )
         entry = self.table.entry(event.case_id)
         if self.kind == "occ":
-            if entry.occ is None:
-                entry.occ = OccState(window=self.window)
             alignment, outcome = occ_process_event(
-                entry.occ, self.model, activity, self.heuristic, self.memo, self.moves
+                entry, self.model, activity, self.window, self.heuristic, self.memo, self.moves
             )
             return EventResult(event.case_id, event.index, activity, alignment, outcome.metrics)
 
@@ -161,9 +160,7 @@ class StreamEngine:
         else:
             extend_spn(entry.spn, activity)
         refresh = LAZY if self.kind == "ias" else EAGER
-        outcome = astar_inc(
-            entry.spn, entry.cache, self.heuristic, refresh, memo=self.memo
-        )
+        outcome = astar_inc(entry.cache, self.heuristic, refresh, memo=self.memo)
         return EventResult(
             event.case_id, event.index, activity, outcome.alignment, outcome.metrics
         )

@@ -12,25 +12,15 @@ the optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .alignment import InvariantViolation, Move, PrefixAlignment, verify_prefix_alignment
 from .petri import Marking, WorkflowNet, fire_sequence
 from .search import SearchOutcome, astar_scratch
 from .spn import MoveKind, MoveTable, SyncProductNet, build_spn, extend_spn
 
-
-@dataclass
-class OccState:
-    """Per-case state: the product net of the growing trace, the last result."""
-
-    window: int | None = None  # None = unbounded
-    spn: SyncProductNet | None = None
-    alignment: PrefixAlignment | None = None
-
-    def __post_init__(self):
-        if self.window is not None and self.window < 1:
-            raise ValueError("window must be >= 1 (or None for unbounded)")
+if TYPE_CHECKING:
+    from .engine import CaseEntry
 
 
 def revert_alignment(
@@ -42,8 +32,11 @@ def revert_alignment(
     consuming moves (log or synchronous) are gone, then also removes model
     moves left at the new tail.  The restart marking is obtained by replaying
     the survivors from the initial marking; extension never renames trace
-    places, so replay on the extended net is sound.
+    places, so replay on the extended net is sound.  ``window`` is at least
+    1, or None for unbounded.
     """
+    if window is not None and window < 1:
+        raise ValueError("window must be >= 1 (or None for unbounded)")
     if window is None or alignment is None:
         return (), spn.initial
     moves = list(alignment.moves)
@@ -60,35 +53,39 @@ def revert_alignment(
 
 
 def occ_process_event(
-    state: OccState,
+    entry: CaseEntry,
     model: WorkflowNet,
     activity: str,
+    window: int | None,
     h_mode: str = "ilp",
     memo: dict | None = None,
     table: MoveTable | None = None,
 ) -> tuple[PrefixAlignment, SearchOutcome]:
     """Extend the case by one event and recompute its prefix-alignment.
 
-    ``memo`` is an optional estimate memo for ``model``, as in
-    :func:`~streamalign.search.astar_inc`, and ``table`` an optional move
-    table of ``model``, as in :func:`~streamalign.spn.build_spn`.
+    ``entry`` holds the case's product net and last alignment (both None
+    before its first event) and is updated in place; ``window`` is as in
+    :func:`revert_alignment`.  ``memo`` is an optional estimate memo for
+    ``model``, as in :func:`~streamalign.search.astar_inc`, and ``table``
+    an optional move table of ``model``, as in
+    :func:`~streamalign.spn.build_spn`.
     """
-    if state.spn is None:
-        state.spn = build_spn(model, [activity], table)
+    if entry.spn is None:
+        entry.spn = build_spn(model, [activity], table)
     else:
-        extend_spn(state.spn, activity)
+        extend_spn(entry.spn, activity)
 
-    surviving, restart = revert_alignment(state.spn, state.alignment, state.window)
-    outcome = astar_scratch(state.spn, h_mode, start=restart, memo=memo)
+    surviving, restart = revert_alignment(entry.spn, entry.alignment, window)
+    outcome = astar_scratch(entry.spn, h_mode, start=restart, memo=memo)
     suffix = outcome.alignment
     full = PrefixAlignment(
         surviving + suffix.moves,
         sum(mv.cost for mv in surviving) + suffix.total_cost,
         suffix.end_marking,
     )
-    if not verify_prefix_alignment(full, state.spn.trace, model):
+    if not verify_prefix_alignment(full, entry.spn.trace, model):
         raise InvariantViolation(
-            f"alignment {full.moves} is not a prefix-alignment of {state.spn.trace}"
+            f"alignment {full.moves} is not a prefix-alignment of {entry.spn.trace}"
         )
-    state.alignment = full
+    entry.alignment = full
     return full, outcome

@@ -1,7 +1,7 @@
 """Shortest-path search over the product-net state space.
 
-:func:`astar_inc` resumes search from the open and closed sets left behind
-by the previous event of the same case: extension never rewires the explored
+:func:`astar_inc` resumes search from the cache left behind by the
+previous event of the same case: extension never rewires the explored
 region, so cost-so-far values stay valid and only the estimates toward the
 new goal place need refreshing.  ``eager`` refresh recomputes every open
 estimate up front; ``lazy`` refresh marks open states outdated and refreshes
@@ -165,10 +165,11 @@ class _Decoded:
 
 
 class SearchCache:
-    """Reusable A* state of one case: open, closed, g, predecessors.
+    """Reusable A* state of one case: its product net, open set, g, predecessors.
 
     Also keeps the last computed estimate per state and the set of open
     states whose estimate predates the latest extension (lazy refresh).
+    A state is closed exactly when it has a ``g`` value and is not open.
     Everything is keyed by packed state; :attr:`g`, :attr:`h`,
     :attr:`closed` and ``open.markings()`` show it keyed by marking.  The
     search starts from ``start``, by default the net's initial marking.
@@ -178,7 +179,6 @@ class SearchCache:
         self.spn = spn
         self.root = spn.encode(start if start is not None else spn.initial)
         self.open = OpenSet(spn.table)
-        self._closed: set[int] = set()
         self._g: dict[int, int] = {self.root: 0}
         self._p: dict[int, Move | None] = {self.root: None}  # the move that reached a state
         self._h: dict[int, object] = {}
@@ -196,23 +196,20 @@ class SearchCache:
 
     @property
     def closed(self) -> _Decoded:
-        return _Decoded(self._closed, self.spn)
+        return _Decoded(self._g.keys() - self.open._live.keys(), self.spn)
 
     @property
     def stale(self) -> _Decoded:
         return _Decoded(self._stale, self.spn)
 
     def invariants_ok(self) -> bool:
-        open_states = set(self.open.states())
-        if open_states & self._closed:
+        # every open state has a g value, every closed or open state a predecessor
+        if not self.open._live.keys() <= self._g.keys() <= self._p.keys():
             return False
-        for s in open_states | self._closed:
-            if s not in self._g or s not in self._p:
-                return False
         if self._g.get(self.root) != 0 or self._p.get(self.root, 0) is not None:
             return False
         # predecessor chains must be acyclic and end at the root
-        for s in open_states | self._closed:
+        for s in self._g:
             seen = set()
             while s in self._p and s not in seen:
                 seen.add(s)
@@ -239,20 +236,17 @@ def memo_key(spn: SyncProductNet, state: int, h_mode: str) -> tuple:
 
 
 def _astar(
-    spn: SyncProductNet,
-    cache: SearchCache,
-    h_mode: str,
-    refresh: str,
-    memo: dict | None = None,
+    cache: SearchCache, h_mode: str, refresh: str, memo: dict | None = None
 ) -> SearchOutcome:
     started = time.perf_counter()
     metrics = SearchMetrics()
     if cache._seed_pending:
         metrics.queued += 1
         cache._seed_pending = False
+    spn = cache.spn
     table = spn.table
     g_map, p_map, h_map = cache._g, cache._p, cache._h
-    closed, stale, open_set = cache._closed, cache._stale, cache.open
+    stale, open_set, live = cache._stale, cache.open, cache.open._live
 
     def fresh_h(state: int):
         if h_mode == "zero":
@@ -285,7 +279,7 @@ def _astar(
         stale.clear()
     elif refresh == LAZY:
         if h_mode != "zero":  # a zero estimate never goes out of date
-            stale.update(open_set.states())
+            stale.update(live)
     else:
         raise ValueError(f"unknown refresh policy {refresh!r}")
 
@@ -310,8 +304,7 @@ def _astar(
             metrics.wall_time = time.perf_counter() - started
             return SearchOutcome(alignment, metrics)
 
-        closed.add(state)
-        metrics.visited += 1
+        metrics.visited += 1  # closed from here on: in g_map, not live
         marked = ((state | guards) - lows) & guards  # guard bits of nonempty model places
 
         for move in spn.candidate_moves(state):
@@ -323,36 +316,29 @@ def _astar(
                 raise table.overflow(successor)
             new_g = g_here + move.cost
             old_g = g_map.get(successor)
-            if successor in closed:
-                if new_g >= old_g:
-                    continue
-                # A strictly cheaper path to an already-closed marking can
-                # only appear when an outdated estimate mis-ordered earlier
-                # pops (estimates may shrink under extension).  Reopen it so
-                # the cheaper cost propagates; with up-to-date estimates this
-                # branch is unreachable.
-                closed.discard(successor)
-                g_map[successor] = new_g
-                p_map[successor] = move
-                hv = refresh_h(successor)
-                open_set.push(successor, new_g + hv, new_g)
-                metrics.reopened += 1
-                metrics.queued += 1
-                continue
             if old_g is not None and new_g >= old_g:
-                continue  # already in open at least as cheaply
+                continue  # reached before at least as cheaply
             g_map[successor] = new_g
             p_map[successor] = move
-            if successor in stale:
+            if old_g is not None and successor not in live:
+                # A strictly cheaper path to a closed marking can only
+                # appear when an outdated estimate mis-ordered earlier pops
+                # (estimates may shrink under extension).  Reopen it so the
+                # cheaper cost propagates; with up-to-date estimates this
+                # branch is unreachable.
+                hv = refresh_h(successor)
+                metrics.reopened += 1
+                metrics.queued += 1
+            elif successor in stale:
                 hv = h_map[successor]  # outdated estimate stays until popped
             else:
                 hv = h_map.get(successor)
                 if hv is None:
                     hv = fresh_h(successor)
                     h_map[successor] = hv
+                if old_g is None:
+                    metrics.queued += 1
             open_set.push(successor, new_g + hv, new_g)
-            if old_g is None:
-                metrics.queued += 1
 
     raise SearchExhausted(
         "open set exhausted before reaching the trace frontier; "
@@ -361,20 +347,19 @@ def _astar(
 
 
 def astar_inc(
-    spn: SyncProductNet,
     cache: SearchCache,
     h_mode: str = "ilp",
     refresh: str = LAZY,
     memo: dict | None = None,
 ) -> SearchOutcome:
-    """Continue the case's search after (at most) one extension.
+    """Continue the search on ``cache.spn`` after (at most) one extension.
 
     The cache must be freshly initialized or be left as the previous call
-    for the same product net left it; the call updates it in place.
-    ``memo`` is an optional estimate memo for the net's model (see the
-    module docstring).
+    left it; the call updates it in place.  ``memo`` is an optional
+    estimate memo for the net's model (see the module docstring).
     """
-    outcome = _astar(spn, cache, h_mode, refresh, memo)
+    outcome = _astar(cache, h_mode, refresh, memo)
+    spn = cache.spn
     if not verify_prefix_alignment(outcome.alignment, spn.trace, spn.model):
         raise InvariantViolation(
             f"alignment {outcome.alignment.moves} is not a prefix-alignment "
@@ -390,8 +375,7 @@ def astar_scratch(
     memo: dict | None = None,
 ) -> SearchOutcome:
     """One-shot search from ``start`` (default: the initial marking)."""
-    cache = SearchCache(spn, start)
-    return _astar(spn, cache, h_mode, EAGER, memo)
+    return _astar(SearchCache(spn, start), h_mode, EAGER, memo)
 
 
 def dijkstra_oracle(

@@ -22,7 +22,7 @@ from math import inf
 import pytest
 
 from streamalign import (
-    OccState,
+    CaseEntry,
     SearchCache,
     StreamEngine,
     astar_inc,
@@ -86,7 +86,7 @@ def suite() -> SuiteData:
             ias_cache = SearchCache(ias_spn)
             iasr_spn = build_spn(model, trace[:1])
             iasr_cache = SearchCache(iasr_spn)
-            occ_state = OccState(window=None)
+            occ_state = CaseEntry()
             stale = {}
             for k, activity in enumerate(trace, start=1):
                 if k > 1:
@@ -133,8 +133,8 @@ def suite() -> SuiteData:
                                 data.inadmissible_stale.append(
                                     (preset_name, trace[:k], name, m, h_old, dist.get(m))
                                 )
-                ias_out = astar_inc(ias_spn, ias_cache, HEURISTIC, "lazy")
-                iasr_out = astar_inc(iasr_spn, iasr_cache, HEURISTIC, "eager")
+                ias_out = astar_inc(ias_cache, HEURISTIC, "lazy")
+                iasr_out = astar_inc(iasr_cache, HEURISTIC, "eager")
                 # eager refresh recomputed every estimate held before the
                 # extension: record those that fell below the value they replaced
                 for m, h_old in stale.get("iasr", {}).items():
@@ -143,7 +143,7 @@ def suite() -> SuiteData:
                         data.h_regressions.append((preset_name, trace[:k], m, h_old, h_new))
                 totals["ias"] += ias_out.metrics.lps_solved
                 totals["iasr"] += iasr_out.metrics.lps_solved
-                occ_alignment, _ = occ_process_event(occ_state, model, activity, HEURISTIC)
+                occ_alignment, _ = occ_process_event(occ_state, model, activity, None, HEURISTIC)
                 prefix_spn = build_spn(model, trace[:k])
                 scratch_cost = astar_scratch(prefix_spn, HEURISTIC).alignment.total_cost
                 oracle_cost, _ = dijkstra_oracle(prefix_spn, prefix_spn.initial)

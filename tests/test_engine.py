@@ -5,8 +5,8 @@ from streamalign import (
     Event,
     EventError,
     EventResult,
+    CaseEntry,
     Marking,
-    OccState,
     SearchCache,
     StreamEngine,
     astar_inc,
@@ -142,6 +142,21 @@ def test_memory_gauge_grows_with_cases(n1):
     assert sizes[-1] == sum(len(e.cache.g) for e in engine.table.cases.values())
 
 
+@pytest.mark.parametrize("algorithm", ["ias", "occ-w1"])
+def test_case_entry_holds_net_then_cache_or_last_alignment(n1, algorithm):
+    engine = StreamEngine(n1, algorithm, "ilp")
+    log = [["a", "b", "c"], ["c", "b"], ["b"]]
+    last = {r.case_id: r.alignment for r in engine.run(replay_log_as_stream(log, "round-robin"))}
+    for case_id, entry in engine.table.cases.items():
+        assert entry.spn is not None
+        if algorithm == "ias":
+            assert entry.cache.spn is entry.spn and entry.alignment is None
+        else:
+            assert entry.cache is None and entry.alignment is last[case_id]
+    if algorithm == "occ-w1":
+        assert engine.table.cached_markings() == 0
+
+
 def test_event_record_field_set(n1):
     engine = StreamEngine(n1, "ias", "ilp")
     record = engine.process_event(Event("1", "a", 1)).to_record()
@@ -170,8 +185,8 @@ def memoless_replay(model, events, algorithm, heuristic):
     cases, outcomes = {}, []
     for event in events:
         if kind == "occ":
-            state = cases.setdefault(event.case_id, OccState(window=window))
-            alignment, outcome = occ_process_event(state, model, event.activity, heuristic)
+            entry = cases.setdefault(event.case_id, CaseEntry())
+            alignment, outcome = occ_process_event(entry, model, event.activity, window, heuristic)
         else:
             if event.case_id not in cases:
                 spn = build_spn(model, [event.activity])
@@ -180,7 +195,7 @@ def memoless_replay(model, events, algorithm, heuristic):
                 extend_spn(cases[event.case_id][0], event.activity)
             spn, cache = cases[event.case_id]
             refresh = LAZY if kind == "ias" else EAGER
-            outcome = astar_inc(spn, cache, heuristic, refresh)
+            outcome = astar_inc(cache, heuristic, refresh)
             alignment = outcome.alignment
         outcomes.append((alignment, outcome.metrics))
     return outcomes

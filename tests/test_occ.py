@@ -1,8 +1,8 @@
 import pytest
 
 from streamalign import (
+    CaseEntry,
     Marking,
-    OccState,
     build_spn,
     dijkstra_oracle,
     occ_process_event,
@@ -14,10 +14,10 @@ from tests.conftest import SeededRandom, random_net_and_trace
 
 
 def run_occ(model, trace, window, h_mode="ilp"):
-    state = OccState(window=window)
+    state = CaseEntry()
     results = []
     for activity in trace:
-        alignment, outcome = occ_process_event(state, model, activity, h_mode)
+        alignment, outcome = occ_process_event(state, model, activity, window, h_mode)
         results.append((alignment, outcome))
     return state, results
 
@@ -36,15 +36,16 @@ def test_unbounded_window_is_optimal_on_running_example(n1):
 
 
 def test_first_event_starts_at_initial(n1):
-    state = OccState(window=1)
-    alignment, _ = occ_process_event(state, n1, "a")
+    state = CaseEntry()
+    alignment, _ = occ_process_event(state, n1, "a", 1)
     assert alignment.total_cost == 0
     assert state.spn is not None
 
 
-def test_window_validation():
+def test_window_validation(n1):
+    state, results = run_occ(n1, ["a"], window=None)
     with pytest.raises(ValueError):
-        OccState(window=0)
+        revert_alignment(state.spn, results[-1][0], 0)
 
 
 def test_revert_examples(n1):

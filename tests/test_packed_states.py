@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamalign import (
+    CaseEntry,
     Marking,
-    OccState,
     SearchCache,
     astar_inc,
     build_spn,
@@ -63,7 +63,7 @@ def test_draws_have_concurrency_loops_and_interleaved_ids():
 def test_every_algorithm_matches_the_oracle_on_every_prefix(seed, length):
     net, trace, _ = net_and_trace(seed, length)
     caches = {}
-    occ = OccState(window=None)
+    occ = CaseEntry()
     spns = {}
     for k, activity in enumerate(trace, start=1):
         costs = {}
@@ -73,10 +73,10 @@ def test_every_algorithm_matches_the_oracle_on_every_prefix(seed, length):
                 caches[refresh] = SearchCache(spns[refresh])
             else:
                 extend_spn(spns[refresh], activity)
-            outcome = astar_inc(spns[refresh], caches[refresh], "ilp", refresh)
+            outcome = astar_inc(caches[refresh], "ilp", refresh)
             costs[refresh] = outcome.alignment.total_cost
             assert caches[refresh].invariants_ok()
-        costs["occ"] = occ_process_event(occ, net, activity, "ilp")[0].total_cost
+        costs["occ"] = occ_process_event(occ, net, activity, None, "ilp")[0].total_cost
         prefix = build_spn(net, trace[:k])
         oracle, _ = dijkstra_oracle(prefix, prefix.initial)
         assert costs == {LAZY: oracle, EAGER: oracle, "occ": oracle}, (seed, trace[:k])

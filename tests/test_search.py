@@ -38,13 +38,20 @@ class ExpansionLog:
 
 
 def run_incremental(model, trace, h_mode, refresh):
-    """Per-event outcomes of the resumed search over a growing trace."""
+    """Per-event outcomes of the resumed search over a growing trace.
+
+    After every event the cache's closed set must be exactly the markings
+    expanded so far that are not open again.
+    """
     spn = build_spn(model, trace[:1])
     cache = SearchCache(spn)
-    outcomes = [astar_inc(spn, cache, h_mode, refresh)]
-    for activity in trace[1:]:
-        extend_spn(spn, activity)
-        outcomes.append(astar_inc(spn, cache, h_mode, refresh))
+    log = ExpansionLog(spn)
+    outcomes = []
+    for k, activity in enumerate(trace):
+        if k:
+            extend_spn(spn, activity)
+        outcomes.append(astar_inc(cache, h_mode, refresh))
+        assert set(cache.closed) == set(log.markings) - set(cache.open.markings())
     return spn, outcomes
 
 
@@ -101,7 +108,7 @@ def test_single_event_c_is_free(n1):
 def test_goal_marking_stays_in_open(n1):
     spn = build_spn(n1, ["a"])
     cache = SearchCache(spn)
-    outcome = astar_inc(spn, cache, "ilp", LAZY)
+    outcome = astar_inc(cache, "ilp", LAZY)
     assert outcome.alignment.end_marking in cache.open.markings()
     assert outcome.alignment.end_marking not in cache.closed
     assert cache.invariants_ok()
@@ -155,7 +162,7 @@ def test_dijkstra_oracle_running_example(n1):
 def test_g_values_untouched_by_extension(n1):
     spn = build_spn(n1, ["a"])
     cache = SearchCache(spn)
-    astar_inc(spn, cache, "ilp", LAZY)
+    astar_inc(cache, "ilp", LAZY)
     snapshot = repr(sorted((m.items, g) for m, g in cache.g.items())).encode()
     extend_spn(spn, "b")
     after = repr(sorted((m.items, g) for m, g in cache.g.items())).encode()
@@ -170,7 +177,7 @@ def test_closed_markings_keep_enabled_sets_across_extension(n1):
         net, trace = random_net_and_trace(rng, max_len=5)
         spn = build_spn(net, trace[:1])
         cache = SearchCache(spn)
-        astar_inc(spn, cache, "ilp", LAZY)
+        astar_inc(cache, "ilp", LAZY)
         for activity in trace[1:]:
             before = {m: tuple(enabled_transitions(spn, m)) for m in cache.closed}
             old_goal = spn.goal_place
@@ -178,7 +185,7 @@ def test_closed_markings_keep_enabled_sets_across_extension(n1):
             for m, enabled_set in before.items():
                 assert m.get(old_goal) == 0  # closed states never mark the frontier
                 assert tuple(enabled_transitions(spn, m)) == enabled_set
-            astar_inc(spn, cache, "ilp", LAZY)
+            astar_inc(cache, "ilp", LAZY)
 
 
 def test_pop_count_bounds(n1):
@@ -200,7 +207,7 @@ def test_pop_count_bounds(n1):
                     return item
 
                 cache.open.pop = counting_pop
-                outcome = astar_inc(spn, cache, "ilp", refresh)
+                outcome = astar_inc(cache, "ilp", refresh)
                 cache.open.pop = original_pop
                 allowed = bound + outcome.metrics.reopened
                 assert max(pops.values()) <= allowed
@@ -224,7 +231,7 @@ def test_deterministic_expansion_order(n1):
                 if k:
                     extend_spn(spn, activity)
                 log.markings.clear()
-                outcome = astar_inc(spn, cache, "ilp", LAZY)
+                outcome = astar_inc(cache, "ilp", LAZY)
                 expansions.append(tuple(log.markings))
                 costs.append(outcome.alignment.total_cost)
                 counters.append(
@@ -255,7 +262,7 @@ def test_zero_estimates_never_go_stale():
                 if k:
                     extend_spn(spn, activity)
                 log.markings.clear()
-                outcome = astar_inc(spn, cache, "zero", refresh)
+                outcome = astar_inc(cache, "zero", refresh)
                 if refresh == LAZY:
                     assert outcome.metrics.heuristic_recomputations == 0
                     assert not cache.stale
@@ -267,7 +274,7 @@ OPTIMIZED_CHECK = """
 import sys
 import streamalign.occ as occ
 import streamalign.search as search
-from streamalign import InvariantViolation, SearchCache, build_spn
+from streamalign import CaseEntry, InvariantViolation, SearchCache, build_spn
 from streamalign.assets import ordering_model
 
 if not sys.flags.optimize:
@@ -277,11 +284,11 @@ for module in (search, occ):
     module.verify_prefix_alignment = lambda *args: False
 try:
     spn = build_spn(model, ["a"])
-    search.astar_inc(spn, SearchCache(spn))
+    search.astar_inc(SearchCache(spn))
 except InvariantViolation:
     print("search raised")
 try:
-    occ.occ_process_event(occ.OccState(), model, "a")
+    occ.occ_process_event(CaseEntry(), model, "a", None)
 except InvariantViolation:
     print("occ raised")
 """
@@ -355,4 +362,4 @@ def test_search_exhausted_is_unreachable_on_product_nets(n1):
     cache = SearchCache(spn)
     cache.open.pop()
     with pytest.raises(SearchExhausted):
-        astar_inc(spn, cache, "ilp", LAZY)
+        astar_inc(cache, "ilp", LAZY)
