@@ -1,4 +1,4 @@
-"""Underestimates of remaining alignment cost from a product-net marking.
+"""Underestimates of remaining alignment cost from a product-net state.
 
 The estimate relaxes the reachability question to token-flow balance: one
 non-negative firing count per alignment move, every remaining observed
@@ -27,6 +27,11 @@ table, contributing +1 to its activity's row, -1 to the row of every
 model place in its preset and +1 to every model place in its postset, so a
 self-loop cancels to 0; trace places are ignored.  Nothing is cached per
 net.
+
+A state is a packed product marking, the search's own state type
+(:meth:`~streamalign.spn.SyncProductNet.encode`); ``k`` and the model
+counts are read off it with :meth:`~streamalign.spn.MoveTable.unpack`, so
+the packed layout stays in :mod:`streamalign.spn`.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .alignment import InvariantViolation
-from .petri import Marking
 from .simplex import OPTIMAL, Row, solve_ilp, solve_lp
 from .spn import SyncProductNet
 
@@ -54,15 +58,15 @@ class HeuristicProblem:
     n_model_rows: int
 
 
-def build_problem(spn: SyncProductNet, marking: Marking) -> HeuristicProblem:
-    """Assemble the activity-count flow problem for one marking.
+def build_problem(spn: SyncProductNet, state: int) -> HeuristicProblem:
+    """Assemble the activity-count flow problem for one packed state.
 
     With the trace token on ``tp{k}``, each distinct activity a of
     ``trace[k:]`` contributes the equality ``flow(a) = count(a)``, and each
-    model place the inequality ``m(p) + flow(p) >= 0``.  Raises ValueError
-    for a marking the search cannot encode (:meth:`SyncProductNet.encode`).
+    model place the inequality ``m(p) + flow(p) >= 0``.  ``state`` is a
+    state of ``spn``, as :meth:`SyncProductNet.encode` returns it.
     """
-    k = spn.encode(marking) >> spn.table.shift
+    k, counts = spn.table.unpack(state)
     remaining = Counter(spn.trace[k:])
     columns = spn.table.model_moves
     for a in remaining:
@@ -79,7 +83,7 @@ def build_problem(spn: SyncProductNet, marking: Marking) -> HeuristicProblem:
             if p in model_rows:
                 model_rows[p][j] += 1
     rows = [(coeffs, "=", remaining[a]) for a, coeffs in activity_rows.items()]
-    rows += [(coeffs, ">=", -marking.get(p)) for p, coeffs in model_rows.items()]
+    rows += [(coeffs, ">=", -counts.get(p, 0)) for p, coeffs in model_rows.items()]
     return HeuristicProblem(
         tuple(r.tid for r in columns),
         tuple(r.cost for r in columns),
@@ -89,11 +93,11 @@ def build_problem(spn: SyncProductNet, marking: Marking) -> HeuristicProblem:
     )
 
 
-def estimate(spn: SyncProductNet, marking: Marking, mode: str = "ilp") -> Fraction | int:
-    """Remaining-cost estimate for a marking: an ``int`` under ``ilp`` and
-    ``zero``, a ``Fraction`` under ``lp``.
+def estimate(spn: SyncProductNet, state: int, mode: str = "ilp") -> Fraction | int:
+    """Remaining-cost estimate for a packed state of ``spn``: an ``int``
+    under ``ilp`` and ``zero``, a ``Fraction`` under ``lp``.
 
-    Every program :func:`build_problem` accepts is feasible: firing each
+    Every program :func:`build_problem` builds is feasible: firing each
     remaining activity a's log move count(a) times meets every activity row
     and leaves the model places alone.  No cost is negative, so the optimum
     is bounded too.  Any status other than optimal is therefore a solver
@@ -103,14 +107,14 @@ def estimate(spn: SyncProductNet, marking: Marking, mode: str = "ilp") -> Fracti
         raise ValueError(f"unknown heuristic mode {mode!r}")
     if mode == "zero":
         return 0
-    problem = build_problem(spn, marking)
+    problem = build_problem(spn, state)
     solver = solve_lp if mode == "lp" else solve_ilp
     result = solver(list(problem.objective), list(problem.rows))
     if result.status != OPTIMAL:
-        raise InvariantViolation(f"flow program for {marking} is {result.status}")
+        raise InvariantViolation(f"flow program for {spn.decode(state)} is {result.status}")
     value = result.value
     if value < 0 or (mode == "ilp" and value.denominator != 1):
         raise InvariantViolation(
-            f"{mode} estimate {value} for {marking} is negative or fractional"
+            f"{mode} estimate {value} for {spn.decode(state)} is negative or fractional"
         )
     return int(value) if mode == "ilp" else value

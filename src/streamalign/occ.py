@@ -3,11 +3,11 @@
 Instead of resuming from cached search state, this baseline keeps only the
 previous prefix-alignment.  On a new event it removes the moves covering the
 last ``window`` observed events (plus model moves left dangling at the cut),
-replays the surviving moves to obtain a restart marking and runs a one-shot
-search from there on the extended product net.  With an unbounded window it
-degenerates to a full from-scratch search and is optimal; with a finite
-window the committed prefix may be unfixable, so reported costs can exceed
-the optimum.
+adds the surviving moves' deltas to the initial state to obtain a packed
+restart state and runs a one-shot search from there on the extended product
+net.  With an unbounded window it degenerates to a full from-scratch search
+and is optimal; with a finite window the committed prefix may be unfixable,
+so reported costs can exceed the optimum.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .alignment import InvariantViolation, Move, PrefixAlignment, verify_prefix_alignment
-from .petri import Marking, WorkflowNet, fire_sequence
+from .petri import WorkflowNet
 from .search import SearchOutcome, astar_scratch
 from .spn import MoveKind, MoveTable, SyncProductNet, build_spn, extend_spn
 
@@ -25,20 +25,22 @@ if TYPE_CHECKING:
 
 def revert_alignment(
     spn: SyncProductNet, alignment: PrefixAlignment | None, window: int | None
-) -> tuple[tuple[Move, ...], Marking]:
-    """Drop the tail of the alignment and compute the restart marking.
+) -> tuple[tuple[Move, ...], int]:
+    """Drop the tail of the alignment and compute the restart state.
 
     Removes trailing moves until ``min(window, aligned events)`` trace
     consuming moves (log or synchronous) are gone, then also removes model
-    moves left at the new tail.  The restart marking is obtained by replaying
-    the survivors from the initial marking; extension never renames trace
-    places, so replay on the extended net is sound.  ``window`` is at least
-    1, or None for unbounded.
+    moves left at the new tail.  The restart is the packed state the
+    survivors reach from the initial marking: the initial state plus their
+    deltas, since firing a move adds its delta.  Extension never renames
+    trace places, so the survivors fire alike on the extended net.
+    ``window`` is at least 1, or None for unbounded.
     """
     if window is not None and window < 1:
         raise ValueError("window must be >= 1 (or None for unbounded)")
+    initial = spn.encode(spn.initial)
     if window is None or alignment is None:
-        return (), spn.initial
+        return (), initial
     moves = list(alignment.moves)
     consumes = lambda mv: mv.kind in (MoveKind.LOG, MoveKind.SYNC)
     target = min(window, sum(1 for mv in moves if consumes(mv)))
@@ -48,8 +50,7 @@ def revert_alignment(
             removed += 1
     while moves and moves[-1].kind is MoveKind.MODEL:
         moves.pop()
-    restart = fire_sequence(spn, spn.initial, [mv.tid for mv in moves])
-    return tuple(moves), restart
+    return tuple(moves), initial + sum(mv.delta for mv in moves)
 
 
 def occ_process_event(

@@ -15,11 +15,13 @@ extension may grow cheaper continuations through it.
 The search runs on packed states: each product marking is one ``int`` in
 the layout of the net's move table (see :mod:`streamalign.spn`), so the
 cache, the open set and the predecessor map hold ints, which the cyclic
-garbage collector does not track.  :class:`~streamalign.petri.Marking`
-stays the type at every boundary: the start marking is encoded once, the
-alignment's end marking and the flow program's marking are decoded, and
-:class:`SearchCache` shows ``g``, ``h``, ``closed`` and ``open.markings()``
-keyed by marking.
+garbage collector does not track.  The packed state is the only state
+type of the search core: a start is given as one, :class:`SearchCache`
+keys ``g``, ``h`` and ``stale`` by it, and the estimate is asked for it.
+:class:`~streamalign.petri.Marking` appears only where a result leaves the
+core, as the alignment's end marking; callers that hold a marking convert
+it with :meth:`~streamalign.spn.SyncProductNet.encode` and
+:meth:`~streamalign.spn.SyncProductNet.decode`.
 
 Expansion is indexed by trace position.  A state whose trace token sits
 on ``tp{k}`` tries only the model moves and then the moves of position
@@ -61,7 +63,6 @@ import heapq
 import time
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator
 
 from .alignment import (
     InvariantViolation,
@@ -70,7 +71,7 @@ from .alignment import (
     reconstruct,
     verify_prefix_alignment,
 )
-from .heuristic import estimate
+from .heuristic import MODES, estimate
 from .petri import Marking, StateSpaceTooLarge, enumerate_state_space, fire
 from .spn import Move, MoveTable, SyncProductNet
 
@@ -106,9 +107,6 @@ class OpenSet:
         """The open states in the canonical marking order."""
         return [entry[3] for entry in sorted(self._live.values(), key=itemgetter(2))]
 
-    def markings(self) -> list[Marking]:
-        return [self._table.decode(state) for state in self.states()]
-
     def push(self, state: int, f, g: int) -> None:
         entry = (f, -g, self._table.tie_key(state), state)
         self._live[state] = entry
@@ -135,81 +133,36 @@ class SearchMetrics:
     wall_time: float = 0.0
 
 
-class _Decoded:
-    """Read-only view, keyed by marking, of a dict or set keyed by packed state."""
-
-    def __init__(self, states, net: SyncProductNet):
-        self._states = states
-        self._net = net
-
-    def _state(self, marking: Marking) -> int | None:
-        try:
-            return self._net.encode(marking)
-        except ValueError:
-            return None
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def __iter__(self) -> Iterator[Marking]:
-        return map(self._net.decode, self._states)
-
-    def __contains__(self, marking: Marking) -> bool:
-        return self._state(marking) in self._states
-
-    def __getitem__(self, marking: Marking):
-        return self._states[self._state(marking)]
-
-    def items(self):
-        return [(self._net.decode(s), v) for s, v in self._states.items()]
-
-
 class SearchCache:
     """Reusable A* state of one case: its product net, open set, g, predecessors.
 
-    Also keeps the last computed estimate per state and the set of open
-    states whose estimate predates the latest extension (lazy refresh).
-    A state is closed exactly when it has a ``g`` value and is not open.
-    Everything is keyed by packed state; :attr:`g`, :attr:`h`,
-    :attr:`closed` and ``open.markings()`` show it keyed by marking.  The
-    search starts from ``start``, by default the net's initial marking.
+    Also keeps the last computed estimate per state (``h``) and the set of
+    open states whose estimate predates the latest extension (``stale``,
+    lazy refresh).  A state is closed exactly when it has a ``g`` value and
+    is not open.  Everything is keyed by packed state of ``spn``.  The
+    search starts from the packed state ``start``, by default the net's
+    initial marking.
     """
 
-    def __init__(self, spn: SyncProductNet, start: Marking | None = None):
+    def __init__(self, spn: SyncProductNet, start: int | None = None):
         self.spn = spn
-        self.root = spn.encode(start if start is not None else spn.initial)
+        self.root = spn.encode(spn.initial) if start is None else start
         self.open = OpenSet(spn.table)
-        self._g: dict[int, int] = {self.root: 0}
+        self.g: dict[int, int] = {self.root: 0}
         self._p: dict[int, Move | None] = {self.root: None}  # the move that reached a state
-        self._h: dict[int, object] = {}
-        self._stale: set[int] = set()
+        self.h: dict[int, object] = {}
+        self.stale: set[int] = set()
         self._seed_pending = True
         self.open.push(self.root, 0, 0)
 
-    @property
-    def g(self) -> _Decoded:
-        return _Decoded(self._g, self.spn)
-
-    @property
-    def h(self) -> _Decoded:
-        return _Decoded(self._h, self.spn)
-
-    @property
-    def closed(self) -> _Decoded:
-        return _Decoded(self._g.keys() - self.open._live.keys(), self.spn)
-
-    @property
-    def stale(self) -> _Decoded:
-        return _Decoded(self._stale, self.spn)
-
     def invariants_ok(self) -> bool:
         # every open state has a g value, every closed or open state a predecessor
-        if not self.open._live.keys() <= self._g.keys() <= self._p.keys():
+        if not self.open._live.keys() <= self.g.keys() <= self._p.keys():
             return False
-        if self._g.get(self.root) != 0 or self._p.get(self.root, 0) is not None:
+        if self.g.get(self.root) != 0 or self._p.get(self.root, 0) is not None:
             return False
         # predecessor chains must be acyclic and end at the root
-        for s in self._g:
+        for s in self.g:
             seen = set()
             while s in self._p and s not in seen:
                 seen.add(s)
@@ -240,13 +193,17 @@ def _astar(
 ) -> SearchOutcome:
     started = time.perf_counter()
     metrics = SearchMetrics()
+    if h_mode not in MODES:
+        raise ValueError(f"unknown heuristic mode {h_mode!r}")
+    if refresh not in (EAGER, LAZY):
+        raise ValueError(f"unknown refresh policy {refresh!r}")
     if cache._seed_pending:
         metrics.queued += 1
         cache._seed_pending = False
     spn = cache.spn
     table = spn.table
-    g_map, p_map, h_map = cache._g, cache._p, cache._h
-    stale, open_set, live = cache._stale, cache.open, cache.open._live
+    g_map, p_map, h_map = cache.g, cache._p, cache.h
+    stale, open_set, live = cache.stale, cache.open, cache.open._live
 
     def fresh_h(state: int):
         if h_mode == "zero":
@@ -256,7 +213,7 @@ def _astar(
             value = memo.get(key)
             if value is not None:
                 return value
-        value = estimate(spn, spn.decode(state), h_mode)
+        value = estimate(spn, state, h_mode)
         metrics.lps_solved += 1
         if key is not None:
             if len(memo) >= MEMO_ENTRIES:
@@ -277,11 +234,8 @@ def _astar(
             hv = refresh_h(s)
             open_set.push(s, g_map[s] + hv, g_map[s])
         stale.clear()
-    elif refresh == LAZY:
-        if h_mode != "zero":  # a zero estimate never goes out of date
-            stale.update(live)
-    else:
-        raise ValueError(f"unknown refresh policy {refresh!r}")
+    elif h_mode != "zero":  # lazy; a zero estimate never goes out of date
+        stale.update(live)
 
     n, shift, guards, lows = spn.n, table.shift, table.guards, table.lows
     while len(open_set):
@@ -371,10 +325,11 @@ def astar_inc(
 def astar_scratch(
     spn: SyncProductNet,
     h_mode: str = "ilp",
-    start: Marking | None = None,
+    start: int | None = None,
     memo: dict | None = None,
 ) -> SearchOutcome:
-    """One-shot search from ``start`` (default: the initial marking)."""
+    """One-shot search from the packed state ``start`` (default: the
+    initial marking)."""
     return _astar(SearchCache(spn, start), h_mode, EAGER, memo)
 
 

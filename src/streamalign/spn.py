@@ -19,8 +19,9 @@ whose trace token is on ``tp{k}`` can enable only the model moves and the
 moves of position ``k + 1`` (:meth:`SyncProductNet.candidate_moves`).
 
 :class:`~streamalign.petri.Marking` is the public type of a product
-marking; the search runs on the table's encoding of it as one ``int``
-(:meth:`MoveTable.encode`, :meth:`MoveTable.decode`).  Every reachable
+marking; the search and the heuristic run on the table's encoding of it as
+one ``int`` (:meth:`MoveTable.encode`, :meth:`MoveTable.decode`, and
+:meth:`MoveTable.unpack`, which reads a state's fields).  Every reachable
 product marking holds exactly one trace token, so a state is its trace
 position ``k`` and its model marking.  ``k`` sits above bit
 :attr:`MoveTable.shift`; below it lie one field per place, in sorted
@@ -284,14 +285,21 @@ class MoveTable:
             raise ValueError(f"marking {marking} holds no trace token")
         return state + self._trace_bits[k]
 
-    def decode(self, state: int) -> Marking:
-        """The product marking of a packed state."""
-        counts = {trace_place(state >> self.shift): 1}
+    def unpack(self, state: int) -> tuple[int, dict[str, int]]:
+        """The trace position ``k`` of a packed state and the token counts
+        of its nonempty model places."""
         mask = (1 << FIELD_BITS) - 1
+        counts = {}
         for place, offset in self._fields:
             count = (state >> offset) & mask
             if count:
                 counts[place] = count
+        return state >> self.shift, counts
+
+    def decode(self, state: int) -> Marking:
+        """The product marking of a packed state."""
+        k, counts = self.unpack(state)
+        counts[trace_place(k)] = 1
         return Marking._trusted(counts)
 
     def tie_key(self, state: int) -> int:

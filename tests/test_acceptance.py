@@ -72,6 +72,11 @@ class SuiteData:
     wall_time: float = 0.0
 
 
+def g_by_marking(cache) -> str:
+    """The cache's cost-so-far values keyed by marking, in a canonical text."""
+    return repr(sorted((cache.spn.decode(s).items, g) for s, g in cache.g.items()))
+
+
 @pytest.fixture(scope="module")
 def suite() -> SuiteData:
     data = SuiteData()
@@ -93,14 +98,20 @@ def suite() -> SuiteData:
                     # -- instrumentation around the extension ----------------
                     old_goal = ias_spn.goal_place
                     stale = {
-                        name: {m: cache.h[m] for m in cache.open.markings() if m in cache.h}
+                        name: {
+                            cache.spn.decode(s): cache.h[s]
+                            for s in cache.open.states()
+                            if s in cache.h
+                        }
                         for name, cache in (("ias", ias_cache), ("iasr", iasr_cache))
                     }
-                    g_before = repr(sorted((m.items, g) for m, g in ias_cache.g.items()))
-                    closed_before = set(ias_cache.closed)
+                    g_before = g_by_marking(ias_cache)
+                    closed_before = {
+                        ias_spn.decode(s) for s in ias_cache.g.keys() - set(ias_cache.open.states())
+                    }
                     new_moves = {m.tid for m in extend_spn(ias_spn, activity)}
                     new_place = ias_spn.goal_place
-                    g_after = repr(sorted((m.items, g) for m, g in ias_cache.g.items()))
+                    g_after = g_by_marking(ias_cache)
                     if g_before != g_after:
                         data.g_map_changes += 1
                     # frontier growth: every transition added by this
@@ -138,7 +149,7 @@ def suite() -> SuiteData:
                 # eager refresh recomputed every estimate held before the
                 # extension: record those that fell below the value they replaced
                 for m, h_old in stale.get("iasr", {}).items():
-                    h_new = iasr_cache.h[m]
+                    h_new = iasr_cache.h[iasr_spn.encode(m)]
                     if h_new < h_old:
                         data.h_regressions.append((preset_name, trace[:k], m, h_old, h_new))
                 totals["ias"] += ias_out.metrics.lps_solved
@@ -217,8 +228,8 @@ def test_check_3_heuristic_soundness():
         instances += 1
         values = {"lp": {}, "ilp": {}}
         for m in markings:
-            lp = estimate(spn, m, "lp")
-            ilp = estimate(spn, m, "ilp")
+            lp = estimate(spn, spn.encode(m), "lp")
+            ilp = estimate(spn, spn.encode(m), "ilp")
             values["lp"][m], values["ilp"][m] = lp, ilp
             if not lp <= ilp <= dist[m]:
                 failures.append(("order", trace, m, lp, ilp, dist[m]))

@@ -10,7 +10,6 @@ from streamalign import (
     SearchCache,
     StreamEngine,
     astar_inc,
-    astar_scratch,
     build_spn,
     dijkstra_oracle,
     extend_spn,
@@ -278,8 +277,6 @@ def test_marking_without_a_trace_token_still_raises(n1):
     p1 = spn.encode(Marking.of("tp0", "p1")) - spn.encode(Marking.of("tp0"))
     assert memo_key(spn, spn.encode(Marking.of("tp0", "p1")), "ilp") == ("ilp", p1, ("a",))
     assert memo_key(spn, spn.encode(Marking.of("tp1", "p1")), "ilp") == ("ilp", p1, ())
-    with pytest.raises(ValueError, match="trace token"):
-        astar_scratch(spn, "ilp", start=model_only, memo={})
 
 
 def test_zero_heuristic_asks_for_no_estimate(preset_models, monkeypatch):

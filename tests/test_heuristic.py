@@ -26,7 +26,7 @@ from tests.conftest import SeededRandom, nets_and_traces, random_net_and_trace
 
 def test_problem_shape_for_unit_trace(n1):
     spn = build_spn(n1, ["a"])
-    problem = build_problem(spn, spn.initial)
+    problem = build_problem(spn, spn.encode(spn.initial))
     assert len(problem.variables) == 6  # 4 model + 1 log + 1 sync
     assert problem.n_activity_rows == 1
     assert problem.n_model_rows == 3
@@ -78,7 +78,7 @@ def test_suffix_program_matches_unrestricted_program(preset_models):
                 k = next(i for i, p in enumerate(spn.trace_places()) if m.get(p))
                 remaining = spn.trace[k:]
                 distinct = list(dict.fromkeys(remaining))
-                problem = build_problem(spn, m)
+                problem = build_problem(spn, spn.encode(m))
                 assert problem.n_activity_rows == len(distinct)
                 assert problem.n_model_rows == len(net.places)
                 variables, objective, rows = unrestricted_problem(spn, m)
@@ -129,10 +129,11 @@ def test_estimates_ignore_the_order_of_the_remaining_activities(preset_models):
             k = spn.encode(m) >> spn.table.shift
             other = shuffled[k]
             for mode in ("lp", "ilp"):
-                assert estimate(spn, m, mode) == estimate(other, m, mode), (m, mode)
+                mine = estimate(spn, spn.encode(m), mode)
+                assert mine == estimate(other, other.encode(m), mode), (m, mode)
             for case in (spn, other):
                 _, objective, rows = unrestricted_problem(case, m)
-                assert_same_optimum(build_problem(case, m), objective, rows, m)
+                assert_same_optimum(build_problem(case, case.encode(m)), objective, rows, m)
             checked += 1
             reordered += other.trace != spn.trace
     assert checked > 500 and reordered > 100
@@ -144,12 +145,8 @@ def test_trace_places_of_a_longer_case_are_unknown(n1):
     spn = build_spn(n1, ["a"], table)
     beyond = Marking.of("tp2", "p2")
     assert table.encode(beyond) >> table.shift == 2 > spn.n
-    with pytest.raises(ValueError):
-        spn.encode(beyond)
-    with pytest.raises(ValueError):
-        build_problem(spn, beyond)
-    with pytest.raises(ValueError):
-        estimate(spn, beyond, "ilp")
+    with pytest.raises(ValueError, match="beyond tp1"):
+        spn.encode(beyond)  # so neither a search nor a program sees it
 
 
 def test_programs_on_a_shared_table_equal_those_on_a_private_one(preset_models):
@@ -164,14 +161,16 @@ def test_programs_on_a_shared_table_equal_those_on_a_private_one(preset_models):
                 extend_spn(alone, activity)
             markings, _ = enumerate_state_space(alone, alone.initial, 3000)
             for m in markings:
-                assert build_problem(shared, m) == build_problem(alone, m)
+                mine = build_problem(shared, shared.encode(m))
+                assert mine == build_problem(alone, alone.encode(m))
 
 
 def test_a_marking_is_a_search_state_exactly_when_its_program_is_built(preset_models):
     # Reachable markings hold one trace token; the variants move it past the
-    # net's last trace place, drop it or add a second one.  The search can
-    # encode exactly the markings whose program exists, and the memo keys a
-    # state by its model part and the activities after its trace token.
+    # net's last trace place, drop it or add a second one.  The net encodes
+    # exactly the reachable markings, each state's program is built, and the
+    # memo keys a state by its model part and the activities after its
+    # trace token.
     for net, trace in nets_and_traces(preset_models, 59):
         table = MoveTable(net)
         build_spn(net, trace + trace, table)
@@ -191,13 +190,12 @@ def test_a_marking_is_a_search_state_exactly_when_its_program_is_built(preset_mo
             ]
             for v in variants:
                 try:
-                    build_problem(spn, v)
+                    state = spn.encode(v)
                 except ValueError:
                     refused += 1
-                    with pytest.raises(ValueError):
-                        spn.encode(v)
                 else:
-                    state = spn.encode(v)
+                    assert v == m
+                    assert build_problem(spn, state).n_model_rows == len(net.places)
                     assert spn.decode(state) == v
                     position = state >> spn.table.shift
                     assert position == k
@@ -211,21 +209,22 @@ def test_a_marking_is_a_search_state_exactly_when_its_program_is_built(preset_mo
 def test_problem_zero_solution_at_goal(n1):
     spn = build_spn(n1, ["a"])
     goal = Marking.of("tp1", "p2")
-    problem = build_problem(spn, goal)
+    problem = build_problem(spn, spn.encode(goal))
     for coeffs, rel, rhs in problem.rows:
         if rel == "=":
             assert rhs == 0
         else:
             assert rhs <= 0
-    assert estimate(spn, goal, "ilp") == 0
+    assert estimate(spn, spn.encode(goal), "ilp") == 0
 
 
 def test_problem_rejects_bad_markings(n1):
+    # a program is built for a packed state, and no such state exists for these
     spn = build_spn(n1, ["a"])
-    with pytest.raises(ValueError):
-        build_problem(spn, Marking.of("nowhere", "tp0"))
-    with pytest.raises(ValueError):
-        build_problem(spn, Marking.of("p1"))  # no trace token
+    with pytest.raises(ValueError, match="not a place of the table"):
+        spn.encode(Marking.of("nowhere", "tp0"))
+    with pytest.raises(ValueError, match="no trace token"):
+        spn.encode(Marking.of("p1"))
 
 
 def test_estimate_examples_match_oracle(n1):
@@ -236,14 +235,14 @@ def test_estimate_examples_match_oracle(n1):
     assert dist[m_sync] == 0
     assert dist[m_behind] == 1
     for mode in ("lp", "ilp"):
-        assert estimate(spn, m_sync, mode) == 0
-        assert estimate(spn, m_behind, mode) == 1
-    assert estimate(spn, Marking.of("tp1", "p2"), "ilp") == 0
+        assert estimate(spn, spn.encode(m_sync), mode) == 0
+        assert estimate(spn, spn.encode(m_behind), mode) == 1
+    assert estimate(spn, spn.encode(Marking.of("tp1", "p2")), "ilp") == 0
 
 
 def test_zero_mode(n1):
     spn = build_spn(n1, ["a", "b"])
-    assert estimate(spn, spn.initial, "zero") == 0
+    assert estimate(spn, spn.encode(spn.initial), "zero") == 0
 
 
 @pytest.mark.parametrize("status", [INFEASIBLE, UNBOUNDED])
@@ -254,13 +253,13 @@ def test_non_optimal_flow_program_is_an_invariant_violation(n1, monkeypatch, sta
     for mode, solver in (("ilp", "solve_ilp"), ("lp", "solve_lp")):
         monkeypatch.setattr(heuristic, solver, lambda *args: LpResult(status, None, None))
         with pytest.raises(InvariantViolation, match=status):
-            estimate(spn, spn.initial, mode)
+            estimate(spn, spn.encode(spn.initial), mode)
 
 
 def test_unknown_mode(n1):
     spn = build_spn(n1, ["a"])
     with pytest.raises(ValueError):
-        estimate(spn, spn.initial, "magic")
+        estimate(spn, spn.encode(spn.initial), "magic")
 
 
 def test_admissible_and_consistent_on_random_nets():
@@ -276,7 +275,7 @@ def test_admissible_and_consistent_on_random_nets():
         values = {mode: {} for mode in ("lp", "ilp")}
         for mode in ("lp", "ilp"):
             for m in markings:
-                values[mode][m] = estimate(spn, m, mode)
+                values[mode][m] = estimate(spn, spn.encode(m), mode)
                 assert values[mode][m] <= dist[m], (mode, m)
         for m in markings:
             assert values["lp"][m] <= values["ilp"][m] <= dist[m]
@@ -297,8 +296,9 @@ def test_lp_can_be_fractional_below_ilp():
         Marking.of("e"),
     )
     spn = build_spn(net, ["c", "c"])
-    lp = estimate(spn, spn.initial, "lp")
-    ilp = estimate(spn, spn.initial, "ilp")
+    start = spn.encode(spn.initial)
+    lp = estimate(spn, start, "lp")
+    ilp = estimate(spn, start, "ilp")
     assert lp <= ilp
     assert isinstance(lp, Fraction)
 
@@ -321,10 +321,10 @@ def test_estimates_can_shrink_under_extension():
     )
     spn = build_spn(net, ["d", "b"])
     lent = Marking.of("tp1", "p1")
-    before = {mode: estimate(spn, lent, mode) for mode in ("lp", "ilp")}
+    before = {mode: estimate(spn, spn.encode(lent), mode) for mode in ("lp", "ilp")}
     assert before == {"lp": 1, "ilp": 1}
     extend_spn(spn, "a")
-    after = {mode: estimate(spn, lent, mode) for mode in ("lp", "ilp")}
+    after = {mode: estimate(spn, spn.encode(lent), mode) for mode in ("lp", "ilp")}
     assert after == {"lp": 0, "ilp": 0}
     # the drop is sound: true remaining distance is still above the estimate
     _, _, dist = distances_to_goal(spn)
@@ -333,6 +333,7 @@ def test_estimates_can_shrink_under_extension():
 
 def test_estimate_is_pure(n1):
     spn = build_spn(n1, ["a", "b"])
-    first = estimate(spn, spn.initial, "ilp")
-    second = estimate(spn, spn.initial, "ilp")
+    start = spn.encode(spn.initial)
+    first = estimate(spn, start, "ilp")
+    second = estimate(spn, start, "ilp")
     assert first == second

@@ -5,6 +5,7 @@ from streamalign import (
     Marking,
     build_spn,
     dijkstra_oracle,
+    fire_sequence,
     occ_process_event,
     revert_alignment,
     verify_prefix_alignment,
@@ -53,13 +54,15 @@ def test_revert_examples(n1):
     state, results = run_occ(n1, ["a", "b"], window=None)
     alignment = results[-1][0]
     assert alignment.total_cost == 0
-    surviving, restart = revert_alignment(state.spn, alignment, 1)
+    spn = state.spn
+    surviving, restart = revert_alignment(spn, alignment, 1)
     assert [mv.tid for mv in surviving] == ["sync:tt1|t1"]
-    assert restart == Marking.of("tp1", "p2")  # replay of the surviving move
+    assert spn.decode(restart) == Marking.of("tp1", "p2")  # replay of the surviving move
     # unbounded window reverts everything
-    assert revert_alignment(state.spn, alignment, None) == ((), state.spn.initial)
+    initial = spn.encode(spn.initial)
+    assert revert_alignment(spn, alignment, None) == ((), initial)
     # empty alignment reverts to the initial marking
-    assert revert_alignment(state.spn, None, 3) == ((), state.spn.initial)
+    assert revert_alignment(spn, None, 3) == ((), initial)
 
 
 def test_revert_strips_trailing_model_moves(n1):
@@ -70,7 +73,28 @@ def test_revert_strips_trailing_model_moves(n1):
     assert [mv.tid for mv in alignment.moves] == ["model:t2", "sync:tt1|t3"]
     surviving, restart = revert_alignment(state.spn, alignment, 1)
     assert surviving == ()
-    assert restart == state.spn.initial
+    assert state.spn.decode(restart) == state.spn.initial
+
+
+def test_restart_state_is_the_replay_of_the_surviving_moves():
+    # Revert each case's previous alignment on its extended net, as the
+    # baseline does, and replay the survivors transition by transition.
+    rng = SeededRandom(71)
+    reverted = 0
+    for _ in range(20):
+        net, trace = random_net_and_trace(rng, max_len=6)
+        for window in (1, 2, 3, None):
+            entry = CaseEntry()
+            for activity in trace:
+                previous = entry.alignment
+                occ_process_event(entry, net, activity, window)
+                spn = entry.spn
+                surviving, restart = revert_alignment(spn, previous, window)
+                replay = fire_sequence(spn, spn.initial, [mv.tid for mv in surviving])
+                assert spn.decode(restart) == replay, (trace, window)
+                assert entry.alignment.moves[: len(surviving)] == surviving
+                reverted += bool(surviving)
+    assert reverted > 30
 
 
 def test_literal_acb_trace_is_repairable_with_window_one(n1):

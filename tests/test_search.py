@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,11 @@ class ExpansionLog:
         spn.candidate_moves = logged
 
 
+def closed_markings(cache):
+    """The markings of the cache's closed states: its ``g`` keys that are not open."""
+    return {cache.spn.decode(s) for s in cache.g.keys() - set(cache.open.states())}
+
+
 def run_incremental(model, trace, h_mode, refresh):
     """Per-event outcomes of the resumed search over a growing trace.
 
@@ -51,7 +57,8 @@ def run_incremental(model, trace, h_mode, refresh):
         if k:
             extend_spn(spn, activity)
         outcomes.append(astar_inc(cache, h_mode, refresh))
-        assert set(cache.closed) == set(log.markings) - set(cache.open.markings())
+        open_markings = {spn.decode(s) for s in cache.open.states()}
+        assert closed_markings(cache) == set(log.markings) - open_markings
     return spn, outcomes
 
 
@@ -62,7 +69,9 @@ def test_open_set_orders_by_f_then_deeper_g_then_marking(n1):
     open_set.push(b, 2, 0)
     open_set.push(a, 1, 0)
     open_set.push(c, 1, 1)
-    assert open_set.markings() == [Marking.of("tp0", p) for p in ("p1", "p2", "p3")]
+    assert [spn.decode(s) for s in open_set.states()] == [
+        Marking.of("tp0", p) for p in ("p1", "p2", "p3")
+    ]
     assert open_set.pop()[0] == c  # same f, larger g wins
     assert open_set.pop()[0] == a
     assert open_set.pop()[0] == b
@@ -109,8 +118,9 @@ def test_goal_marking_stays_in_open(n1):
     spn = build_spn(n1, ["a"])
     cache = SearchCache(spn)
     outcome = astar_inc(cache, "ilp", LAZY)
-    assert outcome.alignment.end_marking in cache.open.markings()
-    assert outcome.alignment.end_marking not in cache.closed
+    goal = spn.encode(outcome.alignment.end_marking)
+    assert goal in cache.open.states()
+    assert outcome.alignment.end_marking not in closed_markings(cache)
     assert cache.invariants_ok()
 
 
@@ -145,7 +155,7 @@ def test_scratch_equals_incremental_and_oracle(n1):
 def test_scratch_from_goal_marking_is_empty(n1):
     spn = build_spn(n1, ["a"])
     goal = Marking.of("tp1", "p2")
-    outcome = astar_scratch(spn, "ilp", start=goal)
+    outcome = astar_scratch(spn, "ilp", start=spn.encode(goal))
     assert outcome.alignment.moves == ()
     assert outcome.alignment.total_cost == 0
 
@@ -163,9 +173,9 @@ def test_g_values_untouched_by_extension(n1):
     spn = build_spn(n1, ["a"])
     cache = SearchCache(spn)
     astar_inc(cache, "ilp", LAZY)
-    snapshot = repr(sorted((m.items, g) for m, g in cache.g.items())).encode()
+    snapshot = repr(sorted((spn.decode(s).items, g) for s, g in cache.g.items())).encode()
     extend_spn(spn, "b")
-    after = repr(sorted((m.items, g) for m, g in cache.g.items())).encode()
+    after = repr(sorted((spn.decode(s).items, g) for s, g in cache.g.items())).encode()
     assert snapshot == after
 
 
@@ -179,7 +189,7 @@ def test_closed_markings_keep_enabled_sets_across_extension(n1):
         cache = SearchCache(spn)
         astar_inc(cache, "ilp", LAZY)
         for activity in trace[1:]:
-            before = {m: tuple(enabled_transitions(spn, m)) for m in cache.closed}
+            before = {m: tuple(enabled_transitions(spn, m)) for m in closed_markings(cache)}
             old_goal = spn.goal_place
             extend_spn(spn, activity)
             for m, enabled_set in before.items():
@@ -354,6 +364,29 @@ def test_reopening_repairs_stale_key_misordering():
             prefix_spn, prefix_spn.initial
         )[0]
     assert sum(o.metrics.reopened for o in outcomes) >= 1
+
+
+@pytest.mark.parametrize("h_mode, refresh", [("magic", LAZY), ("zero", "bogus")])
+def test_a_rejected_argument_leaves_the_cache_untouched(n1, h_mode, refresh):
+    # The arguments are checked before the search pops the root or takes
+    # its seed off the counters, so the next valid call runs as on a fresh
+    # cache.
+    def summary(outcome, cache):
+        metrics = asdict(outcome.metrics)
+        del metrics["wall_time"]
+        return outcome.alignment, metrics, sorted(cache.g.items()), cache.open.states()
+
+    for valid in (("zero", LAZY), ("ilp", LAZY), ("ilp", EAGER)):
+        spn = build_spn(n1, ["a"])
+        rejected = SearchCache(spn)
+        with pytest.raises(ValueError, match="unknown"):
+            astar_inc(rejected, h_mode, refresh)
+        fresh = SearchCache(spn)
+        assert summary(astar_inc(rejected, *valid), rejected) == summary(
+            astar_inc(fresh, *valid), fresh
+        )
+    with pytest.raises(ValueError, match="unknown heuristic mode"):
+        astar_scratch(build_spn(n1, ["a"]), "magic")
 
 
 def test_search_exhausted_is_unreachable_on_product_nets(n1):
