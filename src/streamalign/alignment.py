@@ -4,13 +4,22 @@ Costs follow the standard cost function: synchronous moves and silent model
 moves are free, log moves and visible model moves cost one.  Costs are exact
 integers throughout.  :class:`Move` and :func:`move_cost` live with the
 product net's move table (:mod:`streamalign.spn`) and are re-exported here.
+
+Both the reconstruction and the check of an event's alignment start from
+the case's last verified one instead of the initial marking, so the work
+per event follows the moves that changed, not the length of the case.
+:func:`verify_prefix_alignment` returns a :class:`Checkpoint` of what it
+verified and resumes from one when the new alignment extends its moves;
+:func:`reconstruct` walks back only to the previous goal state and splices
+the previous moves in front.  A resume relies on a case's trace list only
+ever growing: extension appends to it, and nothing else changes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .petri import Marking, WorkflowNet, fire_sequence, NotEnabledError
+from .petri import Marking, UnknownNodeError, WorkflowNet
 from .spn import Move, MoveKind, SyncProductNet, move_cost
 
 
@@ -56,12 +65,37 @@ def make_move(t: Move) -> Move:
     return t
 
 
-class BrokenPredecessorChain(KeyError):
-    pass
+class BrokenPredecessorChain(InvariantViolation):
+    """The predecessor map does not lead from the goal back to the root."""
+
+
+@dataclass(slots=True)
+class Checkpoint:
+    """What :func:`verify_prefix_alignment` verified of one alignment.
+
+    ``marking`` holds the model's token counts after the alignment's model
+    moves, fired by the model's own presets and postsets; ``consumed`` is
+    the number of trace events the moves observe and ``cost`` their cost
+    sum.  ``model`` and ``trace`` are the objects it was verified against.
+    Nothing changes a checkpoint after it is made; it is not frozen only
+    because a frozen dataclass is several times slower to build, and one is
+    built per event.
+    """
+
+    moves: tuple[Move, ...]
+    marking: dict[str, int]
+    consumed: int
+    cost: int
+    model: WorkflowNet
+    trace: list[str]
 
 
 def reconstruct(
-    predecessors: dict[int, Move | None], goal: int, root: int, net: SyncProductNet
+    predecessors: dict[int, Move | None],
+    goal: int,
+    root: int,
+    net: SyncProductNet,
+    splice: tuple[int, Checkpoint] | None = None,
 ) -> PrefixAlignment:
     """Walk the predecessor map back from the goal and emit moves in order.
 
@@ -70,10 +104,19 @@ def reconstruct(
     The chain must terminate at the root state, which maps to None.  The
     returned alignment holds the map's own :class:`Move` objects and the
     goal's marking.
+
+    ``splice`` is an optional (state, checkpoint) pair: a state on a path
+    from the root and the checkpoint of the moves that reach it along the
+    map.  The walk stops there and puts those moves in front.  The caller
+    passes it only while the map still leads from that state to the root
+    along exactly those moves; a walk that does not meet the state goes on
+    to the root.
     """
+    stop, prefix = splice if splice is not None else (None, None)
     moves: list[Move] = []
+    cost = 0
     state = goal
-    while True:
+    while state != stop:
         if state not in predecessors:
             raise BrokenPredecessorChain(f"state {state:#x} has no predecessor entry")
         move = predecessors[state]
@@ -84,41 +127,87 @@ def reconstruct(
                 )
             break
         moves.append(move)
+        cost += move.cost
         state -= move.delta
     moves.reverse()
-    return PrefixAlignment(tuple(moves), sum(m.cost for m in moves), net.decode(goal))
+    if state == stop:
+        return PrefixAlignment(prefix.moves + tuple(moves), prefix.cost + cost, net.decode(goal))
+    return PrefixAlignment(tuple(moves), cost, net.decode(goal))
 
 
 def verify_prefix_alignment(
-    alignment: PrefixAlignment, trace: list[str], model: WorkflowNet
-) -> bool:
-    """Check both projections and per-move consistency; never raises."""
-    for t in alignment.moves:
+    alignment: PrefixAlignment,
+    trace: list[str],
+    model: WorkflowNet,
+    since: Checkpoint | None = None,
+) -> Checkpoint | None:
+    """Check both projections and per-move consistency in one pass.
+
+    Returns the :class:`Checkpoint` of the alignment, or None when any
+    check fails; never raises.  Every move must carry its cost and the
+    fields of its kind, the observed activities must be ``trace``, the
+    model transitions must exist and fire in order from the model's
+    initial marking, and ``total_cost`` must be the cost sum.
+
+    With ``since`` from an earlier call for the same ``model`` and the same
+    ``trace`` list, whose moves are a prefix of ``alignment.moves``, only
+    the moves after them are checked, from the checkpoint's marking.  That
+    is sound because a case's trace list only ever grows, so the events the
+    checkpoint consumed are still the trace's first ones.  Any other
+    ``since`` is ignored and the whole alignment is checked.
+    """
+    moves = alignment.moves
+    if (
+        since is not None
+        and since.model is model
+        and since.trace is trace
+        and moves[: len(since.moves)] == since.moves
+    ):
+        start, marking = len(since.moves), dict(since.marking)
+        consumed, cost = since.consumed, since.cost
+    else:
+        start, marking = 0, model.initial.to_dict()
+        consumed = cost = 0
+    n_events = len(trace)
+    for i in range(start, len(moves)):
+        t = moves[i]
         if t.cost != move_cost(t):
-            return False
-        if t.kind is MoveKind.SYNC:
-            if t.model_label is None or t.activity != t.model_label:
-                return False
-            if t.model_transition is None or t.trace_transition is None:
-                return False
-        elif t.kind is MoveKind.LOG:
-            if t.model_transition is not None or not t.activity:
-                return False
-        elif t.kind is MoveKind.MODEL:
+            return None
+        kind = t.kind
+        if kind is MoveKind.MODEL:
             if t.model_transition is None or t.activity is not None:
-                return False
-    if alignment.activities() != list(trace):
-        return False
-    if alignment.total_cost != sum(m.cost for m in alignment.moves):
-        return False
-    for t in alignment.model_transitions():
-        if not model.has_transition(t):
-            return False
-    try:
-        fire_sequence(model, model.initial, alignment.model_transitions())
-    except NotEnabledError:
-        return False
-    return True
+                return None
+        elif kind is MoveKind.SYNC:
+            if t.model_label is None or t.activity != t.model_label:
+                return None
+            if t.model_transition is None or t.trace_transition is None:
+                return None
+        elif kind is MoveKind.LOG:
+            if t.model_transition is not None or not t.activity:
+                return None
+        if kind is MoveKind.LOG or kind is MoveKind.SYNC:
+            if consumed == n_events or trace[consumed] != t.activity:
+                return None
+            consumed += 1
+        if kind is MoveKind.MODEL or kind is MoveKind.SYNC:
+            try:
+                pre, post = model.preset(t.model_transition), model.postset(t.model_transition)
+            except UnknownNodeError:
+                return None
+            for p in pre:
+                count = marking.get(p, 0)
+                if count <= 0:
+                    return None
+                if count == 1:
+                    del marking[p]
+                else:
+                    marking[p] = count - 1
+            for p in post:
+                marking[p] = marking.get(p, 0) + 1
+        cost += t.cost
+    if consumed != n_events or alignment.total_cost != cost:
+        return None
+    return Checkpoint(moves, marking, consumed, cost, model, trace)
 
 
 def render_alignment(alignment: PrefixAlignment) -> str:

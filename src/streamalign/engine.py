@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .alignment import PrefixAlignment
+from .alignment import Checkpoint, PrefixAlignment
 from .heuristic import MODES
 from .occ import occ_process_event
 from .petri import WorkflowNet
@@ -95,11 +95,13 @@ class EventError:
 @dataclass
 class CaseEntry:
     """One case's state: its product net, then its search cache (``ias``,
-    ``iasr``) or its last alignment (``occ``, ``occ-wN``)."""
+    ``iasr``) or its last alignment and that alignment's verification
+    checkpoint (``occ``, ``occ-wN``)."""
 
     spn: SyncProductNet | None = None
     cache: SearchCache | None = None
     alignment: PrefixAlignment | None = None
+    checkpoint: Checkpoint | None = None
 
 
 class CaseTable:

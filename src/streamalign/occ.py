@@ -64,8 +64,10 @@ def occ_process_event(
 ) -> tuple[PrefixAlignment, SearchOutcome]:
     """Extend the case by one event and recompute its prefix-alignment.
 
-    ``entry`` holds the case's product net and last alignment (both None
-    before its first event) and is updated in place; ``window`` is as in
+    ``entry`` holds the case's product net, last alignment and that
+    alignment's checkpoint (all None before its first event) and is updated
+    in place; the new alignment is verified from the checkpoint when it
+    begins with the same moves.  ``window`` is as in
     :func:`revert_alignment`.  ``memo`` is an optional estimate memo for
     ``model``, as in :func:`~streamalign.search.astar_inc`, and ``table``
     an optional move table of ``model``, as in
@@ -84,9 +86,10 @@ def occ_process_event(
         sum(mv.cost for mv in surviving) + suffix.total_cost,
         suffix.end_marking,
     )
-    if not verify_prefix_alignment(full, entry.spn.trace, model):
+    checkpoint = verify_prefix_alignment(full, entry.spn.trace, model, entry.checkpoint)
+    if not checkpoint:
         raise InvariantViolation(
             f"alignment {full.moves} is not a prefix-alignment of {entry.spn.trace}"
         )
-    entry.alignment = full
+    entry.alignment, entry.checkpoint = full, checkpoint
     return full, outcome

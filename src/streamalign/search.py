@@ -10,7 +10,14 @@ for that pop.  Under the ``zero`` heuristic nothing is marked outdated,
 since a zero estimate cannot change.
 
 The returned goal state is deliberately left in the open set: the next
-extension may grow cheaper continuations through it.
+extension may grow cheaper continuations through it.  The cache also keeps
+that goal and the checkpoint of its verified alignment.  The next event's
+reconstruction walks back only to the old goal and splices the old moves in
+front, as long as the old goal's ``g`` still equals their cost and the
+search reopened no closed state: a predecessor entry is overwritten only by
+a strictly cheaper path, so the old goal's chain is then unchanged.  The
+next verification resumes from the checkpoint when the new alignment
+begins with its moves.  Neither changes which alignment is emitted.
 
 The search runs on packed states: each product marking is one ``int`` in
 the layout of the net's move table (see :mod:`streamalign.spn`), so the
@@ -65,6 +72,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .alignment import (
+    Checkpoint,
     InvariantViolation,
     PrefixAlignment,
     move_cost,
@@ -141,7 +149,10 @@ class SearchCache:
     lazy refresh).  A state is closed exactly when it has a ``g`` value and
     is not open.  Everything is keyed by packed state of ``spn``.  The
     search starts from the packed state ``start``, by default the net's
-    initial marking.
+    initial marking.  ``goal`` is the goal state of the last search and
+    ``checkpoint`` the :class:`~streamalign.alignment.Checkpoint` of its
+    verified alignment (None until one is verified); the next event
+    reconstructs and verifies from them.
     """
 
     def __init__(self, spn: SyncProductNet, start: int | None = None):
@@ -154,6 +165,8 @@ class SearchCache:
         self.stale: set[int] = set()
         self._seed_pending = True
         self.open.push(self.root, 0, 0)
+        self.goal: int | None = None
+        self.checkpoint: Checkpoint | None = None
 
     def invariants_ok(self) -> bool:
         # every open state has a g value, every closed or open state a predecessor
@@ -249,7 +262,21 @@ def _astar(
 
         if state >> shift == n:  # the trace token is on the goal place
             open_set.push(state, f, g_here)  # stays in open
-            alignment = reconstruct(p_map, state, cache.root, spn)
+            # The previous goal's chain still holds its verified moves while
+            # its g is unchanged (an entry is only ever overwritten by a
+            # strictly cheaper path) and no closed state on it was reopened.
+            previous = cache.checkpoint
+            chain_holds = (
+                previous is not None
+                and not metrics.reopened
+                and g_map[cache.goal] == previous.cost
+            )
+            alignment = reconstruct(
+                p_map, state, cache.root, spn, (cache.goal, previous) if chain_holds else None
+            )
+            # the old checkpoint does not describe the new goal; astar_inc
+            # stores the new one once the alignment has been verified
+            cache.goal, cache.checkpoint = state, None
             if alignment.total_cost != g_here:
                 raise InvariantViolation(
                     f"alignment to {alignment.end_marking} costs {alignment.total_cost}, "
@@ -310,15 +337,20 @@ def astar_inc(
 
     The cache must be freshly initialized or be left as the previous call
     left it; the call updates it in place.  ``memo`` is an optional
-    estimate memo for the net's model (see the module docstring).
+    estimate memo for the net's model (see the module docstring).  The
+    alignment is rebuilt and verified from the previous call's goal and
+    checkpoint where they still hold (see the module docstring).
     """
+    since = cache.checkpoint
     outcome = _astar(cache, h_mode, refresh, memo)
     spn = cache.spn
-    if not verify_prefix_alignment(outcome.alignment, spn.trace, spn.model):
+    checkpoint = verify_prefix_alignment(outcome.alignment, spn.trace, spn.model, since)
+    if not checkpoint:
         raise InvariantViolation(
             f"alignment {outcome.alignment.moves} is not a prefix-alignment "
             f"of {spn.trace}"
         )
+    cache.checkpoint = checkpoint
     return outcome
 
 

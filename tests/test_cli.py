@@ -7,6 +7,7 @@ import pytest
 
 import streamalign
 
+from streamalign.alignment import BrokenPredecessorChain
 from streamalign.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from streamalign.fileio import load_traces, save_net
 from streamalign.metrics import METRIC_FAMILIES, oracle_costs_by_case
@@ -227,26 +228,35 @@ def inflated_oracle(records):
     return {case: [c + 1 for c in costs] for case, costs in oracle_costs_by_case(records).items()}
 
 
+def broken_chain(*args):
+    raise BrokenPredecessorChain("state 0x1 has no predecessor entry")
+
+
 @pytest.mark.parametrize(
-    "site, fault, argv",
+    "site, fault, argv, name",
     [
         ("streamalign.search.verify_prefix_alignment", lambda *args: False,
-         ["align", "--model", "n1", "--trace", "a,b"]),
+         ["align", "--model", "n1", "--trace", "a,b"], "InvariantViolation"),
         ("streamalign.cli.oracle_costs_by_case", inflated_oracle,
          ["replay", "--model", "n1", "--log", "bundled-3traces", "--algorithms", "ias,occ",
-          "--timing", "off"]),
+          "--timing", "off"], "InvariantViolation"),
         ("streamalign.heuristic.solve_ilp", lambda *args: LpResult(INFEASIBLE, None, None),
-         ["align", "--model", "n1", "--trace", "a,b"]),
+         ["align", "--model", "n1", "--trace", "a,b"], "InvariantViolation"),
+        ("streamalign.search.reconstruct", broken_chain,
+         ["align", "--model", "n1", "--trace", "a,b"], "BrokenPredecessorChain"),
     ],
-    ids=["verify", "oracle", "estimate"],
+    ids=["verify", "oracle", "estimate", "reconstruct"],
 )
-def test_invariant_violation_is_internal_error(capsys, monkeypatch, tmp_path, site, fault, argv):
+def test_invariant_violation_is_internal_error(
+    capsys, monkeypatch, tmp_path, site, fault, argv, name
+):
     monkeypatch.setattr(site, fault)
     if argv[0] == "replay":
         argv = argv + ["--out", str(tmp_path / "out")]
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_INTERNAL
-    assert err.startswith("internal error: InvariantViolation")
+    assert err.startswith(f"internal error: {name}: ")
+    assert "Traceback" not in err
 
 
 def test_replay_of_an_unbounded_net_exits_3(tmp_path, unbounded):

@@ -17,7 +17,7 @@ from streamalign import (
     verify_prefix_alignment,
 )
 from streamalign.search import EAGER, LAZY, OpenSet, SearchExhausted
-from tests.conftest import SeededRandom, random_net_and_trace
+from tests.conftest import SeededRandom, random_net_and_trace, reopening_net_and_trace
 
 
 class ExpansionLog:
@@ -334,29 +334,7 @@ def test_reopening_repairs_stale_key_misordering():
     # mis-ordered and a state closes with a non-minimal cost.  The cheaper
     # route must reopen it, keeping the resumed search exact.  Found by
     # random search against the uniform-cost oracle.
-    from streamalign import WorkflowNet
-
-    stage_labels = {
-        "t0": "a", "t1": "b",          # q0 -> q1
-        "t2": None, "t3": "b",         # q1 -> q2
-        "t4": "a", "t5": "a",          # q2 -> q3
-        "t6": None, "t7": "b", "t8": "b",  # q3 -> q4
-    }
-    arcs = [
-        ("q0", "t0"), ("q0", "t1"), ("t0", "q1"), ("t1", "q1"),
-        ("q1", "t2"), ("q1", "t3"), ("t2", "q2"), ("t3", "q2"),
-        ("q2", "t4"), ("q2", "t5"), ("t4", "q3"), ("t5", "q3"),
-        ("q3", "t6"), ("q3", "t7"), ("q3", "t8"), ("t6", "q4"), ("t7", "q4"), ("t8", "q4"),
-    ]
-    net = WorkflowNet(
-        ["q0", "q1", "q2", "q3", "q4"],
-        list(stage_labels),
-        arcs,
-        stage_labels,
-        Marking.of("q0"),
-        Marking.of("q4"),
-    )
-    trace = ["a", "a", "b", "b", "a", "a"]
+    net, trace = reopening_net_and_trace()
     spn, outcomes = run_incremental(net, trace, "lp", LAZY)
     for k in range(1, len(trace) + 1):
         prefix_spn = build_spn(net, trace[:k])
