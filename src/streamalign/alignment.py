@@ -13,14 +13,19 @@ verified and resumes from one when the new alignment extends its moves;
 :func:`reconstruct` walks back only to the previous goal state and splices
 the previous moves in front.  A resume relies on a case's trace list only
 ever growing: extension appends to it, and nothing else changes it.
+
+An alignment the search emits keeps its end as the goal's packed state and
+the move table that decodes it; :attr:`PrefixAlignment.end_marking` builds
+the :class:`~streamalign.petri.Marking` only when it is read, since the
+stream emits one alignment per event and almost none is asked for its end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .petri import Marking, UnknownNodeError, WorkflowNet
-from .spn import Move, MoveKind, SyncProductNet, move_cost
+from .spn import Move, MoveKind, MoveTable, SyncProductNet, move_cost
 
 
 class InvariantViolation(RuntimeError):
@@ -31,11 +36,73 @@ class InvariantViolation(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
 class PrefixAlignment:
-    moves: tuple[Move, ...]
-    total_cost: int
-    end_marking: Marking
+    """Moves, their cost sum and the product marking they end in.
+
+    The end is kept in one of two forms.  ``PrefixAlignment(moves,
+    total_cost, end_marking)`` takes it as a :class:`Marking`;
+    :meth:`from_state` takes the goal's packed state, kept as
+    ``end_state``, and the :class:`~streamalign.spn.MoveTable` that decodes
+    it.  :attr:`end_marking` decodes a packed end on first read, through
+    :meth:`MoveTable.decode`, and keeps the result.  Equality and hashing
+    are over (moves, total cost, end marking), whichever form the end came
+    in, and no attribute can be assigned once the alignment is built.
+    """
+
+    __slots__ = ("moves", "total_cost", "end_state", "_table", "_end")
+
+    def __init__(self, moves: tuple[Move, ...], total_cost: int, end_marking: Marking):
+        init = object.__setattr__
+        init(self, "moves", moves)
+        init(self, "total_cost", total_cost)
+        init(self, "end_state", None)
+        init(self, "_table", None)
+        init(self, "_end", end_marking)
+
+    @classmethod
+    def from_state(
+        cls, moves: tuple[Move, ...], total_cost: int, state: int, table: MoveTable
+    ) -> PrefixAlignment:
+        """An alignment ending in the packed ``state`` of ``table``'s layout."""
+        self = object.__new__(cls)
+        init = object.__setattr__
+        init(self, "moves", moves)
+        init(self, "total_cost", total_cost)
+        init(self, "end_state", state)
+        init(self, "_table", table)
+        init(self, "_end", None)
+        return self
+
+    @property
+    def end_marking(self) -> Marking:
+        end = self._end
+        if end is None:
+            end = self._table.decode(self.end_state)
+            object.__setattr__(self, "_end", end)
+        return end
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.moves, self.total_cost, self.end_marking
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"PrefixAlignment(moves={self.moves!r}, total_cost={self.total_cost!r}, "
+            f"end_marking={self.end_marking!r})"
+        )
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -102,8 +169,9 @@ def reconstruct(
     Each entry maps a packed state of ``net`` to the move that reached it,
     so the state it was fired from is the state minus the move's delta.
     The chain must terminate at the root state, which maps to None.  The
-    returned alignment holds the map's own :class:`Move` objects and the
-    goal's marking.
+    returned alignment holds the map's own :class:`Move` objects and ends
+    in the packed goal (:meth:`PrefixAlignment.from_state`), so nothing is
+    decoded unless its ``end_marking`` is read.
 
     ``splice`` is an optional (state, checkpoint) pair: a state on a path
     from the root and the checkpoint of the moves that reach it along the
@@ -131,8 +199,10 @@ def reconstruct(
         state -= move.delta
     moves.reverse()
     if state == stop:
-        return PrefixAlignment(prefix.moves + tuple(moves), prefix.cost + cost, net.decode(goal))
-    return PrefixAlignment(tuple(moves), cost, net.decode(goal))
+        return PrefixAlignment.from_state(
+            prefix.moves + tuple(moves), prefix.cost + cost, goal, net.table
+        )
+    return PrefixAlignment.from_state(tuple(moves), cost, goal, net.table)
 
 
 def verify_prefix_alignment(

@@ -24,6 +24,7 @@ from .metrics import compute_metrics, metrics_csv, metrics_text, oracle_costs_by
 from .petri import StateSpaceTooLarge, validate_wfnet
 from .search import SearchExhausted
 from .simplex import BranchDepthExceeded
+from .spn import check_reserved_ids
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,11 +186,12 @@ def _cmd_generate(args) -> int:
 def _cmd_validate(args) -> int:
     model = load_net(args.model)
     report = validate_wfnet(model)
-    if report.ok:
-        sys.stdout.write("ok\n")
-        return EXIT_OK
-    sys.stdout.write(str(report) + "\n")
-    return EXIT_DATA
+    if not report.ok:
+        sys.stdout.write(str(report) + "\n")
+        return EXIT_DATA
+    check_reserved_ids(model)  # what align and replay reject too
+    sys.stdout.write("ok\n")
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 
 from .assets import BUNDLED_LOGS, BUNDLED_MODELS
@@ -47,9 +48,17 @@ def net_from_dict(doc: dict) -> WorkflowNet:
     except (KeyError, TypeError) as exc:
         raise DataError(f"malformed net document: {exc!r}") from exc
     try:
-        return WorkflowNet(places, transitions, arcs, labels, initial, final)
+        net = WorkflowNet(places, transitions, arcs, labels, initial, final)
     except NetDefinitionError as exc:
         raise DataError(str(exc)) from exc
+    # The net keeps one copy of each node and arc, so a repeat would vanish:
+    # a second label for a transition would win, a second arc would not add
+    # weight.  The checks run here, where every id is known to be a string.
+    for what, entries in (("place", places), ("transition", transitions), ("arc", arcs)):
+        repeated = [entry for entry, n in Counter(entries).items() if n > 1]
+        if repeated:
+            raise DataError(f"net document repeats {what} {', '.join(map(repr, repeated))}")
+    return net
 
 
 def _marking(doc: dict, name: str) -> Marking:
@@ -76,6 +85,8 @@ def load_net(path_or_name: str | Path) -> WorkflowNet:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read net document {name!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise DataError(f"cannot read net document {name!r}: nested too deeply") from exc
     return net_from_dict(doc)
 
 
@@ -100,6 +111,8 @@ def read_stream_records(path: Path) -> list[tuple[str, str]]:
                 records.append((str(doc["case"]), doc["activity"]))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed stream record: {exc!r}") from exc
+            except RecursionError as exc:
+                raise DataError(f"{path}:{lineno}: stream record nested too deeply") from exc
     return records
 
 

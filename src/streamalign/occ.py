@@ -81,10 +81,11 @@ def occ_process_event(
     surviving, restart = revert_alignment(entry.spn, entry.alignment, window)
     outcome = astar_scratch(entry.spn, h_mode, start=restart, memo=memo)
     suffix = outcome.alignment
-    full = PrefixAlignment(
+    full = PrefixAlignment.from_state(
         surviving + suffix.moves,
         sum(mv.cost for mv in surviving) + suffix.total_cost,
-        suffix.end_marking,
+        suffix.end_state,
+        entry.spn.table,
     )
     checkpoint = verify_prefix_alignment(full, entry.spn.trace, model, entry.checkpoint)
     if not checkpoint:

@@ -25,9 +25,10 @@ cache, the open set and the predecessor map hold ints, which the cyclic
 garbage collector does not track.  The packed state is the only state
 type of the search core: a start is given as one, :class:`SearchCache`
 keys ``g``, ``h`` and ``stale`` by it, and the estimate is asked for it.
-:class:`~streamalign.petri.Marking` appears only where a result leaves the
-core, as the alignment's end marking; callers that hold a marking convert
-it with :meth:`~streamalign.spn.SyncProductNet.encode` and
+Even the emitted alignment ends in the packed goal, and
+:class:`~streamalign.petri.Marking` appears only when a caller reads its
+``end_marking``; callers that hold a marking convert it with
+:meth:`~streamalign.spn.SyncProductNet.encode` and
 :meth:`~streamalign.spn.SyncProductNet.decode`.
 
 Expansion is indexed by trace position.  A state whose trace token sits

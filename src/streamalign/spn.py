@@ -79,6 +79,17 @@ def _order_code(k: int) -> int:
     return code
 
 
+def check_reserved_ids(model: WorkflowNet) -> None:
+    """Raise NetDefinitionError for a model id that matches the generated
+    trace-part ids (``tp#``/``tt#``), which a product net's markings and
+    moves mix with the model's own."""
+    for node in model.places + model.transitions:
+        if _RESERVED_ID.match(node):
+            raise NetDefinitionError(
+                f"model id {node!r} collides with generated trace-part ids (tp#/tt#)"
+            )
+
+
 def trace_place(i: int) -> str:
     return f"tp{i}"
 
@@ -143,24 +154,19 @@ class MoveTable:
     state layout of the model's product nets.
 
     Construction validates the model and rejects model ids that match the
-    generated trace-part ids (``tp#``/``tt#``), since the marking universe
-    mixes both.  The block of a trace position is built the first time a
-    product net reaches that position with that activity, and kept for the
-    table's lifetime, so the table grows with the distinct (position,
-    activity) pairs seen, not with the number of cases.  The layout is fixed
-    at construction, since the model's places are (see the module
-    docstring).
+    generated trace-part ids (:func:`check_reserved_ids`).  The block of a
+    trace position is built the first time a product net reaches that
+    position with that activity, and kept for the table's lifetime, so the
+    table grows with the distinct (position, activity) pairs seen, not with
+    the number of cases.  The layout is fixed at construction, since the
+    model's places are (see the module docstring).
     """
 
     def __init__(self, model: WorkflowNet):
         report = validate_wfnet(model)
         if not report.ok:
             raise NetDefinitionError(f"model is not a workflow net:\n{report}")
-        for node in model.places + model.transitions:
-            if _RESERVED_ID.match(node):
-                raise NetDefinitionError(
-                    f"model id {node!r} collides with generated trace-part ids (tp#/tt#)"
-                )
+        check_reserved_ids(model)
         self.model = model
         self.initial = Marking.of(trace_place(0), *model.initial.places())
         self._layout(model.places)

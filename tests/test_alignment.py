@@ -1,16 +1,34 @@
+import dataclasses
+
 import pytest
 
 from streamalign import (
     Marking,
     MoveKind,
     PrefixAlignment,
+    StreamEngine,
     build_spn,
     move_cost,
     reconstruct,
     render_alignment,
+    replay_log_as_stream,
     verify_prefix_alignment,
 )
 from streamalign.alignment import BrokenPredecessorChain
+from streamalign.petri import fire_sequence
+from streamalign.spn import MoveTable
+from tests.conftest import nets_and_traces
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The packed states :meth:`MoveTable.decode` is called on, in call order."""
+    states = []
+    real = MoveTable.decode
+    monkeypatch.setattr(
+        MoveTable, "decode", lambda table, state: states.append(state) or real(table, state)
+    )
+    return states
 
 
 def test_move_costs(n1):
@@ -128,3 +146,56 @@ def test_machine_records(n1):
     assert alignment.to_records() == [
         {"kind": "sync", "activity": "a", "transition": "t1"}
     ]
+
+
+@pytest.mark.parametrize("algorithm", ["ias", "iasr", "occ", "occ-w1"])
+def test_emitted_alignments_decode_their_end_only_when_read(preset_models, decodes, algorithm):
+    replays = []
+    for model, trace in nets_and_traces(preset_models, 71):
+        engine = StreamEngine(model, algorithm, "ilp")
+        results = engine.run(replay_log_as_stream([trace]))
+        (entry,) = engine.table.cases.values()
+        replays.append((entry.spn, results))
+    assert decodes == []
+    alignments = 0
+    for spn, results in replays:
+        for r in results:
+            # the reference end: the moves fired over markings from the initial one
+            reached = fire_sequence(spn, spn.initial, [mv.tid for mv in r.alignment.moves])
+            assert r.alignment.end_marking == reached
+            assert r.alignment.end_marking is r.alignment.end_marking
+        alignments += len({id(r.alignment) for r in results})
+    assert len(decodes) == alignments
+
+
+def test_a_packed_end_equals_the_same_marking(n1, decodes):
+    spn = build_spn(n1, ["a", "b"])
+    t = spn.transitions
+    moves = (t["sync:tt1|t1"], t["model:t2"], t["log:tt2"])
+    goal, other = spn.encode(Marking.of("tp2", "p3")), spn.encode(Marking.of("tp2", "p2"))
+    packed = PrefixAlignment.from_state(moves, 1, goal, spn.table)
+    marked = PrefixAlignment(moves, 1, Marking.of("tp2", "p3"))
+    assert decodes == []
+    assert packed == marked and marked == packed
+    assert hash(packed) == hash(marked)
+    assert packed != PrefixAlignment(moves, 1, Marking.of("tp2", "p2"))
+    assert packed != PrefixAlignment.from_state(moves, 1, other, spn.table)
+    assert decodes == [goal, other]  # each end decoded once
+
+
+@pytest.mark.parametrize("name", ["moves", "total_cost", "end_marking", "end_state"])
+def test_alignments_cannot_be_assigned(n1, decodes, name):
+    spn = build_spn(n1, ["a"])
+    move = spn.transitions["sync:tt1|t1"]
+    goal = spn.encode(Marking.of("tp1", "p2"))
+    packed = PrefixAlignment.from_state((move,), 0, goal, spn.table)
+    marked = PrefixAlignment((move,), 0, Marking.of("tp1", "p2"))
+    for alignment in (packed, marked):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(alignment, name, getattr(marked, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(alignment, name)
+    assert decodes == []  # a refused assignment decodes nothing
+    assert packed.end_marking is packed.end_marking == Marking.of("tp1", "p2")
+    assert (packed.moves, packed.total_cost, packed.end_state) == ((move,), 0, goal)
+    assert decodes == [goal]

@@ -224,6 +224,60 @@ def test_mistyped_net_document_fields_are_data_errors(
     assert message in err
 
 
+def with_changes(**fields):
+    doc = good_net_document()
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100000 + "]" * 100000, "cannot read net document '{path}': nested too deeply"),
+        (with_changes(transitions=[{"id": "t1", "label": "a"}, {"id": "t1", "label": "b"}]),
+         "net document repeats transition 't1'"),
+        (with_changes(places=["p1", "p2", "p1"]), "net document repeats place 'p1'"),
+        (with_changes(arcs=[["p1", "t1"], ["t1", "p2"], ["p1", "t1"]]),
+         "net document repeats arc ('p1', 't1')"),
+        (with_changes(places=["tp0", "p2"], arcs=[["tp0", "t1"], ["t1", "p2"]],
+                      initial={"tp0": 1}),
+         "model id 'tp0' collides with generated trace-part ids (tp#/tt#)"),
+    ],
+    ids=["deep-nesting", "repeated-transition", "repeated-place", "repeated-arc", "reserved-id"],
+)
+@pytest.mark.parametrize("command", ["validate", "align", "replay"])
+def test_net_documents_the_net_cannot_represent_are_data_errors(
+    capsys, tmp_path, command, text, message
+):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = {
+        "validate": ["validate", "--model", str(path)],
+        "align": ["align", "--model", str(path), "--trace", "b"],
+        "replay": ["replay", "--model", str(path), "--log", "bundled-3traces",
+                   "--out", str(tmp_path / "out"), "--timing", "off"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message.format(path=path) in err
+    assert out == ""
+
+
+def test_a_deeply_nested_stream_record_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text(
+        '{"case": "1", "activity": "a"}\n{"case": "1", "activity": '
+        + "[" * 100000 + "]" * 100000 + "}\n"
+    )
+    code, _, err = run_cli(
+        capsys, "replay", "--model", "n1", "--log", str(path),
+        "--out", str(tmp_path / "out"), "--timing", "off",
+    )
+    assert code == EXIT_DATA
+    assert err == f"error: {path}:2: stream record nested too deeply\n"
+
+
 def inflated_oracle(records):
     return {case: [c + 1 for c in costs] for case, costs in oracle_costs_by_case(records).items()}
 
