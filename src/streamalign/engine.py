@@ -54,7 +54,7 @@ class Event:
     index: int  # arrival position on the stream, 1-based
 
 
-@dataclass
+@dataclass(slots=True)
 class EventResult:
     case_id: str
     event_index: int
@@ -92,7 +92,7 @@ class EventError:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class CaseEntry:
     """One case's state: its product net, then its search cache (``ias``,
     ``iasr``) or its last alignment and that alignment's verification

@@ -5,7 +5,10 @@ label, ``null`` marking a silent transition), ``arcs``, ``initial`` and
 ``final``.  Logs and streams share one representation: line-delimited JSON
 records ``{"case": ..., "activity": ...}`` or CSV with a ``case,activity``
 header (extra columns ignored).  Traces are recovered by grouping on the
-case id in order of first appearance.
+case id in order of first appearance; a JSON record's case id must be a
+string or an integer.  A JSON object that names a key twice, or a CSV header
+that names a column twice, is a data error: read plainly, the last value
+would win without notice.
 """
 
 from __future__ import annotations
@@ -21,6 +24,22 @@ from .petri import Marking, NetDefinitionError, WorkflowNet
 
 class DataError(ValueError):
     """Unreadable or malformed input data."""
+
+
+class _RepeatedKey(Exception):
+    """A JSON object names one key twice; ``json`` would keep the last value."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The ``object_pairs_hook`` of every JSON read: a repeated key raises."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
+    return obj
 
 
 def net_to_dict(net: WorkflowNet) -> dict:
@@ -82,9 +101,11 @@ def load_net(path_or_name: str | Path) -> WorkflowNet:
     if not path.exists():
         raise DataError(f"model {name!r} is neither a file nor a bundled model name")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read net document {name!r}: {exc}") from exc
+    except _RepeatedKey as exc:
+        raise DataError(f"net document {name!r} repeats key {exc.args[0]!r}") from None
     except RecursionError as exc:
         raise DataError(f"cannot read net document {name!r}: nested too deeply") from exc
     return net_from_dict(doc)
@@ -100,6 +121,9 @@ def read_stream_records(path: Path) -> list[tuple[str, str]]:
         reader = csv.DictReader(text.splitlines())
         if reader.fieldnames is None or not {"case", "activity"} <= set(reader.fieldnames):
             raise DataError(f"{path}: CSV log needs a 'case,activity' header")
+        repeated = [name for name, n in Counter(reader.fieldnames).items() if n > 1]
+        if repeated:
+            raise DataError(f"{path}: CSV header repeats column {repeated[0]!r}")
         for row in reader:
             records.append((row["case"], row["activity"]))
     else:
@@ -107,10 +131,19 @@ def read_stream_records(path: Path) -> list[tuple[str, str]]:
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
-                records.append((str(doc["case"]), doc["activity"]))
+                doc = json.loads(line, object_pairs_hook=_unique_keys)
+                case = doc["case"]
+                if not isinstance(case, (str, int)) or isinstance(case, bool):
+                    raise DataError(
+                        f"{path}:{lineno}: case id {case!r} is not a string or an integer"
+                    )
+                records.append((str(case), doc["activity"]))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed stream record: {exc!r}") from exc
+            except _RepeatedKey as exc:
+                raise DataError(
+                    f"{path}:{lineno}: stream record repeats key {exc.args[0]!r}"
+                ) from None
             except RecursionError as exc:
                 raise DataError(f"{path}:{lineno}: stream record nested too deeply") from exc
     return records

@@ -25,6 +25,9 @@ cache, the open set and the predecessor map hold ints, which the cyclic
 garbage collector does not track.  The packed state is the only state
 type of the search core: a start is given as one, :class:`SearchCache`
 keys ``g``, ``h`` and ``stale`` by it, and the estimate is asked for it.
+A cache lives as long as its case, so it keeps no more than the search
+needs: its attributes are slotted, and under the ``zero`` heuristic,
+where every estimate is 0, ``h`` stays empty.
 Even the emitted alignment ends in the packed goal, and
 :class:`~streamalign.petri.Marking` appears only when a caller reads its
 ``end_marking``; callers that hold a marking convert it with
@@ -59,7 +62,7 @@ grown, and the memo keys it by exactly those three things, the model part
 as the state's model fields (:func:`memo_key`).  A memo serves one model.
 It keeps at most :data:`MEMO_ENTRIES` values and evicts the oldest first;
 ``lps_solved`` counts only the programs actually solved.  Under ``zero``
-no estimate is asked for at all.
+no estimate is asked for or stored at all.
 
 :func:`dijkstra_oracle` is an independent uniform-cost sweep used as a test
 oracle; it shares nothing with the A* machinery except the net semantics.
@@ -132,7 +135,7 @@ class OpenSet:
         raise IndexError("pop from an empty open set")
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchMetrics:
     queued: int = 0
     visited: int = 0
@@ -145,9 +148,11 @@ class SearchMetrics:
 class SearchCache:
     """Reusable A* state of one case: its product net, open set, g, predecessors.
 
-    Also keeps the last computed estimate per state (``h``) and the set of
-    open states whose estimate predates the latest extension (``stale``,
-    lazy refresh).  A state is closed exactly when it has a ``g`` value and
+    Also keeps the last computed estimate per state (``h``; empty under
+    the ``zero`` heuristic, whose estimates are all 0) and the set of open
+    states whose estimate predates the latest extension (``stale``, lazy
+    refresh).  The attributes are slotted, since one cache is kept per
+    live case.  A state is closed exactly when it has a ``g`` value and
     is not open.  Everything is keyed by packed state of ``spn``.  The
     search starts from the packed state ``start``, by default the net's
     initial marking.  ``goal`` is the goal state of the last search and
@@ -155,6 +160,10 @@ class SearchCache:
     verified alignment (None until one is verified); the next event
     reconstructs and verifies from them.
     """
+
+    __slots__ = (
+        "spn", "root", "open", "g", "_p", "h", "stale", "_seed_pending", "goal", "checkpoint"
+    )
 
     def __init__(self, spn: SyncProductNet, start: int | None = None):
         self.spn = spn
@@ -218,10 +227,9 @@ def _astar(
     table = spn.table
     g_map, p_map, h_map = cache.g, cache._p, cache.h
     stale, open_set, live = cache.stale, cache.open, cache.open._live
+    zero = h_mode == "zero"  # every estimate is 0, and none is stored in h_map
 
     def fresh_h(state: int):
-        if h_mode == "zero":
-            return 0
         key = None if memo is None else memo_key(spn, state, h_mode)
         if key is not None:
             value = memo.get(key)
@@ -236,6 +244,10 @@ def _astar(
         return value
 
     def refresh_h(state: int):
+        if zero:  # every state but the root had its 0 when it was queued
+            if state != cache.root:
+                metrics.heuristic_recomputations += 1
+            return 0
         old = h_map.get(state)
         value = fresh_h(state)
         if old is not None:
@@ -248,7 +260,7 @@ def _astar(
             hv = refresh_h(s)
             open_set.push(s, g_map[s] + hv, g_map[s])
         stale.clear()
-    elif h_mode != "zero":  # lazy; a zero estimate never goes out of date
+    elif not zero:  # lazy; a zero estimate never goes out of date
         stale.update(live)
 
     n, shift, guards, lows = spn.n, table.shift, table.guards, table.lows
@@ -311,15 +323,17 @@ def _astar(
                 hv = refresh_h(successor)
                 metrics.reopened += 1
                 metrics.queued += 1
-            elif successor in stale:
-                hv = h_map[successor]  # outdated estimate stays until popped
             else:
-                hv = h_map.get(successor)
-                if hv is None:
-                    hv = fresh_h(successor)
-                    h_map[successor] = hv
                 if old_g is None:
                     metrics.queued += 1
+                if zero:
+                    hv = 0
+                elif successor in stale:  # a stale state is open, so old_g is set
+                    hv = h_map[successor]  # outdated estimate stays until popped
+                else:
+                    hv = h_map.get(successor)
+                    if hv is None:
+                        hv = h_map[successor] = fresh_h(successor)
             open_set.push(successor, new_g + hv, new_g)
 
     raise SearchExhausted(

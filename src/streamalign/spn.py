@@ -17,6 +17,10 @@ them, refer to the same moves instead of allocating their own.  A log or
 synchronous move of position ``i`` consumes from ``tp{i-1}``, so a marking
 whose trace token is on ``tp{k}`` can enable only the model moves and the
 moves of position ``k + 1`` (:meth:`SyncProductNet.candidate_moves`).
+A product net therefore stores no move of its own: per trace position it
+keeps the table's tuple of those candidate moves, and its Marking-level
+protocol (``transition_ids``, ``preset``, ``move``, ``consumers``, ...)
+is derived from these tuples when called.
 
 :class:`~streamalign.petri.Marking` is the public type of a product
 marking; the search and the heuristic run on the table's encoding of it as
@@ -44,6 +48,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .petri import (
     Marking,
@@ -183,13 +188,16 @@ class MoveTable:
             )
             for t in model.transitions
         )
+        self.model_move_ids: dict[str, Move] = {m.tid: m for m in self.model_moves}
+        # id of every log and synchronous move built so far -> its trace position
+        self.move_positions: dict[str, int] = {}
         # trace place id -> its position, for every position built so far
         self.trace_index: dict[str, int] = {}
         # position -> the bits of a state whose trace token is on it
         self._trace_bits: dict[int, int] = {}
         self._add_trace_place(0)
-        self._positions: dict[tuple[int, str], tuple[Move, ...]] = {}
-        self._expansions: dict[tuple[int, str], tuple[Move, ...]] = {}
+        # (position, activity) -> its block and the expansion ending in it
+        self._positions: dict[tuple[int, str], tuple[tuple[Move, ...], tuple[Move, ...]]] = {}
 
     def _layout(self, places: tuple[str, ...]) -> None:
         # Every trace place id sorts in [tp0, tp:), so the trace token can
@@ -235,8 +243,16 @@ class MoveTable:
 
     def position(self, i: int, activity: str) -> tuple[Move, ...]:
         """The moves of trace position ``i`` observing ``activity``, log move first."""
-        block = self._positions.get((i, activity))
-        if block is None:
+        return self.extension(i, activity)[0]
+
+    def extension(
+        self, i: int, activity: str
+    ) -> tuple[tuple[Move, ...], tuple[Move, ...]]:
+        """What observing ``activity`` at trace position ``i`` adds to a
+        product net: :meth:`position` ``(i, activity)``, and the moves a
+        state on ``tp{i-1}`` can try, the model moves followed by that block."""
+        entry = self._positions.get((i, activity))
+        if entry is None:
             if i not in self._trace_bits:
                 self._add_trace_place(i)
             step = self._trace_bits[i] - self._trace_bits[i - 1]
@@ -253,15 +269,10 @@ class MoveTable:
                     (prev_p,) + pre, (new_p,) + post, step + delta, need,
                 ))
             block = (log, *syncs)
-            self._positions[i, activity] = block
-            self._expansions[i, activity] = self.model_moves + block
-        return block
-
-    def expansion(self, i: int, activity: str) -> tuple[Move, ...]:
-        """The moves a state on ``tp{i-1}`` can try: the model moves, then
-        :meth:`position` ``(i, activity)``."""
-        self.position(i, activity)
-        return self._expansions[i, activity]
+            entry = self._positions[i, activity] = (block, self.model_moves + block)
+            for move in block:
+                self.move_positions[move.tid] = i
+        return entry
 
     # -- packed states ---------------------------------------------------------
 
@@ -340,10 +351,20 @@ class SyncProductNet:
     One instance belongs to one case; callers extend it through
     :func:`extend_spn` as the case's events arrive.  Its moves come from a
     :class:`MoveTable` of the model, shared with other cases when one is
-    passed and private otherwise.  Transitions are registered model moves
-    first and then trace position by trace position, block by block.  The
-    search sees the net's markings as the table's packed states
-    (:meth:`encode`, :meth:`decode`, :meth:`candidate_moves`).
+    passed and private otherwise.  The net keeps only its trace and, per
+    trace position, the table's tuple of the moves a state before that
+    position can try; no move is stored per net.  The search sees the
+    net's markings as the table's packed states (:meth:`encode`,
+    :meth:`decode`, :meth:`candidate_moves`).
+
+    The Marking-level protocol it shares with
+    :class:`~streamalign.petri.WorkflowNet` (:meth:`transition_ids`,
+    :meth:`preset`, :meth:`move`, :meth:`consumers`, ...) is derived from
+    those tuples on each call.  Transitions are registered model moves
+    first and then trace position by trace position, block by block; one
+    id resolves without a map per net: a model move by its id in the
+    table, a log or synchronous move by the table's index of its trace
+    position ``i`` and a scan of the net's block at ``i``.
     """
 
     def __init__(self, model: WorkflowNet, trace: list[str], table: MoveTable | None = None):
@@ -360,7 +381,6 @@ class SyncProductNet:
         # expansions[k]: the moves a state on tp{k} can try, for k < n
         self._expansions: list[tuple[Move, ...]] = []
         self._shift = table.shift
-        self._records: dict[str, Move] = {r.tid: r for r in table.model_moves}
         for activity in trace:
             self._append_position(activity)
 
@@ -369,43 +389,61 @@ class SyncProductNet:
             raise ValueError("cannot extend the trace with a silent activity")
         if not isinstance(activity, str) or not activity:
             raise ValueError("cannot extend the trace with an empty activity")
-        i = len(self.trace) + 1
-        block = self.table.position(i, activity)
-        self._expansions.append(self.table.expansion(i, activity))
+        block, expansion = self.table.extension(len(self.trace) + 1, activity)
+        self._expansions.append(expansion)
         self.trace.append(activity)
-        for r in block:
-            self._records[r.tid] = r
         return block
+
+    def _moves(self) -> list[Move]:
+        """Every move of the net, in registration order."""
+        model_moves = self.table.model_moves
+        m = len(model_moves)
+        return [*model_moves, *(move for expansion in self._expansions for move in expansion[m:])]
+
+    def _lookup(self, tid: str) -> Move | None:
+        table = self.table
+        move = table.model_move_ids.get(tid)
+        if move is not None:
+            return move
+        i = table.move_positions.get(tid)
+        if i is not None and i <= len(self._expansions):
+            for move in reversed(self._expansions[i - 1]):  # its block ends the tuple
+                if move.tid == tid:
+                    return move
+        return None
 
     # -- net protocol (shared with WorkflowNet) -------------------------------
 
     def transition_ids(self) -> tuple[str, ...]:
-        return tuple(self._records)
+        return tuple([m.tid for m in self._moves()])
 
     def has_transition(self, t: str) -> bool:
-        return t in self._records
+        return self._lookup(t) is not None
 
     def preset(self, t: str) -> tuple[str, ...]:
-        try:
-            return self._records[t].pre
-        except KeyError:
-            raise UnknownNodeError(t) from None
+        move = self._lookup(t)
+        if move is None:
+            raise UnknownNodeError(t)
+        return move.pre
 
     def postset(self, t: str) -> tuple[str, ...]:
-        try:
-            return self._records[t].post
-        except KeyError:
-            raise UnknownNodeError(t) from None
+        move = self._lookup(t)
+        if move is None:
+            raise UnknownNodeError(t)
+        return move.post
 
     # -- moves -----------------------------------------------------------------
 
     @property
     def transitions(self) -> dict[str, Move]:
         """Every move by id, in registration order."""
-        return dict(self._records)
+        return {m.tid: m for m in self._moves()}
 
     def move(self, tid: str) -> Move:
-        return self._records[tid]
+        move = self._lookup(tid)
+        if move is None:
+            raise KeyError(tid)
+        return move
 
     def candidate_moves(self, state: int) -> tuple[Move, ...]:
         """The moves that can be enabled in a packed state, in registration order.
@@ -454,21 +492,21 @@ class SyncProductNet:
         return marking.get(self.goal_place) >= 1
 
     def consumers(self, place: str) -> tuple[str, ...]:
-        return tuple(r.tid for r in self._records.values() if place in r.pre)
+        return tuple(m.tid for m in self._moves() if place in m.pre)
 
     def structure_key(self):
         """Canonical serialization used by isomorphism and golden tests."""
         return (
             tuple(sorted(self.place_ids())),
             tuple(
-                (tid, r.kind.value, r.pre, r.post)
-                for tid, r in sorted(self._records.items())
+                (m.tid, m.kind.value, m.pre, m.post)
+                for m in sorted(self._moves(), key=attrgetter("tid"))
             ),
             self.initial.items,
         )
 
     def __repr__(self) -> str:
-        return f"SyncProductNet(n={self.n}, |T^S|={len(self._records)})"
+        return f"SyncProductNet(n={self.n}, |T^S|={len(self._moves())})"
 
 
 def build_spn(

@@ -242,8 +242,14 @@ def with_changes(**fields):
         (with_changes(places=["tp0", "p2"], arcs=[["tp0", "t1"], ["t1", "p2"]],
                       initial={"tp0": 1}),
          "model id 'tp0' collides with generated trace-part ids (tp#/tt#)"),
+        (with_changes().replace(
+            '"initial": {"p1": 1}', '"initial": {"p1": 1, "p1": 1}, "initial": {"p1": 1}'
+        ), "net document '{path}' repeats key 'p1'"),
+        (with_changes()[:-1] + ', "arcs": [["p1", "t1"], ["t1", "p2"]]}',
+         "net document '{path}' repeats key 'arcs'"),
     ],
-    ids=["deep-nesting", "repeated-transition", "repeated-place", "repeated-arc", "reserved-id"],
+    ids=["deep-nesting", "repeated-transition", "repeated-place", "repeated-arc", "reserved-id",
+         "repeated-marking-key", "repeated-field"],
 )
 @pytest.mark.parametrize("command", ["validate", "align", "replay"])
 def test_net_documents_the_net_cannot_represent_are_data_errors(
@@ -276,6 +282,36 @@ def test_a_deeply_nested_stream_record_is_a_data_error(capsys, tmp_path):
     )
     assert code == EXIT_DATA
     assert err == f"error: {path}:2: stream record nested too deeply\n"
+
+
+FIRST_RECORD = '{"case": "1", "activity": "a"}\n'
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("log.jsonl", FIRST_RECORD + '{"case": "1", "activity": "a", "activity": "b"}\n',
+         "{path}:2: stream record repeats key 'activity'"),
+        ("log.jsonl", FIRST_RECORD + '{"case": null, "activity": "b"}\n',
+         "{path}:2: case id None is not a string or an integer"),
+        ("log.jsonl", FIRST_RECORD + '{"case": ["1"], "activity": "b"}\n',
+         "{path}:2: case id ['1'] is not a string or an integer"),
+        ("log.csv", "case,activity,case\n1,a,2\n", "{path}: CSV header repeats column 'case'"),
+    ],
+    ids=["repeated-key", "null-case", "list-case", "repeated-column"],
+)
+def test_stream_records_that_would_lose_a_value_are_data_errors(
+    capsys, tmp_path, name, text, message
+):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "replay", "--model", "n1", "--log", str(path),
+        "--out", str(tmp_path / "out"), "--timing", "off",
+    )
+    assert code == EXIT_DATA
+    assert err == f"error: {message.format(path=path)}\n"
+    assert out == ""
 
 
 def inflated_oracle(records):

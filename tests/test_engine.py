@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 import streamalign.search as search
@@ -318,3 +320,18 @@ def test_an_unbounded_net_raises_instead_of_searching_forever(unbounded, algorit
     engine = StreamEngine(unbounded, algorithm, heuristic)
     with pytest.raises(StateSpaceTooLarge, match=f"place 'sink' would hold more than {FIELD_MAX}"):
         engine.process_event(Event("1", "a", 1))
+
+
+@pytest.mark.parametrize("algorithm", ["ias", "occ-w1"])
+def test_per_event_and_per_case_records_keep_no_instance_dict(n1, algorithm):
+    engine = StreamEngine(n1, algorithm, "ilp")
+    results = engine.run(replay_log_as_stream([["a", "b", "c"], ["c", "b"]], "round-robin"))
+    records = [r for result in results for r in (result, result.metrics)]
+    records += list(engine.table.cases.values())
+    records += [e.cache for e in engine.table.cases.values() if e.cache is not None]
+    assert {type(r).__name__ for r in records} >= {"EventResult", "SearchMetrics", "CaseEntry"}
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    assert asdict(results[0].metrics)["queued"] == results[0].metrics.queued
+    with pytest.raises(AttributeError):
+        results[0].metrics.lps = 1  # a misspelt counter fails instead of adding a field

@@ -9,15 +9,22 @@ import streamalign
 from streamalign import (
     Marking,
     SearchCache,
+    StreamEngine,
     astar_inc,
     astar_scratch,
     build_spn,
     dijkstra_oracle,
     extend_spn,
+    replay_log_as_stream,
     verify_prefix_alignment,
 )
 from streamalign.search import EAGER, LAZY, OpenSet, SearchExhausted
-from tests.conftest import SeededRandom, random_net_and_trace, reopening_net_and_trace
+from tests.conftest import (
+    SeededRandom,
+    nets_and_traces,
+    random_net_and_trace,
+    reopening_net_and_trace,
+)
 
 
 class ExpansionLog:
@@ -374,3 +381,19 @@ def test_search_exhausted_is_unreachable_on_product_nets(n1):
     cache.open.pop()
     with pytest.raises(SearchExhausted):
         astar_inc(cache, "ilp", LAZY)
+
+
+def test_zero_searches_store_no_estimates(preset_models):
+    for net, trace in nets_and_traces(preset_models, 53):
+        for refresh in (LAZY, EAGER):
+            spn = build_spn(net, trace[:1])
+            cache = SearchCache(spn)
+            for k, activity in enumerate(trace):
+                if k:
+                    extend_spn(spn, activity)
+                astar_inc(cache, "zero", refresh)
+                assert cache.h == {} and not cache.stale
+        for algorithm in ("ias", "iasr"):
+            engine = StreamEngine(net, algorithm, "zero")
+            engine.run(replay_log_as_stream([trace, trace[::-1]], "round-robin"))
+            assert all(entry.cache.h == {} for entry in engine.table.cases.values())

@@ -13,8 +13,8 @@ from streamalign import (
     fire,
     move_cost,
 )
-from streamalign.petri import NetDefinitionError
-from streamalign.spn import MoveTable
+from streamalign.petri import NetDefinitionError, UnknownNodeError
+from streamalign.spn import Move, MoveTable
 from tests.conftest import SeededRandom, nets_and_traces, random_net_and_trace
 
 
@@ -285,3 +285,47 @@ def test_every_move_carries_its_standard_cost(preset_models):
         assert all(m.cost == move_cost(m) for m in moves)
         assert {m.cost for m in moves if m.kind is MoveKind.SYNC} <= {0}
         assert {m.cost for m in moves if m.kind is MoveKind.LOG} <= {1}
+
+
+def test_the_protocol_is_derived_from_the_tables_blocks(preset_models):
+    # A net on a shared table must see only its own positions, so a second
+    # net with the reversed trace fills the table with other blocks first.
+    for net, trace in nets_and_traces(preset_models, 47):
+        table = MoveTable(net)
+        build_spn(net, list(reversed(trace)) + trace, table)
+        spn = build_spn(net, trace[:1], table)
+        for activity in trace[1:] + [None]:
+            reference = list(table.model_moves) + [
+                m for i, a in enumerate(spn.trace, start=1) for m in table.position(i, a)
+            ]
+            assert spn.transition_ids() == tuple(m.tid for m in reference)
+            assert list(spn.transitions.items()) == [(m.tid, m) for m in reference]
+            for m in reference:
+                assert spn.move(m.tid) is m and spn.has_transition(m.tid)
+                assert spn.preset(m.tid) is m.pre and spn.postset(m.tid) is m.post
+            for place in spn.place_ids():
+                assert spn.consumers(place) == tuple(m.tid for m in reference if place in m.pre)
+            assert spn.structure_key()[1] == tuple(
+                (m.tid, m.kind.value, m.pre, m.post) for m in sorted(reference, key=lambda m: m.tid)
+            )
+            assert repr(spn) == f"SyncProductNet(n={spn.n}, |T^S|={len(reference)})"
+            n = spn.n
+            unknown = [
+                f"log:tt{n + 1}", "log:tt0", f"log:tt0{n}", f"sync:tt{n + 1}|{net.transitions[0]}",
+                f"sync:tt{n}|nothing", "model:nothing", f"tt{n}", "log:tt", "",
+            ]
+            for tid in unknown:
+                assert not spn.has_transition(tid)
+                with pytest.raises(UnknownNodeError):
+                    spn.preset(tid)
+                with pytest.raises(UnknownNodeError):
+                    spn.postset(tid)
+                with pytest.raises(KeyError):
+                    spn.move(tid)
+            # no map of moves is kept per net
+            for value in vars(spn).values():
+                assert not (isinstance(value, dict) and any(
+                    isinstance(v, Move) for v in value.values()
+                ))
+            if activity is not None:
+                extend_spn(spn, activity)
