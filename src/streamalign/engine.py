@@ -95,12 +95,12 @@ class EventError:
 @dataclass(slots=True)
 class CaseEntry:
     """One case's state: its product net, then its search cache (``ias``,
-    ``iasr``) or its last alignment and that alignment's verification
-    checkpoint (``occ``, ``occ-wN``)."""
+    ``iasr``) or the verification checkpoint of its last alignment, which
+    holds that alignment's moves (``occ``, ``occ-wN``).  The alignment
+    itself reaches the caller only through :class:`EventResult`."""
 
     spn: SyncProductNet | None = None
     cache: SearchCache | None = None
-    alignment: PrefixAlignment | None = None
     checkpoint: Checkpoint | None = None
 
 

@@ -55,17 +55,23 @@ def net_to_dict(net: WorkflowNet) -> dict:
 def net_from_dict(doc: dict) -> WorkflowNet:
     if not isinstance(doc, dict):
         raise DataError("malformed net document: not a JSON object")
-    for name in ("places", "transitions", "arcs"):
-        if name in doc and not isinstance(doc[name], list):
-            raise DataError(f"net document field {name!r} is not a list")
-    try:
-        places = doc["places"]
-        transitions = [t["id"] for t in doc["transitions"]]
-        labels = {t["id"]: t["label"] for t in doc["transitions"]}
-        arcs = [tuple(arc) for arc in doc["arcs"]]
-        initial, final = _marking(doc, "initial"), _marking(doc, "final")
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed net document: {exc!r}") from exc
+    for name, kind in (("places", list), ("transitions", list), ("arcs", list),
+                       ("initial", dict), ("final", dict)):
+        if name not in doc:
+            raise DataError(f"net document has no field {name!r}")
+        if not isinstance(doc[name], kind):
+            what = "a list" if kind is list else "an object"
+            raise DataError(f"net document field {name!r} is not {what}")
+    for i, t in enumerate(doc["transitions"]):
+        if not (isinstance(t, dict) and "id" in t and "label" in t):
+            raise DataError(f"net document transition {i} is not an object with 'id' and 'label'")
+        if not isinstance(t["id"], str):
+            raise DataError(f"net document transition {i}: id {t['id']!r} is not a string")
+    places = doc["places"]
+    transitions = [t["id"] for t in doc["transitions"]]
+    labels = {t["id"]: t["label"] for t in doc["transitions"]}
+    arcs = [tuple(arc) if isinstance(arc, list) else arc for arc in doc["arcs"]]
+    initial, final = _marking(doc, "initial"), _marking(doc, "final")
     try:
         net = WorkflowNet(places, transitions, arcs, labels, initial, final)
     except NetDefinitionError as exc:
@@ -132,20 +138,23 @@ def read_stream_records(path: Path) -> list[tuple[str, str]]:
                 continue
             try:
                 doc = json.loads(line, object_pairs_hook=_unique_keys)
-                case = doc["case"]
-                if not isinstance(case, (str, int)) or isinstance(case, bool):
-                    raise DataError(
-                        f"{path}:{lineno}: case id {case!r} is not a string or an integer"
-                    )
-                records.append((str(case), doc["activity"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed stream record: {exc!r}") from exc
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: stream record is not JSON: {exc}") from exc
             except _RepeatedKey as exc:
                 raise DataError(
                     f"{path}:{lineno}: stream record repeats key {exc.args[0]!r}"
                 ) from None
             except RecursionError as exc:
                 raise DataError(f"{path}:{lineno}: stream record nested too deeply") from exc
+            if not isinstance(doc, dict):
+                raise DataError(f"{path}:{lineno}: stream record is not a JSON object")
+            for name in ("case", "activity"):
+                if name not in doc:
+                    raise DataError(f"{path}:{lineno}: stream record has no field {name!r}")
+            case = doc["case"]
+            if not isinstance(case, (str, int)) or isinstance(case, bool):
+                raise DataError(f"{path}:{lineno}: case id {case!r} is not a string or an integer")
+            records.append((str(case), doc["activity"]))
     return records
 
 

@@ -1,13 +1,14 @@
 """Window-reverting baseline.
 
 Instead of resuming from cached search state, this baseline keeps only the
-previous prefix-alignment.  On a new event it removes the moves covering the
-last ``window`` observed events (plus model moves left dangling at the cut),
-adds the surviving moves' deltas to the initial state to obtain a packed
-restart state and runs a one-shot search from there on the extended product
-net.  With an unbounded window it degenerates to a full from-scratch search
-and is optimal; with a finite window the committed prefix may be unfixable,
-so reported costs can exceed the optimum.
+verification checkpoint of the previous prefix-alignment, which holds its
+moves.  On a new event it removes the moves covering the last ``window``
+observed events (plus model moves left dangling at the cut), adds the
+surviving moves' deltas to the initial state to obtain a packed restart
+state and runs a one-shot search from there on the extended product net.
+With an unbounded window it degenerates to a full from-scratch search and
+is optimal; with a finite window the committed prefix may be unfixable, so
+reported costs can exceed the optimum.
 """
 
 from __future__ import annotations
@@ -24,24 +25,26 @@ if TYPE_CHECKING:
 
 
 def revert_alignment(
-    spn: SyncProductNet, alignment: PrefixAlignment | None, window: int | None
+    spn: SyncProductNet, moves: tuple[Move, ...], window: int | None
 ) -> tuple[tuple[Move, ...], int]:
-    """Drop the tail of the alignment and compute the restart state.
+    """Drop the tail of an alignment's moves and compute the restart state.
 
-    Removes trailing moves until ``min(window, aligned events)`` trace
-    consuming moves (log or synchronous) are gone, then also removes model
-    moves left at the new tail.  The restart is the packed state the
-    survivors reach from the initial marking: the initial state plus their
-    deltas, since firing a move adds its delta.  Extension never renames
-    trace places, so the survivors fire alike on the extended net.
+    ``moves`` are the previous alignment's moves, ``()`` before a case's
+    first event.  Removes trailing moves until ``min(window, aligned
+    events)`` trace consuming moves (log or synchronous) are gone, then
+    also removes model moves left at the new tail.  The restart is the
+    packed state the survivors reach from the initial marking: the initial
+    state plus their deltas, since firing a move adds its delta.  Extension
+    never renames trace places, so the survivors fire alike on the extended
+    net.
     ``window`` is at least 1, or None for unbounded.
     """
     if window is not None and window < 1:
         raise ValueError("window must be >= 1 (or None for unbounded)")
     initial = spn.encode(spn.initial)
-    if window is None or alignment is None:
+    if window is None:
         return (), initial
-    moves = list(alignment.moves)
+    moves = list(moves)
     consumes = lambda mv: mv.kind in (MoveKind.LOG, MoveKind.SYNC)
     target = min(window, sum(1 for mv in moves if consumes(mv)))
     removed = 0
@@ -64,13 +67,13 @@ def occ_process_event(
 ) -> tuple[PrefixAlignment, SearchOutcome]:
     """Extend the case by one event and recompute its prefix-alignment.
 
-    ``entry`` holds the case's product net, last alignment and that
-    alignment's checkpoint (all None before its first event) and is updated
-    in place; the new alignment is verified from the checkpoint when it
-    begins with the same moves.  ``window`` is as in
-    :func:`revert_alignment`.  ``memo`` is an optional estimate memo for
-    ``model``, as in :func:`~streamalign.search.astar_inc`, and ``table``
-    an optional move table of ``model``, as in
+    ``entry`` holds the case's product net and the checkpoint of its last
+    alignment (both None before its first event) and is updated in place;
+    the window is cut from the checkpoint's moves, and the new alignment is
+    verified from the checkpoint when it begins with the same moves.
+    ``window`` is as in :func:`revert_alignment`.  ``memo`` is an optional
+    estimate memo for ``model``, as in :func:`~streamalign.search.astar_inc`,
+    and ``table`` an optional move table of ``model``, as in
     :func:`~streamalign.spn.build_spn`.
     """
     if entry.spn is None:
@@ -78,7 +81,8 @@ def occ_process_event(
     else:
         extend_spn(entry.spn, activity)
 
-    surviving, restart = revert_alignment(entry.spn, entry.alignment, window)
+    previous = entry.checkpoint
+    surviving, restart = revert_alignment(entry.spn, previous.moves if previous else (), window)
     outcome = astar_scratch(entry.spn, h_mode, start=restart, memo=memo)
     suffix = outcome.alignment
     full = PrefixAlignment.from_state(
@@ -87,10 +91,10 @@ def occ_process_event(
         suffix.end_state,
         entry.spn.table,
     )
-    checkpoint = verify_prefix_alignment(full, entry.spn.trace, model, entry.checkpoint)
+    checkpoint = verify_prefix_alignment(full, entry.spn.trace, model, previous)
     if not checkpoint:
         raise InvariantViolation(
             f"alignment {full.moves} is not a prefix-alignment of {entry.spn.trace}"
         )
-    entry.alignment, entry.checkpoint = full, checkpoint
+    entry.checkpoint = checkpoint
     return full, outcome

@@ -6,8 +6,8 @@ region, so cost-so-far values stay valid and only the estimates toward the
 new goal place need refreshing.  ``eager`` refresh recomputes every open
 estimate up front; ``lazy`` refresh marks open states outdated and refreshes
 one state at a time when it is popped, skipping its goal test and expansion
-for that pop.  Under the ``zero`` heuristic nothing is marked outdated,
-since a zero estimate cannot change.
+for that pop.  Under the ``zero`` heuristic neither policy refreshes
+anything, since a zero estimate cannot change.
 
 The returned goal state is deliberately left in the open set: the next
 extension may grow cheaper continuations through it.  The cache also keeps
@@ -24,10 +24,9 @@ the layout of the net's move table (see :mod:`streamalign.spn`), so the
 cache, the open set and the predecessor map hold ints, which the cyclic
 garbage collector does not track.  The packed state is the only state
 type of the search core: a start is given as one, :class:`SearchCache`
-keys ``g``, ``h`` and ``stale`` by it, and the estimate is asked for it.
-A cache lives as long as its case, so it keeps no more than the search
-needs: its attributes are slotted, and under the ``zero`` heuristic,
-where every estimate is 0, ``h`` stays empty.
+keys ``g`` and ``stale`` by it, and the estimate is asked for it.  A cache
+lives as long as its case, so it keeps each piece of search state once, in
+slotted attributes (see :class:`SearchCache`).
 Even the emitted alignment ends in the packed goal, and
 :class:`~streamalign.petri.Marking` appears only when a caller reads its
 ``end_marking``; callers that hold a marking convert it with
@@ -148,22 +147,21 @@ class SearchMetrics:
 class SearchCache:
     """Reusable A* state of one case: its product net, open set, g, predecessors.
 
-    Also keeps the last computed estimate per state (``h``; empty under
-    the ``zero`` heuristic, whose estimates are all 0) and the set of open
-    states whose estimate predates the latest extension (``stale``, lazy
-    refresh).  The attributes are slotted, since one cache is kept per
-    live case.  A state is closed exactly when it has a ``g`` value and
-    is not open.  Everything is keyed by packed state of ``spn``.  The
-    search starts from the packed state ``start``, by default the net's
-    initial marking.  ``goal`` is the goal state of the last search and
-    ``checkpoint`` the :class:`~streamalign.alignment.Checkpoint` of its
-    verified alignment (None until one is verified); the next event
-    reconstructs and verifies from them.
+    Also keeps the set of open states whose estimate predates the latest
+    extension (``stale``, lazy refresh).  An open state's estimate is its
+    key in ``open`` minus its ``g``, kept when a cheaper path reaches it; a
+    closed state keeps none.  One cache is kept per live case, hence the
+    slots.  A state is closed exactly when it has a ``g`` value and is not
+    open.  Everything is keyed by packed state of ``spn``.  The search
+    starts from the packed state ``start``, by default the net's initial
+    marking.  ``goal`` is the goal state of the last search (None before
+    the first, which counts the start as queued) and ``checkpoint`` the
+    :class:`~streamalign.alignment.Checkpoint` of its verified alignment
+    (None until one is verified); the next event reconstructs and verifies
+    from them.
     """
 
-    __slots__ = (
-        "spn", "root", "open", "g", "_p", "h", "stale", "_seed_pending", "goal", "checkpoint"
-    )
+    __slots__ = ("spn", "root", "open", "g", "_p", "stale", "goal", "checkpoint")
 
     def __init__(self, spn: SyncProductNet, start: int | None = None):
         self.spn = spn
@@ -171,9 +169,7 @@ class SearchCache:
         self.open = OpenSet(spn.table)
         self.g: dict[int, int] = {self.root: 0}
         self._p: dict[int, Move | None] = {self.root: None}  # the move that reached a state
-        self.h: dict[int, object] = {}
         self.stale: set[int] = set()
-        self._seed_pending = True
         self.open.push(self.root, 0, 0)
         self.goal: int | None = None
         self.checkpoint: Checkpoint | None = None
@@ -220,14 +216,13 @@ def _astar(
         raise ValueError(f"unknown heuristic mode {h_mode!r}")
     if refresh not in (EAGER, LAZY):
         raise ValueError(f"unknown refresh policy {refresh!r}")
-    if cache._seed_pending:
+    if cache.goal is None:  # the cache's first search: its root counts as queued
         metrics.queued += 1
-        cache._seed_pending = False
     spn = cache.spn
     table = spn.table
-    g_map, p_map, h_map = cache.g, cache._p, cache.h
+    g_map, p_map = cache.g, cache._p
     stale, open_set, live = cache.stale, cache.open, cache.open._live
-    zero = h_mode == "zero"  # every estimate is 0, and none is stored in h_map
+    zero = h_mode == "zero"  # every estimate is 0
 
     def fresh_h(state: int):
         key = None if memo is None else memo_key(spn, state, h_mode)
@@ -244,23 +239,18 @@ def _astar(
         return value
 
     def refresh_h(state: int):
-        if zero:  # every state but the root had its 0 when it was queued
-            if state != cache.root:
-                metrics.heuristic_recomputations += 1
-            return 0
-        old = h_map.get(state)
-        value = fresh_h(state)
-        if old is not None:
+        # the root is the only state refreshed before it had an estimate
+        if state != cache.root:
             metrics.heuristic_recomputations += 1
-        h_map[state] = value
-        return value
+        return 0 if zero else fresh_h(state)
 
     if refresh == EAGER:
-        for s in open_set.states():
-            hv = refresh_h(s)
-            open_set.push(s, g_map[s] + hv, g_map[s])
+        if not zero:  # a zero estimate never goes out of date
+            for s in open_set.states():
+                hv = refresh_h(s)
+                open_set.push(s, g_map[s] + hv, g_map[s])
         stale.clear()
-    elif not zero:  # lazy; a zero estimate never goes out of date
+    elif not zero:  # lazy
         stale.update(live)
 
     n, shift, guards, lows = spn.n, table.shift, table.guards, table.lows
@@ -323,17 +313,12 @@ def _astar(
                 hv = refresh_h(successor)
                 metrics.reopened += 1
                 metrics.queued += 1
-            else:
-                if old_g is None:
-                    metrics.queued += 1
-                if zero:
-                    hv = 0
-                elif successor in stale:  # a stale state is open, so old_g is set
-                    hv = h_map[successor]  # outdated estimate stays until popped
-                else:
-                    hv = h_map.get(successor)
-                    if hv is None:
-                        hv = h_map[successor] = fresh_h(successor)
+            elif old_g is None:
+                metrics.queued += 1
+                hv = 0 if zero else fresh_h(successor)
+            else:  # open: it keeps its estimate, outdated or not, until popped
+                entry = live[successor]
+                hv = entry[0] + entry[1]  # its key f minus its g
             open_set.push(successor, new_g + hv, new_g)
 
     raise SearchExhausted(

@@ -204,3 +204,12 @@ def nets_and_traces(preset_models, seed):
     for model in preset_models.values():
         out += [(model, trace) for trace in generate_log(model, 4, noise, max_len=6, seed=seed)]
     return out
+
+
+def open_estimates(cache) -> dict:
+    """Each open state's estimate, read off its heap key as f minus g.
+
+    Every push sets f to g plus the state's estimate, so the open set is
+    the one place where a cache keeps its estimates.
+    """
+    return {state: entry[0] + entry[1] for state, entry in cache.open._live.items()}

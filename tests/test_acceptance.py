@@ -44,6 +44,7 @@ from streamalign.cli import EXIT_OK
 from streamalign.cli import main as cli_main
 from streamalign.generator import PRESETS
 from streamalign.metrics import compute_metrics, oracle_costs_by_case
+from tests.conftest import open_estimates
 
 NOISE = {"swap_p": 0.15, "drop_p": 0.1, "insert_p": 0.1}
 TRACES_PER_PRESET = 100
@@ -99,9 +100,7 @@ def suite() -> SuiteData:
                     old_goal = ias_spn.goal_place
                     stale = {
                         name: {
-                            cache.spn.decode(s): cache.h[s]
-                            for s in cache.open.states()
-                            if s in cache.h
+                            cache.spn.decode(s): h for s, h in open_estimates(cache).items()
                         }
                         for name, cache in (("ias", ias_cache), ("iasr", iasr_cache))
                     }
@@ -149,7 +148,7 @@ def suite() -> SuiteData:
                 # eager refresh recomputed every estimate held before the
                 # extension: record those that fell below the value they replaced
                 for m, h_old in stale.get("iasr", {}).items():
-                    h_new = iasr_cache.h[iasr_spn.encode(m)]
+                    h_new = estimate(iasr_spn, iasr_spn.encode(m), HEURISTIC)
                     if h_new < h_old:
                         data.h_regressions.append((preset_name, trace[:k], m, h_old, h_new))
                 totals["ias"] += ias_out.metrics.lps_solved

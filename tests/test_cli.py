@@ -314,6 +314,45 @@ def test_stream_records_that_would_lose_a_value_are_data_errors(
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({k: v for k, v in good_net_document().items() if k != "places"},
+         "net document has no field 'places'"),
+        ({**good_net_document(), "transitions": [{"id": ["t1"], "label": "a"}]},
+         "net document transition 0: id ['t1'] is not a string"),
+    ],
+    ids=["no-places", "list-transition-id"],
+)
+def test_malformed_net_documents_name_the_field(capsys, tmp_path, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", "--model", str(path))
+    assert code == EXIT_DATA
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ('{"case": "1"}', "{path}:2: stream record has no field 'activity'"),
+        ("[1, 2]", "{path}:2: stream record is not a JSON object"),
+    ],
+    ids=["no-activity", "list-record"],
+)
+def test_malformed_stream_records_name_the_line_and_field(capsys, tmp_path, record, message):
+    path = tmp_path / "log.jsonl"
+    path.write_text(FIRST_RECORD + record + "\n")
+    code, out, err = run_cli(
+        capsys, "replay", "--model", "n1", "--log", str(path),
+        "--out", str(tmp_path / "out"), "--timing", "off",
+    )
+    assert code == EXIT_DATA
+    assert err == f"error: {message.format(path=path)}\n"
+    assert out == ""
+
+
 def inflated_oracle(records):
     return {case: [c + 1 for c in costs] for case, costs in oracle_costs_by_case(records).items()}
 

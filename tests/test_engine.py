@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -143,6 +143,10 @@ def test_memory_gauge_grows_with_cases(n1):
     assert sizes[-1] == sum(len(e.cache.g) for e in engine.table.cases.values())
 
 
+def test_a_window_case_keeps_its_last_moves_only_in_its_checkpoint():
+    assert [f.name for f in fields(CaseEntry)] == ["spn", "cache", "checkpoint"]
+
+
 @pytest.mark.parametrize("algorithm", ["ias", "occ-w1"])
 def test_case_entry_holds_net_then_cache_or_last_alignment(n1, algorithm):
     engine = StreamEngine(n1, algorithm, "ilp")
@@ -151,9 +155,10 @@ def test_case_entry_holds_net_then_cache_or_last_alignment(n1, algorithm):
     for case_id, entry in engine.table.cases.items():
         assert entry.spn is not None
         if algorithm == "ias":
-            assert entry.cache.spn is entry.spn and entry.alignment is None
+            assert entry.cache.spn is entry.spn and entry.checkpoint is None
         else:
-            assert entry.cache is None and entry.alignment is last[case_id]
+            # the checkpoint is the only copy of the last alignment's moves
+            assert entry.cache is None and entry.checkpoint.moves is last[case_id].moves
     if algorithm == "occ-w1":
         assert engine.table.cached_markings() == 0
 

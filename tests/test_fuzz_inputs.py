@@ -6,9 +6,9 @@ one of another type, a field or entry removed, repeated or renamed, a key
 repeated within one object, a value nested inside lists or objects, and
 non-finite numbers.  ``validate``, ``align`` and ``replay`` then run
 in-process.  Each must exit 0 or 2, or 3 only for ``StateSpaceTooLarge``,
-and never raise.  A net that ``validate`` accepts must be accepted by
-``align`` and ``replay`` too.  Draws are derandomized, so every run feeds
-the same inputs.
+and never raise; an exit 2 names what is wrong, not a Python exception.  A
+net that ``validate`` accepts must be accepted by ``align`` and ``replay``
+too.  Draws are derandomized, so every run feeds the same inputs.
 """
 
 import json
@@ -137,6 +137,8 @@ def assert_handled(code: int, err: str, path: Path) -> None:
         assert err.startswith("internal error: StateSpaceTooLarge: "), (err, path.read_text())
     elif code == EXIT_DATA:
         assert err.startswith("error: ") or err == "", err
+        # the message names the field, entry or line, not a Python exception
+        assert not any(name in err for name in ("KeyError(", "TypeError(", "ValueError(")), err
 
 
 def fixed(examples: int) -> settings:

@@ -46,7 +46,7 @@ def test_first_event_starts_at_initial(n1):
 def test_window_validation(n1):
     state, results = run_occ(n1, ["a"], window=None)
     with pytest.raises(ValueError):
-        revert_alignment(state.spn, results[-1][0], 0)
+        revert_alignment(state.spn, results[-1][0].moves, 0)
 
 
 def test_revert_examples(n1):
@@ -55,14 +55,14 @@ def test_revert_examples(n1):
     alignment = results[-1][0]
     assert alignment.total_cost == 0
     spn = state.spn
-    surviving, restart = revert_alignment(spn, alignment, 1)
+    surviving, restart = revert_alignment(spn, alignment.moves, 1)
     assert [mv.tid for mv in surviving] == ["sync:tt1|t1"]
     assert spn.decode(restart) == Marking.of("tp1", "p2")  # replay of the surviving move
     # unbounded window reverts everything
     initial = spn.encode(spn.initial)
-    assert revert_alignment(spn, alignment, None) == ((), initial)
+    assert revert_alignment(spn, alignment.moves, None) == ((), initial)
     # empty alignment reverts to the initial marking
-    assert revert_alignment(spn, None, 3) == ((), initial)
+    assert revert_alignment(spn, (), 3) == ((), initial)
 
 
 def test_revert_strips_trailing_model_moves(n1):
@@ -71,7 +71,7 @@ def test_revert_strips_trailing_model_moves(n1):
     state, results = run_occ(n1, ["b"], window=None)
     alignment = results[-1][0]
     assert [mv.tid for mv in alignment.moves] == ["model:t2", "sync:tt1|t3"]
-    surviving, restart = revert_alignment(state.spn, alignment, 1)
+    surviving, restart = revert_alignment(state.spn, alignment.moves, 1)
     assert surviving == ()
     assert state.spn.decode(restart) == state.spn.initial
 
@@ -86,13 +86,13 @@ def test_restart_state_is_the_replay_of_the_surviving_moves():
         for window in (1, 2, 3, None):
             entry = CaseEntry()
             for activity in trace:
-                previous = entry.alignment
-                occ_process_event(entry, net, activity, window)
+                previous = () if entry.checkpoint is None else entry.checkpoint.moves
+                alignment, _ = occ_process_event(entry, net, activity, window)
                 spn = entry.spn
                 surviving, restart = revert_alignment(spn, previous, window)
                 replay = fire_sequence(spn, spn.initial, [mv.tid for mv in surviving])
                 assert spn.decode(restart) == replay, (trace, window)
-                assert entry.alignment.moves[: len(surviving)] == surviving
+                assert alignment.moves[: len(surviving)] == surviving
                 reverted += bool(surviving)
     assert reverted > 30
 

@@ -15,6 +15,7 @@ from streamalign import (
     build_spn,
     dijkstra_oracle,
     extend_spn,
+    generate_log,
     replay_log_as_stream,
     verify_prefix_alignment,
 )
@@ -22,6 +23,7 @@ from streamalign.search import EAGER, LAZY, OpenSet, SearchExhausted
 from tests.conftest import (
     SeededRandom,
     nets_and_traces,
+    open_estimates,
     random_net_and_trace,
     reopening_net_and_trace,
 )
@@ -264,8 +266,9 @@ def test_deterministic_expansion_order(n1):
 
 
 def test_zero_estimates_never_go_stale():
-    # A zero estimate cannot change under extension, so lazy refresh has
-    # nothing to recompute and must expand exactly what eager refresh does.
+    # A zero estimate cannot change under extension, so neither refresh
+    # policy recomputes one, and lazy refresh expands exactly what eager
+    # refresh does.
     rng = SeededRandom(29)
     for _ in range(10):
         net, trace = random_net_and_trace(rng, max_len=5)
@@ -280,9 +283,8 @@ def test_zero_estimates_never_go_stale():
                     extend_spn(spn, activity)
                 log.markings.clear()
                 outcome = astar_inc(cache, "zero", refresh)
-                if refresh == LAZY:
-                    assert outcome.metrics.heuristic_recomputations == 0
-                    assert not cache.stale
+                assert outcome.metrics.heuristic_recomputations == 0
+                assert not cache.stale
                 runs[refresh].append((tuple(log.markings), outcome.alignment.total_cost))
         assert runs[LAZY] == runs[EAGER]
 
@@ -351,6 +353,51 @@ def test_reopening_repairs_stale_key_misordering():
     assert sum(o.metrics.reopened for o in outcomes) >= 1
 
 
+def test_a_cache_keeps_one_copy_of_each_piece_of_search_state():
+    # Estimates live only in the open set's keys (f minus g), and a cache
+    # with no goal yet is one whose first search counts its root as queued.
+    assert SearchCache.__slots__ == ("spn", "root", "open", "g", "_p", "stale", "goal", "checkpoint")
+
+
+# Summed heuristic_recomputations and reopened per (log, algorithm, heuristic):
+# the 60-trace preset logs of tests/test_replay_digests.py, replayed
+# round-robin, and the staged reopening instance, searched alone.
+REFRESH_COUNTS = {
+    ("choice-loop", "ias", "ilp"): (465, 0), ("choice-loop", "ias", "lp"): (465, 0),
+    ("choice-loop", "iasr", "ilp"): (1365, 0), ("choice-loop", "iasr", "lp"): (1365, 0),
+    ("choice-loop", "ias", "zero"): (0, 0), ("choice-loop", "iasr", "zero"): (0, 0),
+    ("parallel-tau", "ias", "ilp"): (218, 0), ("parallel-tau", "ias", "lp"): (218, 0),
+    ("parallel-tau", "iasr", "ilp"): (812, 0), ("parallel-tau", "iasr", "lp"): (812, 0),
+    ("parallel-tau", "ias", "zero"): (0, 0), ("parallel-tau", "iasr", "zero"): (0, 0),
+    ("reopening", LAZY, "ilp"): (23, 1), ("reopening", LAZY, "lp"): (23, 1),
+    ("reopening", EAGER, "ilp"): (37, 0), ("reopening", EAGER, "lp"): (37, 0),
+}
+
+
+def test_refresh_and_reopen_counts_are_pinned(preset_models):
+    counts = {}
+    noise = {"swap_p": 0.15, "drop_p": 0.1, "insert_p": 0.1}
+    for name, model in preset_models.items():
+        log = generate_log(model, 60, noise, max_len=8, seed=7)
+        stream = replay_log_as_stream(log, "round-robin")
+        for algorithm in ("ias", "iasr"):
+            for h_mode in ("ilp", "lp", "zero"):
+                metrics = [r.metrics for r in StreamEngine(model, algorithm, h_mode).run(stream)]
+                counts[name, algorithm, h_mode] = (
+                    sum(m.heuristic_recomputations for m in metrics),
+                    sum(m.reopened for m in metrics),
+                )
+    net, trace = reopening_net_and_trace()
+    for refresh in (LAZY, EAGER):
+        for h_mode in ("ilp", "lp"):
+            _, outcomes = run_incremental(net, trace, h_mode, refresh)
+            counts["reopening", refresh, h_mode] = (
+                sum(o.metrics.heuristic_recomputations for o in outcomes),
+                sum(o.metrics.reopened for o in outcomes),
+            )
+    assert counts == REFRESH_COUNTS
+
+
 @pytest.mark.parametrize("h_mode, refresh", [("magic", LAZY), ("zero", "bogus")])
 def test_a_rejected_argument_leaves_the_cache_untouched(n1, h_mode, refresh):
     # The arguments are checked before the search pops the root or takes
@@ -384,6 +431,7 @@ def test_search_exhausted_is_unreachable_on_product_nets(n1):
 
 
 def test_zero_searches_store_no_estimates(preset_models):
+    # under zero every open key is its g alone, and nothing is ever stale
     for net, trace in nets_and_traces(preset_models, 53):
         for refresh in (LAZY, EAGER):
             spn = build_spn(net, trace[:1])
@@ -392,8 +440,9 @@ def test_zero_searches_store_no_estimates(preset_models):
                 if k:
                     extend_spn(spn, activity)
                 astar_inc(cache, "zero", refresh)
-                assert cache.h == {} and not cache.stale
+                assert set(open_estimates(cache).values()) == {0} and not cache.stale
         for algorithm in ("ias", "iasr"):
             engine = StreamEngine(net, algorithm, "zero")
             engine.run(replay_log_as_stream([trace, trace[::-1]], "round-robin"))
-            assert all(entry.cache.h == {} for entry in engine.table.cases.values())
+            for entry in engine.table.cases.values():
+                assert set(open_estimates(entry.cache).values()) == {0}
