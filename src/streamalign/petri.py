@@ -182,10 +182,7 @@ class WorkflowNet:
         self._place_pre = {p: tuple(v) for p, v in p_pre.items()}
         self._place_post = {p: tuple(v) for p, v in p_post.items()}
 
-    # transition/place neighborhood accessors shared with the product net
-    def transition_ids(self) -> tuple[str, ...]:
-        return self.transitions
-
+    # transition/place neighborhood accessors
     def has_transition(self, t: str) -> bool:
         return t in self._pre
 
@@ -311,17 +308,14 @@ def _reach(start: str, neighbours: Mapping[str, list[str]]) -> set[str]:
     return seen
 
 
-def enabled(net, marking: Marking, transition: str) -> bool:
-    """True iff every pre-place of the transition holds a token.
-
-    Works for both :class:`WorkflowNet` and the synchronous product net.
-    """
+def enabled(net: WorkflowNet, marking: Marking, transition: str) -> bool:
+    """True iff every pre-place of the transition holds a token."""
     if not net.has_transition(transition):
         raise UnknownNodeError(transition)
     return all(marking.get(p) > 0 for p in net.preset(transition))
 
 
-def fire(net, marking: Marking, transition: str) -> Marking:
+def fire(net: WorkflowNet, marking: Marking, transition: str) -> Marking:
     """Fire an enabled transition and return the successor marking.
 
     The input marking is left untouched.  Self-loop places (in both the
@@ -342,7 +336,7 @@ def fire(net, marking: Marking, transition: str) -> Marking:
     return Marking._trusted(counts)
 
 
-def fire_sequence(net, marking: Marking, transitions: Iterable[str]) -> Marking:
+def fire_sequence(net: WorkflowNet, marking: Marking, transitions: Iterable[str]) -> Marking:
     """Left-fold of :func:`fire`; reports the first failing index."""
     current = marking
     for idx, t in enumerate(transitions):
@@ -353,10 +347,10 @@ def fire_sequence(net, marking: Marking, transitions: Iterable[str]) -> Marking:
     return current
 
 
-def enabled_transitions(net, marking: Marking) -> list[str]:
+def enabled_transitions(net: WorkflowNet, marking: Marking) -> list[str]:
     """All transitions enabled in the marking, in the net's canonical order."""
     out = []
-    for t in net.transition_ids():
+    for t in net.transitions:
         if all(marking.get(p) > 0 for p in net.preset(t)):
             out.append(t)
     return out
@@ -367,7 +361,7 @@ class StateSpaceTooLarge(RuntimeError):
 
 
 def enumerate_state_space(
-    net, start: Marking, bound: int = 10**5
+    net: WorkflowNet, start: Marking, bound: int = 10**5
 ) -> tuple[list[Marking], list[tuple[Marking, str, Marking]]]:
     """Breadth-first enumeration of all markings reachable from ``start``.
 

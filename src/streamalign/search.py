@@ -78,7 +78,6 @@ from .alignment import (
     Checkpoint,
     InvariantViolation,
     PrefixAlignment,
-    move_cost,
     reconstruct,
     verify_prefix_alignment,
 )
@@ -372,23 +371,26 @@ def dijkstra_oracle(
 
     Returns the cost of the nearest goal marking (None when unreachable,
     which cannot happen for reachable starts) and the full distance map.
+    It fires on :meth:`~streamalign.spn.SyncProductNet.petri_net`, not on
+    packed states.
     """
+    net, moves, goal = spn.petri_net(), spn.transitions, spn.goal_place
     dist: dict[Marking, int] = {start: 0}
     heap: list[tuple[int, tuple, Marking]] = [(0, start.items, start)]
     goal_cost: int | None = None
-    transition_ids = spn.transition_ids()
-    costs = [move_cost(spn.move(t)) for t in transition_ids]
-    presets = [spn.preset(t) for t in transition_ids]
+    transition_ids = net.transitions
+    costs = [moves[t].cost for t in transition_ids]
+    presets = [net.preset(t) for t in transition_ids]
     while heap:
         d, _, marking = heapq.heappop(heap)
         if d > dist.get(marking, d):
             continue
-        if goal_cost is None and spn.is_goal(marking):
+        if goal_cost is None and marking.get(goal):
             goal_cost = d
         for idx, pre in enumerate(presets):
             if any(marking.get(p) <= 0 for p in pre):
                 continue
-            successor = fire(spn, marking, transition_ids[idx])
+            successor = fire(net, marking, transition_ids[idx])
             nd = d + costs[idx]
             if nd < dist.get(successor, nd + 1):
                 if successor not in dist and len(dist) >= bound:
@@ -403,19 +405,21 @@ def distances_to_goal(
 ) -> tuple[list[Marking], list[tuple[Marking, str, Marking]], dict[Marking, int]]:
     """Exact remaining cost to the nearest goal for every reachable marking.
 
-    Enumerates the reachable space once, then runs a multi-source
-    uniform-cost sweep backwards from all goal markings.  Markings that
-    cannot reach a goal (impossible on product nets) would be absent from
-    the map.
+    Enumerates the reachable space of
+    :meth:`~streamalign.spn.SyncProductNet.petri_net` once, then runs a
+    multi-source uniform-cost sweep backwards from all goal markings.
+    Markings that cannot reach a goal (impossible on product nets) would be
+    absent from the map.
     """
-    markings, edges = enumerate_state_space(spn, spn.initial, bound)
+    moves, goal = spn.transitions, spn.goal_place
+    markings, edges = enumerate_state_space(spn.petri_net(), spn.initial, bound)
     backward: dict[Marking, list[tuple[int, Marking]]] = {m: [] for m in markings}
     for source, tid, target in edges:
-        backward[target].append((move_cost(spn.move(tid)), source))
+        backward[target].append((moves[tid].cost, source))
     dist: dict[Marking, int] = {}
     heap: list[tuple[int, tuple, Marking]] = []
     for m in markings:
-        if spn.is_goal(m):
+        if m.get(goal):
             dist[m] = 0
             heapq.heappush(heap, (0, m.items, m))
     while heap:

@@ -18,9 +18,9 @@ synchronous move of position ``i`` consumes from ``tp{i-1}``, so a marking
 whose trace token is on ``tp{k}`` can enable only the model moves and the
 moves of position ``k + 1`` (:meth:`SyncProductNet.candidate_moves`).
 A product net therefore stores no move of its own: per trace position it
-keeps the table's tuple of those candidate moves, and its Marking-level
-protocol (``transition_ids``, ``preset``, ``move``, ``consumers``, ...)
-is derived from these tuples when called.
+keeps the table's tuple of those candidate moves.  Code that wants the
+product as an ordinary Petri net, such as the reference oracles, asks for
+:meth:`SyncProductNet.petri_net`.
 
 :class:`~streamalign.petri.Marking` is the public type of a product
 marking; the search and the heuristic run on the table's encoding of it as
@@ -48,13 +48,11 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
 
 from .petri import (
     Marking,
     NetDefinitionError,
     StateSpaceTooLarge,
-    UnknownNodeError,
     WorkflowNet,
     validate_wfnet,
 )
@@ -188,9 +186,6 @@ class MoveTable:
             )
             for t in model.transitions
         )
-        self.model_move_ids: dict[str, Move] = {m.tid: m for m in self.model_moves}
-        # id of every log and synchronous move built so far -> its trace position
-        self.move_positions: dict[str, int] = {}
         # trace place id -> its position, for every position built so far
         self.trace_index: dict[str, int] = {}
         # position -> the bits of a state whose trace token is on it
@@ -270,8 +265,6 @@ class MoveTable:
                 ))
             block = (log, *syncs)
             entry = self._positions[i, activity] = (block, self.model_moves + block)
-            for move in block:
-                self.move_positions[move.tid] = i
         return entry
 
     # -- packed states ---------------------------------------------------------
@@ -356,15 +349,6 @@ class SyncProductNet:
     position can try; no move is stored per net.  The search sees the
     net's markings as the table's packed states (:meth:`encode`,
     :meth:`decode`, :meth:`candidate_moves`).
-
-    The Marking-level protocol it shares with
-    :class:`~streamalign.petri.WorkflowNet` (:meth:`transition_ids`,
-    :meth:`preset`, :meth:`move`, :meth:`consumers`, ...) is derived from
-    those tuples on each call.  Transitions are registered model moves
-    first and then trace position by trace position, block by block; one
-    id resolves without a map per net: a model move by its id in the
-    table, a log or synchronous move by the table's index of its trace
-    position ``i`` and a scan of the net's block at ``i``.
     """
 
     def __init__(self, model: WorkflowNet, trace: list[str], table: MoveTable | None = None):
@@ -400,50 +384,38 @@ class SyncProductNet:
         m = len(model_moves)
         return [*model_moves, *(move for expansion in self._expansions for move in expansion[m:])]
 
-    def _lookup(self, tid: str) -> Move | None:
-        table = self.table
-        move = table.model_move_ids.get(tid)
-        if move is not None:
-            return move
-        i = table.move_positions.get(tid)
-        if i is not None and i <= len(self._expansions):
-            for move in reversed(self._expansions[i - 1]):  # its block ends the tuple
-                if move.tid == tid:
-                    return move
-        return None
-
-    # -- net protocol (shared with WorkflowNet) -------------------------------
-
-    def transition_ids(self) -> tuple[str, ...]:
-        return tuple([m.tid for m in self._moves()])
-
-    def has_transition(self, t: str) -> bool:
-        return self._lookup(t) is not None
-
-    def preset(self, t: str) -> tuple[str, ...]:
-        move = self._lookup(t)
-        if move is None:
-            raise UnknownNodeError(t)
-        return move.pre
-
-    def postset(self, t: str) -> tuple[str, ...]:
-        move = self._lookup(t)
-        if move is None:
-            raise UnknownNodeError(t)
-        return move.post
-
     # -- moves -----------------------------------------------------------------
 
     @property
     def transitions(self) -> dict[str, Move]:
-        """Every move by id, in registration order."""
+        """Every move by id, in registration order: model moves first, then
+        trace position by trace position, block by block."""
         return {m.tid: m for m in self._moves()}
 
     def move(self, tid: str) -> Move:
-        move = self._lookup(tid)
-        if move is None:
-            raise KeyError(tid)
-        return move
+        return self.transitions[tid]
+
+    def petri_net(self) -> WorkflowNet:
+        """This product as a plain :class:`~streamalign.petri.WorkflowNet`.
+
+        Its places are ``tp0 .. tp{n}`` and the model's places, its
+        transitions the move ids with the moves' presets and postsets as
+        arcs, labeled with the activity (the model label for model moves);
+        its initial marking is :attr:`initial` and its final marking one
+        token on :attr:`goal_place`.  It is built on each call, for the
+        reference oracles, which fire on it with :mod:`streamalign.petri`.
+        A model place whose id equals a move id (``model:t1``) makes it
+        raise NetDefinitionError.
+        """
+        moves = self._moves()
+        return WorkflowNet(
+            [trace_place(i) for i in range(self.n + 1)] + list(self.model.places),
+            [m.tid for m in moves],
+            [(p, m.tid) for m in moves for p in m.pre] + [(m.tid, p) for m in moves for p in m.post],
+            {m.tid: m.model_label if m.kind is MoveKind.MODEL else m.activity for m in moves},
+            self.initial,
+            Marking.of(self.goal_place),
+        )
 
     def candidate_moves(self, state: int) -> tuple[Move, ...]:
         """The moves that can be enabled in a packed state, in registration order.
@@ -478,32 +450,6 @@ class SyncProductNet:
     def goal_place(self) -> str:
         """The last trace place; markings holding a token here are goals."""
         return trace_place(self.n)
-
-    def trace_places(self) -> tuple[str, ...]:
-        return tuple(trace_place(i) for i in range(self.n + 1))
-
-    def model_places(self) -> tuple[str, ...]:
-        return self.model.places
-
-    def place_ids(self) -> tuple[str, ...]:
-        return self.trace_places() + self.model.places
-
-    def is_goal(self, marking: Marking) -> bool:
-        return marking.get(self.goal_place) >= 1
-
-    def consumers(self, place: str) -> tuple[str, ...]:
-        return tuple(m.tid for m in self._moves() if place in m.pre)
-
-    def structure_key(self):
-        """Canonical serialization used by isomorphism and golden tests."""
-        return (
-            tuple(sorted(self.place_ids())),
-            tuple(
-                (m.tid, m.kind.value, m.pre, m.post)
-                for m in sorted(self._moves(), key=attrgetter("tid"))
-            ),
-            self.initial.items,
-        )
 
     def __repr__(self) -> str:
         return f"SyncProductNet(n={self.n}, |T^S|={len(self._moves())})"

@@ -44,6 +44,7 @@ from streamalign.cli import EXIT_OK
 from streamalign.cli import main as cli_main
 from streamalign.generator import PRESETS
 from streamalign.metrics import compute_metrics, oracle_costs_by_case
+from streamalign.spn import trace_place
 from tests.conftest import open_estimates
 
 NOISE = {"swap_p": 0.15, "drop_p": 0.1, "insert_p": 0.1}
@@ -116,19 +117,20 @@ def suite() -> SuiteData:
                     # frontier growth: every transition added by this
                     # extension consumes the pre-extension goal place and no
                     # older trace place; the new place has no consumers yet
-                    older = set(ias_spn.trace_places()) - {old_goal, new_place}
+                    net = ias_spn.petri_net()
+                    older = {trace_place(i) for i in range(k - 1)}
                     for tid in new_moves:
-                        pre = set(ias_spn.preset(tid))
+                        pre = set(net.preset(tid))
                         if old_goal not in pre or pre & older:
                             data.structure_failures.append((preset_name, trace, tid))
-                    if ias_spn.consumers(new_place):
+                    if net.place_postset(new_place):
                         data.structure_failures.append((preset_name, trace, new_place))
                     # closed states never mark the frontier, so none of the
                     # new transitions can be enabled there
                     for m in closed_before:
                         if m.get(old_goal) != 0 or any(
                             t in new_moves
-                            for t in enabled_transitions(ias_spn, m)
+                            for t in enabled_transitions(net, m)
                         ):
                             data.structure_failures.append((preset_name, trace, m))
                     extend_spn(iasr_spn, activity)
@@ -232,8 +234,9 @@ def test_check_3_heuristic_soundness():
             values["lp"][m], values["ilp"][m] = lp, ilp
             if not lp <= ilp <= dist[m]:
                 failures.append(("order", trace, m, lp, ilp, dist[m]))
+        moves = spn.transitions
         for source, tid, target in edges:
-            step = move_cost(spn.move(tid))
+            step = move_cost(moves[tid])
             for mode in ("lp", "ilp"):
                 if values[mode][source] > step + values[mode][target]:
                     failures.append(("consistency", mode, trace, source, tid))

@@ -159,9 +159,10 @@ def test_emitted_alignments_decode_their_end_only_when_read(preset_models, decod
     assert decodes == []
     alignments = 0
     for spn, results in replays:
+        net = spn.petri_net()
         for r in results:
             # the reference end: the moves fired over markings from the initial one
-            reached = fire_sequence(spn, spn.initial, [mv.tid for mv in r.alignment.moves])
+            reached = fire_sequence(net, spn.initial, [mv.tid for mv in r.alignment.moves])
             assert r.alignment.end_marking == reached
             assert r.alignment.end_marking is r.alignment.end_marking
         alignments += len({id(r.alignment) for r in results})

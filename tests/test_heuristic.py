@@ -20,7 +20,7 @@ from streamalign import (
 )
 from streamalign.search import memo_key
 from streamalign.simplex import INFEASIBLE, UNBOUNDED, LpResult
-from streamalign.spn import MoveTable
+from streamalign.spn import MoveTable, trace_place
 from tests.conftest import SeededRandom, nets_and_traces, random_net_and_trace
 
 
@@ -38,17 +38,18 @@ def test_problem_shape_for_unit_trace(n1):
 
 def unrestricted_problem(spn, marking):
     """The flow program over every product-net move and every trace place."""
-    variables = spn.transition_ids()
-    objective = [move_cost(spn.move(t)) for t in variables]
+    net, moves = spn.petri_net(), spn.transitions
+    variables = net.transitions
+    objective = [move_cost(moves[t]) for t in variables]
 
     def row(p):
-        return [spn.postset(t).count(p) - spn.preset(t).count(p) for t in variables]
+        return [net.postset(t).count(p) - net.preset(t).count(p) for t in variables]
 
     rows = [
         (row(p), "=", (1 if p == spn.goal_place else 0) - marking.get(p))
-        for p in spn.trace_places()
+        for p in map(trace_place, range(spn.n + 1))
     ]
-    rows += [(row(p), ">=", -marking.get(p)) for p in spn.model_places()]
+    rows += [(row(p), ">=", -marking.get(p)) for p in spn.model.places]
     return variables, objective, rows
 
 
@@ -73,9 +74,10 @@ def test_suffix_program_matches_unrestricted_program(preset_models):
         for activity in [None] + trace[1:]:
             if activity is not None:
                 extend_spn(spn, activity)
-            markings, _ = enumerate_state_space(spn, spn.initial, 3000)
+            markings, _ = enumerate_state_space(spn.petri_net(), spn.initial, 3000)
+            moves = spn.transitions
             for m in markings:
-                k = next(i for i, p in enumerate(spn.trace_places()) if m.get(p))
+                k = next(i for i in range(spn.n + 1) if m.get(trace_place(i)))
                 remaining = spn.trace[k:]
                 distinct = list(dict.fromkeys(remaining))
                 problem = build_problem(spn, spn.encode(m))
@@ -97,7 +99,7 @@ def test_suffix_program_matches_unrestricted_program(preset_models):
                 for j, t in enumerate(problem.variables):
                     assert problem.objective[j] == objective[full[t]]
                     assert [c[j] for c, _, _ in activity_rows] == [
-                        int(a == spn.move(t).activity) for a in distinct
+                        int(a == moves[t].activity) for a in distinct
                     ]
                     assert [c[j] for c, _, _ in model_rows] == [
                         c[full[t]] for c, _, _ in full_model_rows
@@ -124,7 +126,7 @@ def test_estimates_ignore_the_order_of_the_remaining_activities(preset_models):
             rest = trace[k:]
             shuffled[k] = build_spn(net, trace[:k] + rng.sample(rest, len(rest)))
         shuffled[spn.n] = spn
-        markings, _ = enumerate_state_space(spn, spn.initial, 3000)
+        markings, _ = enumerate_state_space(spn.petri_net(), spn.initial, 3000)
         for m in markings:
             k = spn.encode(m) >> spn.table.shift
             other = shuffled[k]
@@ -159,7 +161,7 @@ def test_programs_on_a_shared_table_equal_those_on_a_private_one(preset_models):
             if activity is not None:
                 extend_spn(shared, activity)
                 extend_spn(alone, activity)
-            markings, _ = enumerate_state_space(alone, alone.initial, 3000)
+            markings, _ = enumerate_state_space(alone.petri_net(), alone.initial, 3000)
             for m in markings:
                 mine = build_problem(shared, shared.encode(m))
                 assert mine == build_problem(alone, alone.encode(m))
@@ -176,10 +178,10 @@ def test_a_marking_is_a_search_state_exactly_when_its_program_is_built(preset_mo
         build_spn(net, trace + trace, table)
         spn = build_spn(net, trace, table)
         beyond = f"tp{spn.n + 1}"
-        markings, _ = enumerate_state_space(spn, spn.initial, 3000)
+        markings, _ = enumerate_state_space(spn.petri_net(), spn.initial, 3000)
         refused = 0
         for m in markings:
-            (k,) = [i for i, p in enumerate(spn.trace_places()) if m.get(p)]
+            (k,) = [i for i in range(spn.n + 1) if m.get(trace_place(i))]
             model_part = {p: c for p, c in m.items if p != f"tp{k}"}
             variants = [
                 m,
@@ -279,8 +281,9 @@ def test_admissible_and_consistent_on_random_nets():
                 assert values[mode][m] <= dist[m], (mode, m)
         for m in markings:
             assert values["lp"][m] <= values["ilp"][m] <= dist[m]
+        moves = spn.transitions
         for source, tid, target in edges:
-            step = move_cost(spn.move(tid))
+            step = move_cost(moves[tid])
             for mode in ("lp", "ilp"):
                 assert values[mode][source] <= step + values[mode][target]
 

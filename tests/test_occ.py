@@ -90,7 +90,7 @@ def test_restart_state_is_the_replay_of_the_surviving_moves():
                 alignment, _ = occ_process_event(entry, net, activity, window)
                 spn = entry.spn
                 surviving, restart = revert_alignment(spn, previous, window)
-                replay = fire_sequence(spn, spn.initial, [mv.tid for mv in surviving])
+                replay = fire_sequence(spn.petri_net(), spn.initial, [mv.tid for mv in surviving])
                 assert spn.decode(restart) == replay, (trace, window)
                 assert alignment.moves[: len(surviving)] == surviving
                 reverted += bool(surviving)

@@ -94,7 +94,7 @@ def test_tie_key_orders_states_as_marking_items(seed, length):
     net, trace, rng = net_and_trace(seed, length)
     spn = build_spn(net, trace)
     table = spn.table
-    markings, _ = enumerate_state_space(spn, spn.initial, bound=20000)
+    markings, _ = enumerate_state_space(spn.petri_net(), spn.initial, bound=20000)
     for _ in range(200):
         counts = {p: rng.choice([0, 0, 1, 2, FIELD_MAX]) for p in net.places}
         counts[f"tp{rng.randint(0, spn.n)}"] = 1
@@ -115,8 +115,8 @@ def test_tie_key_orders_states_as_marking_items(seed, length):
 def test_a_move_fires_by_adding_its_delta(seed, length):
     net, trace, _ = net_and_trace(seed, length)
     spn = build_spn(net, trace, MoveTable(net))
-    table = spn.table
-    markings, _ = enumerate_state_space(spn, spn.initial, bound=20000)
+    table, view = spn.table, spn.petri_net()
+    markings, _ = enumerate_state_space(view, spn.initial, bound=20000)
     for m in markings:
         state = spn.encode(m)
         marked = ((state | table.guards) - table.lows) & table.guards
@@ -124,7 +124,7 @@ def test_a_move_fires_by_adding_its_delta(seed, length):
             enabled = all(m.get(p) > 0 for p in move.pre)
             assert (marked & move.need == move.need) == enabled
             if enabled:
-                assert spn.decode(state + move.delta) == fire(spn, m, move.tid)
+                assert spn.decode(state + move.delta) == fire(view, m, move.tid)
 
 
 def test_a_count_past_the_field_limit_never_wraps(n1):

@@ -198,12 +198,14 @@ def test_closed_markings_keep_enabled_sets_across_extension(n1):
         cache = SearchCache(spn)
         astar_inc(cache, "ilp", LAZY)
         for activity in trace[1:]:
-            before = {m: tuple(enabled_transitions(spn, m)) for m in closed_markings(cache)}
+            net = spn.petri_net()
+            before = {m: tuple(enabled_transitions(net, m)) for m in closed_markings(cache)}
             old_goal = spn.goal_place
             extend_spn(spn, activity)
+            net = spn.petri_net()
             for m, enabled_set in before.items():
                 assert m.get(old_goal) == 0  # closed states never mark the frontier
-                assert tuple(enabled_transitions(spn, m)) == enabled_set
+                assert tuple(enabled_transitions(net, m)) == enabled_set
             astar_inc(cache, "ilp", LAZY)
 
 

@@ -7,14 +7,15 @@ from streamalign import (
     StreamEngine,
     WorkflowNet,
     build_spn,
+    enabled,
     enabled_transitions,
     enumerate_state_space,
     extend_spn,
     fire,
     move_cost,
 )
-from streamalign.petri import NetDefinitionError, UnknownNodeError
-from streamalign.spn import Move, MoveTable
+from streamalign.petri import NetDefinitionError
+from streamalign.spn import Move, MoveTable, trace_place
 from tests.conftest import SeededRandom, nets_and_traces, random_net_and_trace
 
 
@@ -23,6 +24,13 @@ def kinds(spn):
     for t in spn.transitions.values():
         out[t.kind] += 1
     return out
+
+
+def structure(spn):
+    """The product as a net: places, transitions, arcs, labels and initial
+    marking (a move id carries its kind)."""
+    net = spn.petri_net()
+    return net.places, net.transitions, net.arcs, net.labels, net.initial
 
 
 def test_spn_rejects_empty_and_silent_traces(n1):
@@ -34,7 +42,7 @@ def test_spn_rejects_empty_and_silent_traces(n1):
 
 def test_spn_of_n1_abc_matches_figure(n1):
     spn = build_spn(n1, ["a", "b", "c"])
-    assert len(spn.place_ids()) == 7
+    assert len(spn.petri_net().places) == 7
     assert len(spn.transitions) == 10
     counts = kinds(spn)
     assert counts[MoveKind.LOG] == 3
@@ -108,11 +116,11 @@ def test_extend_by_unmatched_label_adds_log_only(n1):
 def test_extend_returns_the_tables_block_and_grows_the_goal(n1):
     spn = build_spn(n1, ["a"])
     for activity in ["b", "z", "c"]:
-        old_places = set(spn.place_ids())
+        old_places = set(spn.petri_net().places)
         block = extend_spn(spn, activity)
         assert block is spn.table.position(spn.n, spn.trace[-1])
         assert all(spn.move(m.tid) is m for m in block)
-        assert set(spn.place_ids()) - old_places == {spn.goal_place}
+        assert set(spn.petri_net().places) - old_places == {spn.goal_place}
         assert spn.goal_place == f"tp{spn.n}"
         assert all(m.pre[0] == f"tp{spn.n - 1}" and m.post[0] == spn.goal_place for m in block)
 
@@ -133,16 +141,18 @@ def test_build_equals_extend_structurally(n1):
         for activity in trace[1:]:
             extend_spn(grown, activity)
         direct = build_spn(net, trace)
-        assert grown.structure_key() == direct.structure_key()
+        assert structure(grown) == structure(direct)
 
 
 def test_extension_is_append_only(n1):
     spn = build_spn(n1, ["a", "b"])
-    before = {t: (spn.preset(t), spn.postset(t)) for t in spn.transition_ids()}
+    net = spn.petri_net()
+    before = {t: (net.preset(t), net.postset(t)) for t in net.transitions}
     extend_spn(spn, "c")
+    net = spn.petri_net()
     for t, (pre, post) in before.items():
-        assert spn.preset(t) == pre
-        assert spn.postset(t) == post
+        assert net.preset(t) == pre
+        assert net.postset(t) == post
 
 
 def test_new_trace_place_has_no_consumers_until_next_extension(n1):
@@ -150,10 +160,10 @@ def test_new_trace_place_has_no_consumers_until_next_extension(n1):
     spn = build_spn(n1, ["a"])
     extend_spn(spn, "b")
     new_place = spn.goal_place
-    assert spn.consumers(new_place) == ()
+    assert spn.petri_net().place_postset(new_place) == ()
     extend_spn(spn, "c")
-    assert spn.consumers(new_place) != ()
-    assert spn.consumers(spn.goal_place) == ()
+    assert spn.petri_net().place_postset(new_place) != ()
+    assert spn.petri_net().place_postset(spn.goal_place) == ()
 
 
 def test_frontier_growth_two_step(n1):
@@ -163,11 +173,12 @@ def test_frontier_growth_two_step(n1):
     for _ in range(20):
         net, trace = random_net_and_trace(rng, max_len=4)
         spn = build_spn(net, trace)
-        old_places = set(spn.place_ids())
-        markings, _ = enumerate_state_space(spn, spn.initial, bound=5000)
+        old_places = set(spn.petri_net().places)
+        markings, _ = enumerate_state_space(spn.petri_net(), spn.initial, bound=5000)
         extend_spn(spn, trace[0])
         newest = set(tids(extend_spn(spn, trace[-1])))
-        enabled_before_sets = {m: set(enabled_transitions(spn, m)) for m in markings}
+        grown = spn.petri_net()
+        enabled_before_sets = {m: set(enabled_transitions(grown, m)) for m in markings}
         for m, now_enabled in enabled_before_sets.items():
             assert set(m.places()) <= old_places
             assert not (now_enabled & newest)
@@ -175,17 +186,18 @@ def test_frontier_growth_two_step(n1):
 
 def test_one_token_in_trace_part_everywhere(n1):
     spn = build_spn(n1, ["a", "b", "c"])
-    trace_places = set(spn.trace_places())
-    markings, _ = enumerate_state_space(spn, spn.initial, bound=5000)
+    trace_places = {trace_place(i) for i in range(spn.n + 1)}
+    markings, _ = enumerate_state_space(spn.petri_net(), spn.initial, bound=5000)
     for m in markings:
         assert sum(c for p, c in m.items if p in trace_places) == 1
 
 
 def test_candidate_moves_are_exactly_the_enabled_moves(preset_models):
     # The search tries only candidate_moves(s) of a packed state s; among
-    # them its mask test must find every enabled move, in the order of the
-    # full scan, and adding a move's delta must fire it.  The table is
-    # shared with a longer case, so it knows trace places beyond this net.
+    # them its mask test must find every enabled move, in the registration
+    # order of the full scan (which fixes the search's ties), and adding a
+    # move's delta must fire it.  The table is shared with a longer case, so
+    # it knows trace places beyond this net.
     for net, trace in nets_and_traces(preset_models, 31):
         table = MoveTable(net)
         build_spn(net, trace + trace, table)
@@ -193,14 +205,15 @@ def test_candidate_moves_are_exactly_the_enabled_moves(preset_models):
         for k in range(1, len(trace) + 1):
             if k > 1:
                 extend_spn(spn, trace[k - 1])
-            markings, _ = enumerate_state_space(spn, spn.initial, bound=5000)
+            view, moves = spn.petri_net(), spn.transitions.values()
+            markings, _ = enumerate_state_space(view, spn.initial, bound=5000)
             for m in markings:
                 s = spn.encode(m)
                 marked = ((s | table.guards) - table.lows) & table.guards
                 tried = [r for r in spn.candidate_moves(s) if marked & r.need == r.need]
-                assert [r.tid for r in tried] == enabled_transitions(spn, m)
+                assert tried == [r for r in moves if enabled(view, m, r.tid)]
                 for r in tried:
-                    assert spn.decode(s + r.delta) == fire(spn, m, r.tid)
+                    assert spn.decode(s + r.delta) == fire(view, m, r.tid)
 
 
 def test_cases_with_the_same_activity_share_records(n1):
@@ -215,7 +228,6 @@ def test_cases_with_the_same_activity_share_records(n1):
     assert len(block) == 2  # log move and the synchronous move on t3
     for a in block:
         assert one.move(a.tid) is two.move(a.tid) is a
-        assert one.preset(a.tid) is two.preset(a.tid)
     first_a, first_c = moves.position(1, "a"), moves.position(1, "c")
     assert all(one.move(a.tid) is a for a in first_a)
     assert all(two.move(c.tid) is c for c in first_c)
@@ -228,11 +240,11 @@ def test_shared_table_builds_the_same_net(preset_models):
         build_spn(net, list(reversed(trace)), table)  # other blocks come first
         shared = build_spn(net, trace[:1], table)
         alone = build_spn(net, trace[:1])
-        assert shared.structure_key() == alone.structure_key()
+        assert structure(shared) == structure(alone)
         for activity in trace[1:]:
             assert extend_spn(shared, activity) == extend_spn(alone, activity)
-            assert shared.structure_key() == alone.structure_key()
-            assert shared.transition_ids() == alone.transition_ids()
+            assert structure(shared) == structure(alone)
+            assert list(shared.transitions) == list(alone.transitions)
 
 
 def reserved_id_net():
@@ -287,7 +299,7 @@ def test_every_move_carries_its_standard_cost(preset_models):
         assert {m.cost for m in moves if m.kind is MoveKind.LOG} <= {1}
 
 
-def test_the_protocol_is_derived_from_the_tables_blocks(preset_models):
+def test_the_moves_are_derived_from_the_tables_blocks(preset_models):
     # A net on a shared table must see only its own positions, so a second
     # net with the reversed trace fills the table with other blocks first.
     for net, trace in nets_and_traces(preset_models, 47):
@@ -298,16 +310,8 @@ def test_the_protocol_is_derived_from_the_tables_blocks(preset_models):
             reference = list(table.model_moves) + [
                 m for i, a in enumerate(spn.trace, start=1) for m in table.position(i, a)
             ]
-            assert spn.transition_ids() == tuple(m.tid for m in reference)
             assert list(spn.transitions.items()) == [(m.tid, m) for m in reference]
-            for m in reference:
-                assert spn.move(m.tid) is m and spn.has_transition(m.tid)
-                assert spn.preset(m.tid) is m.pre and spn.postset(m.tid) is m.post
-            for place in spn.place_ids():
-                assert spn.consumers(place) == tuple(m.tid for m in reference if place in m.pre)
-            assert spn.structure_key()[1] == tuple(
-                (m.tid, m.kind.value, m.pre, m.post) for m in sorted(reference, key=lambda m: m.tid)
-            )
+            assert all(spn.move(m.tid) is m for m in reference)
             assert repr(spn) == f"SyncProductNet(n={spn.n}, |T^S|={len(reference)})"
             n = spn.n
             unknown = [
@@ -315,11 +319,6 @@ def test_the_protocol_is_derived_from_the_tables_blocks(preset_models):
                 f"sync:tt{n}|nothing", "model:nothing", f"tt{n}", "log:tt", "",
             ]
             for tid in unknown:
-                assert not spn.has_transition(tid)
-                with pytest.raises(UnknownNodeError):
-                    spn.preset(tid)
-                with pytest.raises(UnknownNodeError):
-                    spn.postset(tid)
                 with pytest.raises(KeyError):
                     spn.move(tid)
             # no map of moves is kept per net
@@ -329,3 +328,28 @@ def test_the_protocol_is_derived_from_the_tables_blocks(preset_models):
                 ))
             if activity is not None:
                 extend_spn(spn, activity)
+
+
+def test_the_petri_net_view_has_every_moves_arcs(preset_models):
+    for net, trace in nets_and_traces(preset_models, 53):
+        spn = build_spn(net, trace)
+        view, moves = spn.petri_net(), spn.transitions
+        assert view.places == tuple(sorted([trace_place(i) for i in range(spn.n + 1)] + list(net.places)))
+        assert view.transitions == tuple(sorted(moves))
+        assert view.arcs == {(p, m.tid) for m in moves.values() for p in m.pre} | {
+            (m.tid, p) for m in moves.values() for p in m.post
+        }
+        for m in moves.values():
+            assert view.label(m.tid) == (m.model_label if m.kind is MoveKind.MODEL else m.activity)
+        assert view.initial == spn.initial and view.final == Marking.of(spn.goal_place)
+
+
+def test_the_petri_net_view_refuses_a_model_place_named_as_a_move():
+    net = WorkflowNet(
+        ["s", "model:u", "e"], ["u", "v"], [("s", "u"), ("u", "model:u"), ("model:u", "v"), ("v", "e")],
+        {"u": "a", "v": None}, Marking.of("s"), Marking.of("e"),
+    )
+    spn = build_spn(net, ["a"])
+    assert spn.move("model:u").pre == ("s",)
+    with pytest.raises(NetDefinitionError):
+        spn.petri_net()
