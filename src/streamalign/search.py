@@ -215,8 +215,6 @@ def _astar(
         raise ValueError(f"unknown heuristic mode {h_mode!r}")
     if refresh not in (EAGER, LAZY):
         raise ValueError(f"unknown refresh policy {refresh!r}")
-    if cache.goal is None:  # the cache's first search: its root counts as queued
-        metrics.queued += 1
     spn = cache.spn
     table = spn.table
     g_map, p_map = cache.g, cache._p
@@ -238,12 +236,15 @@ def _astar(
         return value
 
     def refresh_h(state: int):
-        # the root is the only state refreshed before it had an estimate
-        if state != cache.root:
-            metrics.heuristic_recomputations += 1
+        metrics.heuristic_recomputations += 1
         return 0 if zero else fresh_h(state)
 
-    if refresh == EAGER:
+    if cache.goal is None:
+        # The cache's first search: its root counts as queued.  Being the
+        # only open state, it is popped first whatever its estimate, and it
+        # closes at g = 0, never to be reopened, so none is ever solved.
+        metrics.queued += 1
+    elif refresh == EAGER:
         if not zero:  # a zero estimate never goes out of date
             for s in open_set.states():
                 hv = refresh_h(s)

@@ -26,13 +26,13 @@ LOGS = tuple(
 ) + (("choice-loop-max16", "choice-loop", ("--max-len", "16"), ("ilp", "zero")),)
 
 DIGESTS = {
-    "choice-loop-max16/ilp/events_ias.jsonl": "571ae316d8664dc50a37b90f51ec145081fd3ff443f7259e4538326695bb36c2",
-    "choice-loop-max16/ilp/events_iasr.jsonl": "a4fe5e7a914476b9035317266447f7b55a369968ff774c63d2f124e308a45923",
-    "choice-loop-max16/ilp/events_occ-w1.jsonl": "c5d32acc58ba755c516fca89ece1e35262dc922d5467a92a17ffda6cf0d9aa6a",
-    "choice-loop-max16/ilp/events_occ-w2.jsonl": "d3fb36da5e3598c94da84aad8bdf30f6dfff3a2300eba728881bad7a7657f362",
-    "choice-loop-max16/ilp/events_occ.jsonl": "491fb22ece8bf5ed11e3e9f936a3862f37bfd1177b5b72368dcf6b82497a4335",
-    "choice-loop-max16/ilp/metrics.csv": "7c272b6182201653cfb9b1c1f33731a76b8fc5ba1fa5ca7652ea19d6fd9da2e4",
-    "choice-loop-max16/ilp/metrics.txt": "9a3f91d43bd218963ceda6433e9f7b7e7eb9a418e975ffa1c71eac8f702f92c6",
+    "choice-loop-max16/ilp/events_ias.jsonl": "cdfb201eff0f6acd12377432a993c8419eceb1a8291c0f845d87be4c1157a0d2",
+    "choice-loop-max16/ilp/events_iasr.jsonl": "6262d1a23fd5dd4c4e8cd5457452ae32df7542bfd75eaad6b5130371e2315053",
+    "choice-loop-max16/ilp/events_occ-w1.jsonl": "906243f10baefca01bd22cd47e97233a4209adf22afd760254edca5e6d256bd2",
+    "choice-loop-max16/ilp/events_occ-w2.jsonl": "ab07f5081c3a23b23e201f0f0d9e0ae935a527192480dfb9cd1ff9d35761fcab",
+    "choice-loop-max16/ilp/events_occ.jsonl": "19b69bfbe4184e381e4718da333404cbed0e59c749f34755cfc1a154cf486a9a",
+    "choice-loop-max16/ilp/metrics.csv": "3bad71b6813eef45b35324b2f54e62d66c6fd7e9d98147b4916323a229dc32d1",
+    "choice-loop-max16/ilp/metrics.txt": "2f17ee4adc404a890f6680ea7f73668a31c4776ef9973c13172c7f864b69b855",
     "choice-loop-max16/zero/events_ias.jsonl": "e4827de07771ed4b781ca909f834517cad0a9e38809aed45a1c32cefab83a740",
     "choice-loop-max16/zero/events_iasr.jsonl": "e4827de07771ed4b781ca909f834517cad0a9e38809aed45a1c32cefab83a740",
     "choice-loop-max16/zero/events_occ-w1.jsonl": "9caebbcf6575b2b0bdc5581d47344c3e8a0a377d613dac588f27903c0352a4a9",
@@ -40,20 +40,20 @@ DIGESTS = {
     "choice-loop-max16/zero/events_occ.jsonl": "5a90596f3c403f7a153ab1d59decc443e7debf6fd6324bc6e0626013f4b07c9e",
     "choice-loop-max16/zero/metrics.csv": "b95cb81c730f7d83f712fff8e7eb758262b6605e2c3e454998a1a4362f80422f",
     "choice-loop-max16/zero/metrics.txt": "fe231ab9ece165b9518defbbd682e19795a34667a38b0daf6eb4796a470215f3",
-    "choice-loop/ilp/events_ias.jsonl": "d30a08b39a1da48f00b060139b086edc7f1beaebf14c3218de4d20a05d6410ca",
-    "choice-loop/ilp/events_iasr.jsonl": "8175df7ebded38019524a7e5589c5f6b9c83130fe417f9d22d1caf9d7e1b79b6",
-    "choice-loop/ilp/events_occ-w1.jsonl": "328939ef6fbae6ce872d7790d66c58a8c487935f99c5c1fa6cba63665dc937bb",
-    "choice-loop/ilp/events_occ-w2.jsonl": "1d235dc0090737305f0e3fb7b10d6bf1c8bd44854f54ffa2c3ecf19e1e8b00d5",
-    "choice-loop/ilp/events_occ.jsonl": "ca88773c84fd99b865580b70ac59bb9b08c3eb62b5c23cfa7ecc0ff8e31221ea",
-    "choice-loop/ilp/metrics.csv": "0fccb26dbbf323bfe30ded07832bdd285cdc09c730d7557c68d4cc7248d091e9",
-    "choice-loop/ilp/metrics.txt": "54caa04dc63865476b2db35cbfe644a3deb00a70fd16e15b6e73a1c6d5c5bfdd",
-    "choice-loop/lp/events_ias.jsonl": "d30a08b39a1da48f00b060139b086edc7f1beaebf14c3218de4d20a05d6410ca",
-    "choice-loop/lp/events_iasr.jsonl": "8175df7ebded38019524a7e5589c5f6b9c83130fe417f9d22d1caf9d7e1b79b6",
-    "choice-loop/lp/events_occ-w1.jsonl": "328939ef6fbae6ce872d7790d66c58a8c487935f99c5c1fa6cba63665dc937bb",
-    "choice-loop/lp/events_occ-w2.jsonl": "1d235dc0090737305f0e3fb7b10d6bf1c8bd44854f54ffa2c3ecf19e1e8b00d5",
-    "choice-loop/lp/events_occ.jsonl": "ca88773c84fd99b865580b70ac59bb9b08c3eb62b5c23cfa7ecc0ff8e31221ea",
-    "choice-loop/lp/metrics.csv": "0fccb26dbbf323bfe30ded07832bdd285cdc09c730d7557c68d4cc7248d091e9",
-    "choice-loop/lp/metrics.txt": "54caa04dc63865476b2db35cbfe644a3deb00a70fd16e15b6e73a1c6d5c5bfdd",
+    "choice-loop/ilp/events_ias.jsonl": "76f71b1984dd389545a9408184f3bace74ab06d266ab3dd42671a3437c3efcaf",
+    "choice-loop/ilp/events_iasr.jsonl": "1d84e43e0d203d9cb3263385414fa6884bd2bc313e5dbf0066c3abe80a58bb68",
+    "choice-loop/ilp/events_occ-w1.jsonl": "0ec2a6ea76a07eb862409f6340a2e866c6798caf8bbaf3e04d8a7c47ea7f884f",
+    "choice-loop/ilp/events_occ-w2.jsonl": "98e74b3448a8fd2097be6147e050fa48927cdac49457d34e57fcf1073307b5f0",
+    "choice-loop/ilp/events_occ.jsonl": "27cf8fdf40f01a4a33ffd30f4c28e5d72156f7476f5d103948d3783f7ca6d37a",
+    "choice-loop/ilp/metrics.csv": "fb84be4cf8a7018659e9c351f5c7a635a3f124e10abfc1ee6a4b8b3f13e54e97",
+    "choice-loop/ilp/metrics.txt": "372cad0cdb7ec514ce52dff4ba3a001efeb2707f50b2baee2f317f7ec1c14680",
+    "choice-loop/lp/events_ias.jsonl": "76f71b1984dd389545a9408184f3bace74ab06d266ab3dd42671a3437c3efcaf",
+    "choice-loop/lp/events_iasr.jsonl": "1d84e43e0d203d9cb3263385414fa6884bd2bc313e5dbf0066c3abe80a58bb68",
+    "choice-loop/lp/events_occ-w1.jsonl": "0ec2a6ea76a07eb862409f6340a2e866c6798caf8bbaf3e04d8a7c47ea7f884f",
+    "choice-loop/lp/events_occ-w2.jsonl": "98e74b3448a8fd2097be6147e050fa48927cdac49457d34e57fcf1073307b5f0",
+    "choice-loop/lp/events_occ.jsonl": "27cf8fdf40f01a4a33ffd30f4c28e5d72156f7476f5d103948d3783f7ca6d37a",
+    "choice-loop/lp/metrics.csv": "fb84be4cf8a7018659e9c351f5c7a635a3f124e10abfc1ee6a4b8b3f13e54e97",
+    "choice-loop/lp/metrics.txt": "372cad0cdb7ec514ce52dff4ba3a001efeb2707f50b2baee2f317f7ec1c14680",
     "choice-loop/zero/events_ias.jsonl": "930194855a8a3a39ae30f5d79e93a8b4314741e9d0b9e37216e66b87dc3c14e3",
     "choice-loop/zero/events_iasr.jsonl": "930194855a8a3a39ae30f5d79e93a8b4314741e9d0b9e37216e66b87dc3c14e3",
     "choice-loop/zero/events_occ-w1.jsonl": "951e056fba381a43ee41f79482570990df98c376fb805e3bbdc581da36680ee8",
@@ -61,20 +61,20 @@ DIGESTS = {
     "choice-loop/zero/events_occ.jsonl": "136d3b98ed6b05a8b8d86cda06bec850f0a228d8bc0f9479ac7bddf84ffa3e45",
     "choice-loop/zero/metrics.csv": "766c1dbad78e1b64efa21d1217242ca1e9311a2339a77a0134d1071366193ca5",
     "choice-loop/zero/metrics.txt": "cb76467b2cbc8251333caa36a78c65b86ff34efaf9bedd54107fb580d34add08",
-    "parallel-tau/ilp/events_ias.jsonl": "69ee731815fb25bd9940c552f61ca0a93179e9543024d742d59126b1598c46a0",
-    "parallel-tau/ilp/events_iasr.jsonl": "85971daaedbcb8721e9559935f5a66f3012bde39a01c05edf1d25fd395a69870",
-    "parallel-tau/ilp/events_occ-w1.jsonl": "da83b36b8840aa92c9714f33d29bd56303c46e6e49e591c2eb56e5d38cb419cf",
-    "parallel-tau/ilp/events_occ-w2.jsonl": "c96f944dfeb704cb13892a268eb2d6fc6431216e7589014aecf1a838b039409a",
-    "parallel-tau/ilp/events_occ.jsonl": "262360a969f9acb05d0079b4a898b81182fe1c24a8fb0ce717d8a341628f4597",
-    "parallel-tau/ilp/metrics.csv": "87968828bfbd275cb409be6a503962c145fe25de2fb71b09e4ee1067c2a099f0",
-    "parallel-tau/ilp/metrics.txt": "752259ac4430afce3480871f2a6517f9309f1acef4a93f0699c5800b60b8c606",
-    "parallel-tau/lp/events_ias.jsonl": "69ee731815fb25bd9940c552f61ca0a93179e9543024d742d59126b1598c46a0",
-    "parallel-tau/lp/events_iasr.jsonl": "85971daaedbcb8721e9559935f5a66f3012bde39a01c05edf1d25fd395a69870",
-    "parallel-tau/lp/events_occ-w1.jsonl": "da83b36b8840aa92c9714f33d29bd56303c46e6e49e591c2eb56e5d38cb419cf",
-    "parallel-tau/lp/events_occ-w2.jsonl": "c96f944dfeb704cb13892a268eb2d6fc6431216e7589014aecf1a838b039409a",
-    "parallel-tau/lp/events_occ.jsonl": "262360a969f9acb05d0079b4a898b81182fe1c24a8fb0ce717d8a341628f4597",
-    "parallel-tau/lp/metrics.csv": "87968828bfbd275cb409be6a503962c145fe25de2fb71b09e4ee1067c2a099f0",
-    "parallel-tau/lp/metrics.txt": "752259ac4430afce3480871f2a6517f9309f1acef4a93f0699c5800b60b8c606",
+    "parallel-tau/ilp/events_ias.jsonl": "2c3411c20d4ad94fd5e87129c631da40cdca7fe3b8ad7384d993d1736d1be88b",
+    "parallel-tau/ilp/events_iasr.jsonl": "9a242e3ab6c90bd68c274e25570fde12e03de0f33beea8f87e672bc45c6eb91a",
+    "parallel-tau/ilp/events_occ-w1.jsonl": "8281af720e2c9611f9933f4fde02bfac4447e5e31477f652300012f674862917",
+    "parallel-tau/ilp/events_occ-w2.jsonl": "38798104c1c12d74eb002f4e9b75a49df2e135170e3ffc98e7af419c0f22be4e",
+    "parallel-tau/ilp/events_occ.jsonl": "e831bcd3711e513b0a696e1668e617941e9ad8939ba8353b996ff47556d37da6",
+    "parallel-tau/ilp/metrics.csv": "6e188674d2bea1b115bc3e5095f651b55ae3e75d31ef520d13d72fd5cbba1e6c",
+    "parallel-tau/ilp/metrics.txt": "31d7b5c98b641f1d36524536734837cbef3fac97528019ff57bca028cb1c742c",
+    "parallel-tau/lp/events_ias.jsonl": "2c3411c20d4ad94fd5e87129c631da40cdca7fe3b8ad7384d993d1736d1be88b",
+    "parallel-tau/lp/events_iasr.jsonl": "9a242e3ab6c90bd68c274e25570fde12e03de0f33beea8f87e672bc45c6eb91a",
+    "parallel-tau/lp/events_occ-w1.jsonl": "8281af720e2c9611f9933f4fde02bfac4447e5e31477f652300012f674862917",
+    "parallel-tau/lp/events_occ-w2.jsonl": "38798104c1c12d74eb002f4e9b75a49df2e135170e3ffc98e7af419c0f22be4e",
+    "parallel-tau/lp/events_occ.jsonl": "e831bcd3711e513b0a696e1668e617941e9ad8939ba8353b996ff47556d37da6",
+    "parallel-tau/lp/metrics.csv": "6e188674d2bea1b115bc3e5095f651b55ae3e75d31ef520d13d72fd5cbba1e6c",
+    "parallel-tau/lp/metrics.txt": "31d7b5c98b641f1d36524536734837cbef3fac97528019ff57bca028cb1c742c",
     "parallel-tau/zero/events_ias.jsonl": "e947be72c7cb1fc6e61587fb988a261330735e2dcd70780be96b87756796a121",
     "parallel-tau/zero/events_iasr.jsonl": "e947be72c7cb1fc6e61587fb988a261330735e2dcd70780be96b87756796a121",
     "parallel-tau/zero/events_occ-w1.jsonl": "7a7000bd52d5eb63e6d490521ffbac2496e07c29969bdca561c7c243987b0bbe",
