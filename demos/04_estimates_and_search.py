@@ -3,8 +3,9 @@
 The estimate relaxes reachability to token-flow balance and is solved
 exactly: as a rational program (`lp`), over integers (`ilp`), or switched
 off (`zero`).  Tighter estimates visit fewer states but each value costs a
-solver call; the lazy refresh policy (`ias`) additionally skips recomputing
-estimates that the search never touches again.  An engine keeps every value
+solver call.  `ias` keeps every estimate it has solved when the trace grows
+and re-solves one only when its state is reopened; `iasr` re-solves every
+open estimate after each event.  An engine keeps every value
 it solves in a memo shared by its cases, so "solved" counts only the
 programs that no earlier event of any case had solved.
 """
@@ -32,7 +33,7 @@ for marking in [spn.initial, Marking.of("tp1", "q1"), Marking.of("tp2", "q1")]:
     ilp = estimate(spn, state, "ilp")
     print(f"{str(marking):<28} {str(lp):>5} {ilp:>6} {true_distance[marking]:>6}")
 
-# search effort across heuristic modes and refresh policies
+# search effort across heuristic modes and with or without refreshed estimates
 log = generate_log(model, 30, {"swap_p": 0.2, "drop_p": 0.1}, max_len=8, seed=5)
 events = replay_log_as_stream(log)
 print(f"\n{'setup':<14} {'visited':>8} {'queued':>8} {'solved':>8}")
@@ -48,5 +49,6 @@ for algorithm, heuristic in (
     queued = sum(r.metrics.queued for r in results)
     solved = sum(r.metrics.lps_solved for r in results)
     print(f"{algorithm + '/' + heuristic:<14} {visited:>8} {queued:>8} {solved:>8}")
-print("\nzero explores the most; ilp guides best; lazy refresh (ias) solves")
-print("fewer programs than eager refresh (iasr) for the same optimal answers.")
+print("\nzero explores the most; ilp guides best; ias keeps its estimates and")
+print("re-solves only on reopen, so it solves far fewer programs than iasr, which")
+print("re-solves every open estimate, for the same optimal answers.")

@@ -1,8 +1,9 @@
 """Per-case orchestration of the streaming monitor.
 
 The engine keeps one cache entry per case id; every event extends that
-case's trace and product net and then continues (``ias``/``iasr``) or
-restarts (``occ``/``occ-wN``) the shortest-path search.  State is never
+case's trace and product net and then continues (``ias``, which keeps its
+open estimates, or ``iasr``, which re-solves them) or restarts
+(``occ``/``occ-wN``) the shortest-path search.  State is never
 evicted: a stream with unboundedly many cases grows the table without limit,
 which the gauges below make observable.
 
@@ -26,7 +27,7 @@ from .alignment import Checkpoint, PrefixAlignment
 from .heuristic import MODES
 from .occ import occ_process_event
 from .petri import WorkflowNet
-from .search import EAGER, LAZY, SearchCache, SearchMetrics, astar_inc
+from .search import SearchCache, SearchMetrics, astar_inc
 from .spn import MoveTable, SyncProductNet, build_spn, extend_spn
 
 _OCC_W = re.compile(r"^occ-w([0-9]+)$")
@@ -161,8 +162,7 @@ class StreamEngine:
             entry.cache = SearchCache(entry.spn)
         else:
             extend_spn(entry.spn, activity)
-        refresh = LAZY if self.kind == "ias" else EAGER
-        outcome = astar_inc(entry.cache, self.heuristic, refresh, memo=self.memo)
+        outcome = astar_inc(entry.cache, self.heuristic, self.kind == "iasr", memo=self.memo)
         return EventResult(
             event.case_id, event.index, activity, outcome.alignment, outcome.metrics
         )

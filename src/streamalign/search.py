@@ -2,12 +2,14 @@
 
 :func:`astar_inc` resumes search from the cache left behind by the
 previous event of the same case: extension never rewires the explored
-region, so cost-so-far values stay valid and only the estimates toward the
-new goal place need refreshing.  ``eager`` refresh recomputes every open
-estimate up front; ``lazy`` refresh marks open states outdated and refreshes
-one state at a time when it is popped, skipping its goal test and expansion
-for that pop.  Under the ``zero`` heuristic neither policy refreshes
-anything, since a zero estimate cannot change.
+region, so cost-so-far values stay valid.  By default the search also keeps
+every open state's estimate: one taken before an extension stays admissible
+after it (h_old <= h*_old <= h*_new), and a closed state that a strictly
+cheaper path reaches is reopened, so the search stays exact.  A program is
+solved only for a newly queued or a reopened state.  ``refresh=True``
+instead recomputes every open estimate up front (``iasr``); under the
+``zero`` heuristic it recomputes nothing, since a zero estimate cannot
+change.
 
 The returned goal state is deliberately left in the open set: the next
 extension may grow cheaper continuations through it.  The cache also keeps
@@ -24,9 +26,9 @@ the layout of the net's move table (see :mod:`streamalign.spn`), so the
 cache, the open set and the predecessor map hold ints, which the cyclic
 garbage collector does not track.  The packed state is the only state
 type of the search core: a start is given as one, :class:`SearchCache`
-keys ``g`` and ``stale`` by it, and the estimate is asked for it.  A cache
-lives as long as its case, so it keeps each piece of search state once, in
-slotted attributes (see :class:`SearchCache`).
+keys ``g`` by it, and the estimate is asked for it.  A cache lives as long
+as its case, so it keeps each piece of search state once, in slotted
+attributes (see :class:`SearchCache`).
 Even the emitted alignment ends in the packed goal, and
 :class:`~streamalign.petri.Marking` appears only when a caller reads its
 ``end_marking``; callers that hold a marking convert it with
@@ -92,10 +94,6 @@ class SearchExhausted(RuntimeError):
     """Open set ran dry before any goal marking was reached."""
 
 
-EAGER = "eager"
-LAZY = "lazy"
-
-
 class OpenSet:
     """Priority structure over packed states with lazy invalidation.
 
@@ -146,21 +144,21 @@ class SearchMetrics:
 class SearchCache:
     """Reusable A* state of one case: its product net, open set, g, predecessors.
 
-    Also keeps the set of open states whose estimate predates the latest
-    extension (``stale``, lazy refresh).  An open state's estimate is its
-    key in ``open`` minus its ``g``, kept when a cheaper path reaches it; a
-    closed state keeps none.  One cache is kept per live case, hence the
-    slots.  A state is closed exactly when it has a ``g`` value and is not
-    open.  Everything is keyed by packed state of ``spn``.  The search
-    starts from the packed state ``start``, by default the net's initial
-    marking.  ``goal`` is the goal state of the last search (None before
-    the first, which counts the start as queued) and ``checkpoint`` the
+    An open state's estimate is its key in ``open`` minus its ``g``, kept
+    across extensions and when a cheaper path reaches it, and solved again
+    only when the state is reopened or refreshed; a closed state keeps none.
+    One cache is kept per live case, hence the slots.  A state is closed
+    exactly when it has a ``g`` value and is not open.  Everything is keyed
+    by packed state of ``spn``.  The search starts from the packed state
+    ``start``, by default the net's initial marking.  ``goal`` is the goal
+    state of the last search (None before the first, which counts the start
+    as queued) and ``checkpoint`` the
     :class:`~streamalign.alignment.Checkpoint` of its verified alignment
     (None until one is verified); the next event reconstructs and verifies
     from them.
     """
 
-    __slots__ = ("spn", "root", "open", "g", "_p", "stale", "goal", "checkpoint")
+    __slots__ = ("spn", "root", "open", "g", "_p", "goal", "checkpoint")
 
     def __init__(self, spn: SyncProductNet, start: int | None = None):
         self.spn = spn
@@ -168,7 +166,6 @@ class SearchCache:
         self.open = OpenSet(spn.table)
         self.g: dict[int, int] = {self.root: 0}
         self._p: dict[int, Move | None] = {self.root: None}  # the move that reached a state
-        self.stale: set[int] = set()
         self.open.push(self.root, 0, 0)
         self.goal: int | None = None
         self.checkpoint: Checkpoint | None = None
@@ -207,18 +204,16 @@ def memo_key(spn: SyncProductNet, state: int, h_mode: str) -> tuple:
 
 
 def _astar(
-    cache: SearchCache, h_mode: str, refresh: str, memo: dict | None = None
+    cache: SearchCache, h_mode: str, refresh: bool = False, memo: dict | None = None
 ) -> SearchOutcome:
     started = time.perf_counter()
     metrics = SearchMetrics()
     if h_mode not in MODES:
         raise ValueError(f"unknown heuristic mode {h_mode!r}")
-    if refresh not in (EAGER, LAZY):
-        raise ValueError(f"unknown refresh policy {refresh!r}")
     spn = cache.spn
     table = spn.table
     g_map, p_map = cache.g, cache._p
-    stale, open_set, live = cache.stale, cache.open, cache.open._live
+    open_set, live = cache.open, cache.open._live
     zero = h_mode == "zero"  # every estimate is 0
 
     def fresh_h(state: int):
@@ -244,24 +239,14 @@ def _astar(
         # only open state, it is popped first whatever its estimate, and it
         # closes at g = 0, never to be reopened, so none is ever solved.
         metrics.queued += 1
-    elif refresh == EAGER:
-        if not zero:  # a zero estimate never goes out of date
-            for s in open_set.states():
-                hv = refresh_h(s)
-                open_set.push(s, g_map[s] + hv, g_map[s])
-        stale.clear()
-    elif not zero:  # lazy
-        stale.update(live)
+    elif refresh and not zero:  # a zero estimate never goes out of date
+        for s in open_set.states():
+            hv = refresh_h(s)
+            open_set.push(s, g_map[s] + hv, g_map[s])
 
     n, shift, guards, lows = spn.n, table.shift, table.guards, table.lows
     while len(open_set):
         state, f, g_here = open_set.pop()
-
-        if state in stale:
-            hv = refresh_h(state)
-            stale.discard(state)
-            open_set.push(state, g_here + hv, g_here)
-            continue
 
         if state >> shift == n:  # the trace token is on the goal place
             open_set.push(state, f, g_here)  # stays in open
@@ -306,17 +291,17 @@ def _astar(
             p_map[successor] = move
             if old_g is not None and successor not in live:
                 # A strictly cheaper path to a closed marking can only
-                # appear when an outdated estimate mis-ordered earlier pops
-                # (estimates may shrink under extension).  Reopen it so the
-                # cheaper cost propagates; with up-to-date estimates this
-                # branch is unreachable.
+                # appear when a kept estimate mis-ordered earlier pops (an
+                # extension may lower a fresh estimate below the kept one).
+                # Reopen it so the cheaper cost propagates; with refreshed
+                # estimates this branch is unreachable.
                 hv = refresh_h(successor)
                 metrics.reopened += 1
                 metrics.queued += 1
             elif old_g is None:
                 metrics.queued += 1
                 hv = 0 if zero else fresh_h(successor)
-            else:  # open: it keeps its estimate, outdated or not, until popped
+            else:  # open: it keeps its estimate
                 entry = live[successor]
                 hv = entry[0] + entry[1]  # its key f minus its g
             open_set.push(successor, new_g + hv, new_g)
@@ -330,13 +315,14 @@ def _astar(
 def astar_inc(
     cache: SearchCache,
     h_mode: str = "ilp",
-    refresh: str = LAZY,
+    refresh: bool = False,
     memo: dict | None = None,
 ) -> SearchOutcome:
     """Continue the search on ``cache.spn`` after (at most) one extension.
 
     The cache must be freshly initialized or be left as the previous call
-    left it; the call updates it in place.  ``memo`` is an optional
+    left it; the call updates it in place.  ``refresh`` recomputes every
+    open estimate first; by default they are kept.  ``memo`` is an optional
     estimate memo for the net's model (see the module docstring).  The
     alignment is rebuilt and verified from the previous call's goal and
     checkpoint where they still hold (see the module docstring).
@@ -362,7 +348,7 @@ def astar_scratch(
 ) -> SearchOutcome:
     """One-shot search from the packed state ``start`` (default: the
     initial marking)."""
-    return _astar(SearchCache(spn, start), h_mode, EAGER, memo)
+    return _astar(SearchCache(spn, start), h_mode, memo=memo)
 
 
 def dijkstra_oracle(

@@ -170,32 +170,6 @@ def random_net_and_trace(rng: SeededRandom, max_len: int = 6):
     )
 
 
-def reopening_net_and_trace() -> tuple[WorkflowNet, list[str]]:
-    """A staged net and trace on which the ``lp``/lazy search reopens a closed
-    state (see ``tests/test_search.py::test_reopening_repairs_stale_key_misordering``)."""
-    stage_labels = {
-        "t0": "a", "t1": "b",          # q0 -> q1
-        "t2": None, "t3": "b",         # q1 -> q2
-        "t4": "a", "t5": "a",          # q2 -> q3
-        "t6": None, "t7": "b", "t8": "b",  # q3 -> q4
-    }
-    arcs = [
-        ("q0", "t0"), ("q0", "t1"), ("t0", "q1"), ("t1", "q1"),
-        ("q1", "t2"), ("q1", "t3"), ("t2", "q2"), ("t3", "q2"),
-        ("q2", "t4"), ("q2", "t5"), ("t4", "q3"), ("t5", "q3"),
-        ("q3", "t6"), ("q3", "t7"), ("q3", "t8"), ("t6", "q4"), ("t7", "q4"), ("t8", "q4"),
-    ]
-    net = WorkflowNet(
-        ["q0", "q1", "q2", "q3", "q4"],
-        list(stage_labels),
-        arcs,
-        stage_labels,
-        Marking.of("q0"),
-        Marking.of("q4"),
-    )
-    return net, ["a", "a", "b", "b", "a", "a"]
-
-
 def nets_and_traces(preset_models, seed):
     """30 seeded random nets with a trace each, and noisy traces of both presets."""
     rng = SeededRandom(seed)

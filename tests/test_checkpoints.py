@@ -30,9 +30,8 @@ from streamalign import (
 from streamalign.alignment import Checkpoint, reconstruct
 from streamalign.assets import ordering_model
 from streamalign.petri import enabled_transitions, fire_sequence
-from streamalign.search import EAGER, LAZY
 from streamalign.spn import Move, MoveKind
-from tests.conftest import SeededRandom, random_net_and_trace, reopening_net_and_trace
+from tests.conftest import SeededRandom, random_net_and_trace
 from tests.reference_verifier import reference_verify
 
 ALGORITHMS = ("ias", "iasr", "occ-w1", "occ-w2")
@@ -287,11 +286,13 @@ def full_walk(cache):
     return reconstruct(cache._p, cache.goal, cache.root, cache.spn)
 
 
-@pytest.mark.parametrize("refresh", [LAZY, EAGER])
+# "lazy" keeps the open estimates (ias), "eager" re-solves them (iasr)
+@pytest.mark.parametrize("refresh", [False, True], ids=["lazy", "eager"])
 def test_spliced_reconstruction_equals_a_full_walk(splices, refresh):
     rng = SeededRandom(47)
     runs = [(*random_net_and_trace(rng, max_len=6), "ilp") for _ in range(20)]
-    runs.append((*reopening_net_and_trace(), "lp"))
+    # the reopening instance of tests/test_search.py
+    runs.append((*random_net_and_trace(SeededRandom(1285), max_len=7), "lp"))
     reopened = 0
     for model, trace, h_mode in runs:
         spn = build_spn(model, trace[:1])
@@ -309,7 +310,7 @@ def test_spliced_reconstruction_equals_a_full_walk(splices, refresh):
             elif k:
                 assert splices == [(cache_goal, checkpoint)]
             cache_goal, checkpoint = cache.goal, cache.checkpoint
-    assert reopened == (1 if refresh == LAZY else 0)
+    assert reopened == (0 if refresh else 1)
 
 
 def test_no_splice_once_the_previous_goal_got_cheaper(splices):
@@ -319,9 +320,9 @@ def test_no_splice_once_the_previous_goal_got_cheaper(splices):
     model = ordering_model()
     spn = build_spn(model, ["a"])
     cache = SearchCache(spn)
-    astar_inc(cache, "ilp", LAZY)
+    astar_inc(cache, "ilp")
     extend_spn(spn, "b")
-    cheapest = astar_inc(cache, "ilp", LAZY).alignment
+    cheapest = astar_inc(cache, "ilp").alignment
     goal = cache.goal
     assert cheapest.total_cost == cache.g[goal] == 0
     detour = tuple(spn.move(f"log:tt{i}") for i in (1, 2)) + tuple(
@@ -336,7 +337,7 @@ def test_no_splice_once_the_previous_goal_got_cheaper(splices):
     # "x" has no model transition, so the new goal is the old one plus a log move
     extend_spn(spn, "x")
     splices.clear()
-    outcome = astar_inc(cache, "ilp", LAZY)
+    outcome = astar_inc(cache, "ilp")
     assert splices == [None]
     assert outcome.alignment == full_walk(cache)
     assert outcome.alignment.moves == cheapest.moves + (spn.move("log:tt3"),)

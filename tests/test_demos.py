@@ -32,4 +32,4 @@ def test_demo_runs_cleanly(path):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     if path.stem == "02_streaming_monitor":
-        assert "markings cached by the searches: 17" in done.stdout.splitlines()
+        assert "markings cached by the searches: 19" in done.stdout.splitlines()

@@ -21,7 +21,7 @@ from streamalign import (
     replay_log_as_stream,
 )
 from streamalign.petri import StateSpaceTooLarge
-from streamalign.search import EAGER, LAZY, memo_key
+from streamalign.search import memo_key
 from streamalign.spn import FIELD_MAX
 from tests.conftest import SeededRandom, random_net_and_trace
 
@@ -200,8 +200,7 @@ def memoless_replay(model, events, algorithm, heuristic):
             else:
                 extend_spn(cases[event.case_id][0], event.activity)
             spn, cache = cases[event.case_id]
-            refresh = LAZY if kind == "ias" else EAGER
-            outcome = astar_inc(cache, heuristic, refresh)
+            outcome = astar_inc(cache, heuristic, kind == "iasr")
             alignment = outcome.alignment
         outcomes.append((alignment, outcome.metrics))
     return outcomes

@@ -26,13 +26,13 @@ LOGS = tuple(
 ) + (("choice-loop-max16", "choice-loop", ("--max-len", "16"), ("ilp", "zero")),)
 
 DIGESTS = {
-    "choice-loop-max16/ilp/events_ias.jsonl": "cdfb201eff0f6acd12377432a993c8419eceb1a8291c0f845d87be4c1157a0d2",
+    "choice-loop-max16/ilp/events_ias.jsonl": "90cea730edc50d52dc4318fad27e8bd6a5119a79bbd6a3db6e3f00dc48ddcbca",
     "choice-loop-max16/ilp/events_iasr.jsonl": "6262d1a23fd5dd4c4e8cd5457452ae32df7542bfd75eaad6b5130371e2315053",
     "choice-loop-max16/ilp/events_occ-w1.jsonl": "906243f10baefca01bd22cd47e97233a4209adf22afd760254edca5e6d256bd2",
     "choice-loop-max16/ilp/events_occ-w2.jsonl": "ab07f5081c3a23b23e201f0f0d9e0ae935a527192480dfb9cd1ff9d35761fcab",
     "choice-loop-max16/ilp/events_occ.jsonl": "19b69bfbe4184e381e4718da333404cbed0e59c749f34755cfc1a154cf486a9a",
-    "choice-loop-max16/ilp/metrics.csv": "3bad71b6813eef45b35324b2f54e62d66c6fd7e9d98147b4916323a229dc32d1",
-    "choice-loop-max16/ilp/metrics.txt": "2f17ee4adc404a890f6680ea7f73668a31c4776ef9973c13172c7f864b69b855",
+    "choice-loop-max16/ilp/metrics.csv": "cb1236782bc0ac1d440b488382b8008f8062ad71406635d8dd01eefcbc02635b",
+    "choice-loop-max16/ilp/metrics.txt": "6894af065f17d02f052d13eee336fb78a2d99e2ce2c42fd682f28dcd8a3febfa",
     "choice-loop-max16/zero/events_ias.jsonl": "e4827de07771ed4b781ca909f834517cad0a9e38809aed45a1c32cefab83a740",
     "choice-loop-max16/zero/events_iasr.jsonl": "e4827de07771ed4b781ca909f834517cad0a9e38809aed45a1c32cefab83a740",
     "choice-loop-max16/zero/events_occ-w1.jsonl": "9caebbcf6575b2b0bdc5581d47344c3e8a0a377d613dac588f27903c0352a4a9",
@@ -40,20 +40,20 @@ DIGESTS = {
     "choice-loop-max16/zero/events_occ.jsonl": "5a90596f3c403f7a153ab1d59decc443e7debf6fd6324bc6e0626013f4b07c9e",
     "choice-loop-max16/zero/metrics.csv": "b95cb81c730f7d83f712fff8e7eb758262b6605e2c3e454998a1a4362f80422f",
     "choice-loop-max16/zero/metrics.txt": "fe231ab9ece165b9518defbbd682e19795a34667a38b0daf6eb4796a470215f3",
-    "choice-loop/ilp/events_ias.jsonl": "76f71b1984dd389545a9408184f3bace74ab06d266ab3dd42671a3437c3efcaf",
+    "choice-loop/ilp/events_ias.jsonl": "3153b264038518b88861299db1105e679311fb917b73dd1172cf784093063217",
     "choice-loop/ilp/events_iasr.jsonl": "1d84e43e0d203d9cb3263385414fa6884bd2bc313e5dbf0066c3abe80a58bb68",
     "choice-loop/ilp/events_occ-w1.jsonl": "0ec2a6ea76a07eb862409f6340a2e866c6798caf8bbaf3e04d8a7c47ea7f884f",
     "choice-loop/ilp/events_occ-w2.jsonl": "98e74b3448a8fd2097be6147e050fa48927cdac49457d34e57fcf1073307b5f0",
     "choice-loop/ilp/events_occ.jsonl": "27cf8fdf40f01a4a33ffd30f4c28e5d72156f7476f5d103948d3783f7ca6d37a",
-    "choice-loop/ilp/metrics.csv": "fb84be4cf8a7018659e9c351f5c7a635a3f124e10abfc1ee6a4b8b3f13e54e97",
-    "choice-loop/ilp/metrics.txt": "372cad0cdb7ec514ce52dff4ba3a001efeb2707f50b2baee2f317f7ec1c14680",
-    "choice-loop/lp/events_ias.jsonl": "76f71b1984dd389545a9408184f3bace74ab06d266ab3dd42671a3437c3efcaf",
+    "choice-loop/ilp/metrics.csv": "8dde3c770850e9fd9f1fcb1c29a70948d22b63d0abf19e13f121f4d79d728c19",
+    "choice-loop/ilp/metrics.txt": "7a8f1f9c6b3fe3edfc6ac8bda288bec0d641527c06124946dfd8ae09db30c3b1",
+    "choice-loop/lp/events_ias.jsonl": "3153b264038518b88861299db1105e679311fb917b73dd1172cf784093063217",
     "choice-loop/lp/events_iasr.jsonl": "1d84e43e0d203d9cb3263385414fa6884bd2bc313e5dbf0066c3abe80a58bb68",
     "choice-loop/lp/events_occ-w1.jsonl": "0ec2a6ea76a07eb862409f6340a2e866c6798caf8bbaf3e04d8a7c47ea7f884f",
     "choice-loop/lp/events_occ-w2.jsonl": "98e74b3448a8fd2097be6147e050fa48927cdac49457d34e57fcf1073307b5f0",
     "choice-loop/lp/events_occ.jsonl": "27cf8fdf40f01a4a33ffd30f4c28e5d72156f7476f5d103948d3783f7ca6d37a",
-    "choice-loop/lp/metrics.csv": "fb84be4cf8a7018659e9c351f5c7a635a3f124e10abfc1ee6a4b8b3f13e54e97",
-    "choice-loop/lp/metrics.txt": "372cad0cdb7ec514ce52dff4ba3a001efeb2707f50b2baee2f317f7ec1c14680",
+    "choice-loop/lp/metrics.csv": "8dde3c770850e9fd9f1fcb1c29a70948d22b63d0abf19e13f121f4d79d728c19",
+    "choice-loop/lp/metrics.txt": "7a8f1f9c6b3fe3edfc6ac8bda288bec0d641527c06124946dfd8ae09db30c3b1",
     "choice-loop/zero/events_ias.jsonl": "930194855a8a3a39ae30f5d79e93a8b4314741e9d0b9e37216e66b87dc3c14e3",
     "choice-loop/zero/events_iasr.jsonl": "930194855a8a3a39ae30f5d79e93a8b4314741e9d0b9e37216e66b87dc3c14e3",
     "choice-loop/zero/events_occ-w1.jsonl": "951e056fba381a43ee41f79482570990df98c376fb805e3bbdc581da36680ee8",
@@ -61,20 +61,20 @@ DIGESTS = {
     "choice-loop/zero/events_occ.jsonl": "136d3b98ed6b05a8b8d86cda06bec850f0a228d8bc0f9479ac7bddf84ffa3e45",
     "choice-loop/zero/metrics.csv": "766c1dbad78e1b64efa21d1217242ca1e9311a2339a77a0134d1071366193ca5",
     "choice-loop/zero/metrics.txt": "cb76467b2cbc8251333caa36a78c65b86ff34efaf9bedd54107fb580d34add08",
-    "parallel-tau/ilp/events_ias.jsonl": "2c3411c20d4ad94fd5e87129c631da40cdca7fe3b8ad7384d993d1736d1be88b",
+    "parallel-tau/ilp/events_ias.jsonl": "a98db4737b5b4f5f5e773875efecc28b412f5378b78ab8bd8a06cfdc77311e05",
     "parallel-tau/ilp/events_iasr.jsonl": "9a242e3ab6c90bd68c274e25570fde12e03de0f33beea8f87e672bc45c6eb91a",
     "parallel-tau/ilp/events_occ-w1.jsonl": "8281af720e2c9611f9933f4fde02bfac4447e5e31477f652300012f674862917",
     "parallel-tau/ilp/events_occ-w2.jsonl": "38798104c1c12d74eb002f4e9b75a49df2e135170e3ffc98e7af419c0f22be4e",
     "parallel-tau/ilp/events_occ.jsonl": "e831bcd3711e513b0a696e1668e617941e9ad8939ba8353b996ff47556d37da6",
-    "parallel-tau/ilp/metrics.csv": "6e188674d2bea1b115bc3e5095f651b55ae3e75d31ef520d13d72fd5cbba1e6c",
-    "parallel-tau/ilp/metrics.txt": "31d7b5c98b641f1d36524536734837cbef3fac97528019ff57bca028cb1c742c",
-    "parallel-tau/lp/events_ias.jsonl": "2c3411c20d4ad94fd5e87129c631da40cdca7fe3b8ad7384d993d1736d1be88b",
+    "parallel-tau/ilp/metrics.csv": "f6f293511aec244382bcfe0fc3717d473b934383155ebddf07a50dd54f8166a0",
+    "parallel-tau/ilp/metrics.txt": "36c8a23cb3bb578c54554eec848da010617b5bf1498fcf24b6e0b7f11fbd8f38",
+    "parallel-tau/lp/events_ias.jsonl": "a98db4737b5b4f5f5e773875efecc28b412f5378b78ab8bd8a06cfdc77311e05",
     "parallel-tau/lp/events_iasr.jsonl": "9a242e3ab6c90bd68c274e25570fde12e03de0f33beea8f87e672bc45c6eb91a",
     "parallel-tau/lp/events_occ-w1.jsonl": "8281af720e2c9611f9933f4fde02bfac4447e5e31477f652300012f674862917",
     "parallel-tau/lp/events_occ-w2.jsonl": "38798104c1c12d74eb002f4e9b75a49df2e135170e3ffc98e7af419c0f22be4e",
     "parallel-tau/lp/events_occ.jsonl": "e831bcd3711e513b0a696e1668e617941e9ad8939ba8353b996ff47556d37da6",
-    "parallel-tau/lp/metrics.csv": "6e188674d2bea1b115bc3e5095f651b55ae3e75d31ef520d13d72fd5cbba1e6c",
-    "parallel-tau/lp/metrics.txt": "31d7b5c98b641f1d36524536734837cbef3fac97528019ff57bca028cb1c742c",
+    "parallel-tau/lp/metrics.csv": "f6f293511aec244382bcfe0fc3717d473b934383155ebddf07a50dd54f8166a0",
+    "parallel-tau/lp/metrics.txt": "36c8a23cb3bb578c54554eec848da010617b5bf1498fcf24b6e0b7f11fbd8f38",
     "parallel-tau/zero/events_ias.jsonl": "e947be72c7cb1fc6e61587fb988a261330735e2dcd70780be96b87756796a121",
     "parallel-tau/zero/events_iasr.jsonl": "e947be72c7cb1fc6e61587fb988a261330735e2dcd70780be96b87756796a121",
     "parallel-tau/zero/events_occ-w1.jsonl": "7a7000bd52d5eb63e6d490521ffbac2496e07c29969bdca561c7c243987b0bbe",
@@ -121,3 +121,17 @@ def test_event_lines_are_canonical_json(replay_outputs):
             continue
         for line in data.decode("utf-8").splitlines():
             assert line == json.dumps(json.loads(line), sort_keys=True), key
+
+
+def test_ias_and_iasr_emit_the_same_cost_per_event(replay_outputs):
+    # Both are exact, so they may differ in the alignment and the counters
+    # but never in an event's cost: a re-pin cannot hide a cost change.
+    runs = {(name, heuristic) for name, _, _, heuristics in LOGS for heuristic in heuristics}
+    for name, heuristic in sorted(runs):
+        costs = {}
+        for algorithm in ("ias", "iasr"):
+            data = replay_outputs[f"{name}/{heuristic}/events_{algorithm}.jsonl"]
+            records = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+            costs[algorithm] = [(r["case"], r["event_index"], r["cost"]) for r in records]
+        assert costs["ias"] == costs["iasr"], (name, heuristic)
+        assert costs["ias"], (name, heuristic)
