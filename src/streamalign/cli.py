@@ -124,8 +124,9 @@ def _cmd_replay(args) -> int:
 
     timing = args.timing == "wall"
     log_name = str(args.log)
-    csv_text = metrics_csv(log_name, records, algorithms, timing)
-    table_text = metrics_text(log_name, records, algorithms, timing, seed=args.seed)
+    run = {"heuristic": args.heuristic, "order": args.order}
+    csv_text = metrics_csv(log_name, records, algorithms, timing, **run)
+    table_text = metrics_text(log_name, records, algorithms, timing, seed=args.seed, **run)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

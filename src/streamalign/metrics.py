@@ -130,13 +130,19 @@ def metrics_csv(
     records: dict[str, MetricsRecord],
     algorithms: list[str],
     timing: bool = True,
+    *,
+    heuristic: str,
+    order: str,
 ) -> str:
-    """Wide CSV: one row per log, one column per (metric family, algorithm)."""
-    header = ["log"] + [f"{family}:{algo}" for family in METRIC_FAMILIES for algo in algorithms]
+    """Wide CSV: one row per log, naming the heuristic and event order
+    replayed, then one column per (metric family, algorithm)."""
+    header = ["log", "heuristic", "order"] + [
+        f"{family}:{algo}" for family in METRIC_FAMILIES for algo in algorithms
+    ]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    row = [log_name]
+    row = [log_name, heuristic, order]
     for family in METRIC_FAMILIES:
         for algo in algorithms:
             row.append(_format_cell(family, getattr(records[algo], family), timing))
@@ -150,9 +156,16 @@ def metrics_text(
     algorithms: list[str],
     timing: bool = True,
     seed: int | None = None,
+    *,
+    heuristic: str,
+    order: str,
 ) -> str:
-    """Aligned text table, one block per metric family."""
-    header = f"log: {log_name}  (traces: {records[algorithms[0]].n_traces}"
+    """Aligned text table, one block per metric family, under a header that
+    names the log, the heuristic and event order replayed and the seed."""
+    header = (
+        f"log: {log_name}  (traces: {records[algorithms[0]].n_traces}, "
+        f"heuristic: {heuristic}, order: {order}"
+    )
     if seed is not None:
         header += f", seed: {seed}"
     lines = [header + ")"]

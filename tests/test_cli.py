@@ -75,10 +75,31 @@ def test_generate_then_replay(capsys, tmp_path):
         for e in events
     )
     header = (out_dir / "metrics.csv").read_text().splitlines()[0].split(",")
-    expected = ["log"] + [
+    expected = ["log", "heuristic", "order"] + [
         f"{fam}:{algo}" for fam in METRIC_FAMILIES for algo in ["ias", "occ-w1"]
     ]
     assert header == expected
+    assert (out_dir / "metrics.csv").read_text().splitlines()[1].split(",")[1:3] == [
+        "ilp", "sequential",
+    ]
+
+
+def test_metrics_files_record_the_heuristic_and_order_replayed(capsys, tmp_path):
+    # An ilp and an lp replay of a preset emit the same events, so only the
+    # recorded run settings tell their metrics files apart.
+    texts = {}
+    for heuristic in ("ilp", "lp"):
+        out_dir = tmp_path / heuristic
+        code, _, _ = run_cli(
+            capsys,
+            "replay", "--model", "n1", "--log", "bundled-3traces", "--heuristic", heuristic,
+            "--algorithms", "ias", "--order", "round-robin", "--timing", "off",
+            "--out", str(out_dir),
+        )
+        assert code == EXIT_OK
+        texts[heuristic] = (out_dir / "metrics.txt").read_text()
+        assert f"heuristic: {heuristic}, order: round-robin" in texts[heuristic].splitlines()[0]
+    assert texts["ilp"] != texts["lp"]
 
 
 def test_replay_zero_fp_for_exact_algorithms(capsys, tmp_path):

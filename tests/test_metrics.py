@@ -12,6 +12,9 @@ from streamalign.metrics import (
 )
 
 
+RUN = {"heuristic": "ilp", "order": "sequential"}  # what run() replays
+
+
 def run(model, log, algorithm):
     engine = StreamEngine(model, algorithm, "ilp")
     return engine.run(replay_log_as_stream(log))
@@ -72,18 +75,21 @@ def test_csv_schema_is_families_times_algorithms(n1):
         algo: compute_metrics(algo, run(n1, [["a", "b", "c"]], algo), oracle)[0]
         for algo in algorithms
     }
-    csv_text = metrics_csv("demo", records, algorithms, timing=True)
+    csv_text = metrics_csv("demo", records, algorithms, timing=True, **RUN)
     header = csv_text.splitlines()[0].split(",")
-    expected = ["log"] + [f"{fam}:{algo}" for fam in METRIC_FAMILIES for algo in algorithms]
+    expected = ["log", "heuristic", "order"] + [
+        f"{fam}:{algo}" for fam in METRIC_FAMILIES for algo in algorithms
+    ]
     assert header == expected
     assert len(csv_text.splitlines()) == 2
+    assert csv_text.splitlines()[1].split(",")[:3] == ["demo", "ilp", "sequential"]
 
 
 def test_timing_off_blanks_time_cells(n1):
     oracle = oracle_costs_by_case(run(n1, [["a"]], "ias"))
     records = {"ias": compute_metrics("ias", run(n1, [["a"]], "ias"), oracle)[0]}
-    on = metrics_csv("demo", records, ["ias"], timing=True)
-    off = metrics_csv("demo", records, ["ias"], timing=False)
+    on = metrics_csv("demo", records, ["ias"], timing=True, **RUN)
+    off = metrics_csv("demo", records, ["ias"], timing=False, **RUN)
     header = on.splitlines()[0].split(",")
     idx = header.index("avg_time_s_per_trace:ias")
     assert off.splitlines()[1].split(",")[idx] == ""
@@ -93,6 +99,7 @@ def test_timing_off_blanks_time_cells(n1):
 def test_text_table_mentions_every_family(n1):
     oracle = oracle_costs_by_case(run(n1, [["a"]], "ias"))
     records = {"ias": compute_metrics("ias", run(n1, [["a"]], "ias"), oracle)[0]}
-    text = metrics_text("demo", records, ["ias"])
+    text = metrics_text("demo", records, ["ias"], **RUN)
+    assert text.splitlines()[0] == "log: demo  (traces: 1, heuristic: ilp, order: sequential)"
     for family in METRIC_FAMILIES:
         assert family in text
