@@ -125,8 +125,8 @@ def _cmd_replay(args) -> int:
     timing = args.timing == "wall"
     log_name = str(args.log)
     run = {"heuristic": args.heuristic, "order": args.order}
-    csv_text = metrics_csv(log_name, records, algorithms, timing, **run)
-    table_text = metrics_text(log_name, records, algorithms, timing, seed=args.seed, **run)
+    csv_text = metrics_csv(log_name, records, algorithms, timing, run=run)
+    table_text = metrics_text(log_name, records, algorithms, timing, run={**run, "seed": args.seed})
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -162,7 +162,7 @@ class StreamEngine:
             entry.cache = SearchCache(entry.spn)
         else:
             extend_spn(entry.spn, activity)
-        outcome = astar_inc(entry.cache, self.heuristic, self.kind == "iasr", memo=self.memo)
+        outcome = astar_inc(entry.cache, self.heuristic, refresh=self.kind == "iasr", memo=self.memo)
         return EventResult(
             event.case_id, event.index, activity, outcome.alignment, outcome.metrics
         )

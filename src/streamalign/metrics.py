@@ -131,18 +131,15 @@ def metrics_csv(
     algorithms: list[str],
     timing: bool = True,
     *,
-    heuristic: str,
-    order: str,
+    run: dict[str, object],
 ) -> str:
-    """Wide CSV: one row per log, naming the heuristic and event order
-    replayed, then one column per (metric family, algorithm)."""
-    header = ["log", "heuristic", "order"] + [
-        f"{family}:{algo}" for family in METRIC_FAMILIES for algo in algorithms
-    ]
+    """Wide CSV: one row per log, one column per setting in ``run`` (what was
+    replayed, such as the heuristic), then per (metric family, algorithm)."""
+    header = ["log", *run] + [f"{family}:{algo}" for family in METRIC_FAMILIES for algo in algorithms]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    row = [log_name, heuristic, order]
+    row = [log_name, *run.values()]
     for family in METRIC_FAMILIES:
         for algo in algorithms:
             row.append(_format_cell(family, getattr(records[algo], family), timing))
@@ -155,20 +152,13 @@ def metrics_text(
     records: dict[str, MetricsRecord],
     algorithms: list[str],
     timing: bool = True,
-    seed: int | None = None,
     *,
-    heuristic: str,
-    order: str,
+    run: dict[str, object],
 ) -> str:
     """Aligned text table, one block per metric family, under a header that
-    names the log, the heuristic and event order replayed and the seed."""
-    header = (
-        f"log: {log_name}  (traces: {records[algorithms[0]].n_traces}, "
-        f"heuristic: {heuristic}, order: {order}"
-    )
-    if seed is not None:
-        header += f", seed: {seed}"
-    lines = [header + ")"]
+    names the log and each setting in ``run`` (what was replayed)."""
+    settings = "".join(f", {key}: {value}" for key, value in run.items())
+    lines = [f"log: {log_name}  (traces: {records[algorithms[0]].n_traces}{settings})"]
     width = max(len(a) for a in algorithms) + 2
     for family in METRIC_FAMILIES:
         lines.append(family)

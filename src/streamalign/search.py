@@ -315,6 +315,7 @@ def _astar(
 def astar_inc(
     cache: SearchCache,
     h_mode: str = "ilp",
+    *,
     refresh: bool = False,
     memo: dict | None = None,
 ) -> SearchOutcome:

@@ -301,7 +301,7 @@ def test_spliced_reconstruction_equals_a_full_walk(splices, refresh):
             if k:
                 extend_spn(spn, activity)
             splices.clear()
-            outcome = astar_inc(cache, h_mode, refresh)
+            outcome = astar_inc(cache, h_mode, refresh=refresh)
             assert outcome.alignment == full_walk(cache)
             assert all(a is b for a, b in zip(outcome.alignment.moves, full_walk(cache).moves))
             if outcome.metrics.reopened:

@@ -200,7 +200,7 @@ def memoless_replay(model, events, algorithm, heuristic):
             else:
                 extend_spn(cases[event.case_id][0], event.activity)
             spn, cache = cases[event.case_id]
-            outcome = astar_inc(cache, heuristic, kind == "iasr")
+            outcome = astar_inc(cache, heuristic, refresh=kind == "iasr")
             alignment = outcome.alignment
         outcomes.append((alignment, outcome.metrics))
     return outcomes

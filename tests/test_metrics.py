@@ -75,7 +75,7 @@ def test_csv_schema_is_families_times_algorithms(n1):
         algo: compute_metrics(algo, run(n1, [["a", "b", "c"]], algo), oracle)[0]
         for algo in algorithms
     }
-    csv_text = metrics_csv("demo", records, algorithms, timing=True, **RUN)
+    csv_text = metrics_csv("demo", records, algorithms, timing=True, run=RUN)
     header = csv_text.splitlines()[0].split(",")
     expected = ["log", "heuristic", "order"] + [
         f"{fam}:{algo}" for fam in METRIC_FAMILIES for algo in algorithms
@@ -88,8 +88,8 @@ def test_csv_schema_is_families_times_algorithms(n1):
 def test_timing_off_blanks_time_cells(n1):
     oracle = oracle_costs_by_case(run(n1, [["a"]], "ias"))
     records = {"ias": compute_metrics("ias", run(n1, [["a"]], "ias"), oracle)[0]}
-    on = metrics_csv("demo", records, ["ias"], timing=True, **RUN)
-    off = metrics_csv("demo", records, ["ias"], timing=False, **RUN)
+    on = metrics_csv("demo", records, ["ias"], timing=True, run=RUN)
+    off = metrics_csv("demo", records, ["ias"], timing=False, run=RUN)
     header = on.splitlines()[0].split(",")
     idx = header.index("avg_time_s_per_trace:ias")
     assert off.splitlines()[1].split(",")[idx] == ""
@@ -99,7 +99,7 @@ def test_timing_off_blanks_time_cells(n1):
 def test_text_table_mentions_every_family(n1):
     oracle = oracle_costs_by_case(run(n1, [["a"]], "ias"))
     records = {"ias": compute_metrics("ias", run(n1, [["a"]], "ias"), oracle)[0]}
-    text = metrics_text("demo", records, ["ias"], **RUN)
+    text = metrics_text("demo", records, ["ias"], run=RUN)
     assert text.splitlines()[0] == "log: demo  (traces: 1, heuristic: ilp, order: sequential)"
     for family in METRIC_FAMILIES:
         assert family in text

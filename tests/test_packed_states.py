@@ -72,7 +72,7 @@ def test_every_algorithm_matches_the_oracle_on_every_prefix(seed, length):
                 caches[refresh] = SearchCache(spns[refresh])
             else:
                 extend_spn(spns[refresh], activity)
-            outcome = astar_inc(caches[refresh], "ilp", refresh)
+            outcome = astar_inc(caches[refresh], "ilp", refresh=refresh)
             costs[refresh] = outcome.alignment.total_cost
             assert caches[refresh].invariants_ok()
         costs["occ"] = occ_process_event(occ, net, activity, None, "ilp")[0].total_cost

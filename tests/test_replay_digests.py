@@ -126,12 +126,12 @@ def test_event_lines_are_canonical_json(replay_outputs):
 def test_ias_and_iasr_emit_the_same_cost_per_event(replay_outputs):
     # Both are exact, so they may differ in the alignment and the counters
     # but never in an event's cost: a re-pin cannot hide a cost change.
-    runs = {(name, heuristic) for name, _, _, heuristics in LOGS for heuristic in heuristics}
-    for name, heuristic in sorted(runs):
-        costs = {}
-        for algorithm in ("ias", "iasr"):
-            data = replay_outputs[f"{name}/{heuristic}/events_{algorithm}.jsonl"]
-            records = [json.loads(line) for line in data.decode("utf-8").splitlines()]
-            costs[algorithm] = [(r["case"], r["event_index"], r["cost"]) for r in records]
-        assert costs["ias"] == costs["iasr"], (name, heuristic)
-        assert costs["ias"], (name, heuristic)
+    for name, _, _, heuristics in LOGS:
+        for heuristic in heuristics:
+            costs = {}
+            for algorithm in ("ias", "iasr"):
+                data = replay_outputs[f"{name}/{heuristic}/events_{algorithm}.jsonl"]
+                records = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+                costs[algorithm] = [(r["case"], r["event_index"], r["cost"]) for r in records]
+            assert costs["ias"] == costs["iasr"], (name, heuristic)
+            assert costs["ias"], (name, heuristic)

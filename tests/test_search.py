@@ -64,7 +64,7 @@ def run_incremental(model, trace, h_mode, refresh=False):
     for k, activity in enumerate(trace):
         if k:
             extend_spn(spn, activity)
-        outcomes.append(astar_inc(cache, h_mode, refresh))
+        outcomes.append(astar_inc(cache, h_mode, refresh=refresh))
         open_markings = {spn.decode(s) for s in cache.open.states()}
         assert closed_markings(cache) == set(log.markings) - open_markings
     return spn, outcomes
@@ -228,7 +228,7 @@ def test_pop_count_bounds(n1):
                     return item
 
                 cache.open.pop = counting_pop
-                outcome = astar_inc(cache, "ilp", refresh)
+                outcome = astar_inc(cache, "ilp", refresh=refresh)
                 cache.open.pop = original_pop
                 # a state pops once per search unless a cheaper path reopens it
                 assert max(pops.values()) <= 1 + outcome.metrics.reopened
@@ -284,7 +284,7 @@ def test_zero_estimates_never_go_stale():
                 if k:
                     extend_spn(spn, activity)
                 log.markings.clear()
-                outcome = astar_inc(cache, "zero", refresh)
+                outcome = astar_inc(cache, "zero", refresh=refresh)
                 assert outcome.metrics.heuristic_recomputations == 0
                 runs[refresh].append((tuple(log.markings), outcome.alignment.total_cost))
         assert runs[False] == runs[True]
@@ -423,14 +423,16 @@ def test_a_rejected_argument_leaves_the_cache_untouched(n1, h_mode, refresh):
         del metrics["wall_time"]
         return outcome.alignment, metrics, sorted(cache.g.items()), cache.open.states()
 
-    for valid in (("zero", False), ("ilp", False), ("ilp", True)):
+    for valid_mode, valid_refresh in (("zero", False), ("ilp", False), ("ilp", True)):
         spn = build_spn(n1, ["a"])
         rejected = SearchCache(spn)
         with pytest.raises(ValueError, match="unknown"):
-            astar_inc(rejected, h_mode, refresh)
+            astar_inc(rejected, h_mode, refresh=refresh)
+        with pytest.raises(TypeError):  # refresh is keyword-only, so a stale policy string fails
+            astar_inc(rejected, valid_mode, "lazy")
         fresh = SearchCache(spn)
-        assert summary(astar_inc(rejected, *valid), rejected) == summary(
-            astar_inc(fresh, *valid), fresh
+        assert summary(astar_inc(rejected, valid_mode, refresh=valid_refresh), rejected) == summary(
+            astar_inc(fresh, valid_mode, refresh=valid_refresh), fresh
         )
     with pytest.raises(ValueError, match="unknown heuristic mode"):
         astar_scratch(build_spn(n1, ["a"]), "magic")
@@ -454,7 +456,7 @@ def test_zero_searches_store_no_estimates(preset_models):
             for k, activity in enumerate(trace):
                 if k:
                     extend_spn(spn, activity)
-                astar_inc(cache, "zero", refresh)
+                astar_inc(cache, "zero", refresh=refresh)
                 assert set(open_estimates(cache).values()) == {0}
         for algorithm in ("ias", "iasr"):
             engine = StreamEngine(net, algorithm, "zero")
