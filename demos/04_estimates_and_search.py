@@ -5,9 +5,9 @@ exactly: as a rational program (`lp`), over integers (`ilp`), or switched
 off (`zero`).  Tighter estimates visit fewer states but each value costs a
 solver call.  `ias` keeps every estimate it has solved when the trace grows
 and re-solves one only when its state is reopened; `iasr` re-solves every
-open estimate after each event.  An engine keeps every value
-it solves in a memo shared by its cases, so "solved" counts only the
-programs that no earlier event of any case had solved.
+open estimate after each event.  An engine keeps every value it solves in
+a memo shared by its cases, so "solved" counts only the programs that no
+earlier event of any case had solved.
 """
 
 from streamalign import (
