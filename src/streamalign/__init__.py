@@ -56,6 +56,7 @@ from .search import (
 from .simplex import solve_ilp, solve_lp
 from .spn import (
     MoveKind,
+    MoveTable,
     SyncProductNet,
     build_spn,
     extend_spn,
@@ -74,6 +75,7 @@ __all__ = [
     "Marking",
     "Move",
     "MoveKind",
+    "MoveTable",
     "NotEnabledError",
     "PRESETS",
     "PrefixAlignment",

@@ -93,8 +93,12 @@ def _cmd_replay(args) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise UsageError("--algorithms must name at least one algorithm")
+    named: dict[tuple, str] = {}  # (kind, window) -> the name that gave it
     for algo in algorithms:
-        parse_algorithm(algo)  # raises ValueError for unknown names
+        parsed = parse_algorithm(algo)  # raises ValueError for unknown names
+        if parsed in named:
+            raise ValueError(f"--algorithms repeats an algorithm: {named[parsed]!r} and {algo!r}")
+        named[parsed] = algo
     model = load_net(args.model)
     report = validate_wfnet(model)
     if not report.ok:

@@ -7,15 +7,16 @@ open estimates, or ``iasr``, which re-solves them) or restarts
 evicted: a stream with unboundedly many cases grows the table without limit,
 which the gauges below make observable.
 
-Every search of one engine shares the engine's estimate memo.  A flow
-program depends on the marking's model part and the activities still ahead
-of its trace token, not on the case, so a program one case solved serves
-every case that reaches the same model marking with the same remaining
-activities (see :mod:`streamalign.search`).  Every product net of one
-engine is likewise built on the engine's move table (``engine.moves``, see
-:mod:`streamalign.spn`), so each move exists once however many cases reach
-it; building the table validates the model.  The memo and the table live
-and die with their engine.
+Every product net of one engine is built on the engine's move table
+(``engine.moves``, see :mod:`streamalign.spn`), so each move exists once
+however many cases reach it; building the table validates the model.  The
+table also owns the estimate memo (``engine.moves.memo``) that every search
+of the engine shares.  A flow program depends on the marking's model part
+and the activities still ahead of its trace token, not on the case, so a
+program one case solved serves every case that reaches the same model
+marking with the same remaining activities (see :mod:`streamalign.search`).
+The table and its memo live as long as their engine or an alignment it
+emitted, which keeps the table to decode its end marking.
 """
 
 from __future__ import annotations
@@ -142,7 +143,6 @@ class StreamEngine:
         self.algorithm = algorithm
         self.heuristic = heuristic
         self.table = CaseTable()
-        self.memo: dict = {}  # flow-program values shared by all cases
 
     def process_event(self, event: Event) -> EventResult | EventError:
         activity = event.activity
@@ -153,7 +153,7 @@ class StreamEngine:
         entry = self.table.entry(event.case_id)
         if self.kind == "occ":
             alignment, outcome = occ_process_event(
-                entry, self.model, activity, self.window, self.heuristic, self.memo, self.moves
+                entry, activity, self.window, self.heuristic, self.moves
             )
             return EventResult(event.case_id, event.index, activity, alignment, outcome.metrics)
 
@@ -162,7 +162,7 @@ class StreamEngine:
             entry.cache = SearchCache(entry.spn)
         else:
             extend_spn(entry.spn, activity)
-        outcome = astar_inc(entry.cache, self.heuristic, refresh=self.kind == "iasr", memo=self.memo)
+        outcome = astar_inc(entry.cache, self.heuristic, refresh=self.kind == "iasr")
         return EventResult(
             event.case_id, event.index, activity, outcome.alignment, outcome.metrics
         )

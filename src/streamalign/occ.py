@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .alignment import InvariantViolation, Move, PrefixAlignment, verify_prefix_alignment
-from .petri import WorkflowNet
 from .search import SearchOutcome, astar_scratch
 from .spn import MoveKind, MoveTable, SyncProductNet, build_spn, extend_spn
 
@@ -57,13 +56,7 @@ def revert_alignment(
 
 
 def occ_process_event(
-    entry: CaseEntry,
-    model: WorkflowNet,
-    activity: str,
-    window: int | None,
-    h_mode: str = "ilp",
-    memo: dict | None = None,
-    table: MoveTable | None = None,
+    entry: CaseEntry, activity: str, window: int | None, h_mode: str, table: MoveTable
 ) -> tuple[PrefixAlignment, SearchOutcome]:
     """Extend the case by one event and recompute its prefix-alignment.
 
@@ -71,11 +64,11 @@ def occ_process_event(
     alignment (both None before its first event) and is updated in place;
     the window is cut from the checkpoint's moves, and the new alignment is
     verified from the checkpoint when it begins with the same moves.
-    ``window`` is as in :func:`revert_alignment`.  ``memo`` is an optional
-    estimate memo for ``model``, as in :func:`~streamalign.search.astar_inc`,
-    and ``table`` an optional move table of ``model``, as in
-    :func:`~streamalign.spn.build_spn`.
+    ``window`` is as in :func:`revert_alignment`.  ``table`` is the move
+    table of the model that the case's product net is built on, and whose
+    estimate memo the search shares (:attr:`~streamalign.spn.MoveTable.memo`).
     """
+    model = table.model
     if entry.spn is None:
         entry.spn = build_spn(model, [activity], table)
     else:
@@ -83,7 +76,7 @@ def occ_process_event(
 
     previous = entry.checkpoint
     surviving, restart = revert_alignment(entry.spn, previous.moves if previous else (), window)
-    outcome = astar_scratch(entry.spn, h_mode, start=restart, memo=memo)
+    outcome = astar_scratch(entry.spn, h_mode, start=restart)
     suffix = outcome.alignment
     full = PrefixAlignment.from_state(
         surviving + suffix.moves,

@@ -51,17 +51,20 @@ reconstruction allocates no moves.  The search reports what it did only
 through :class:`SearchMetrics`; it asks the net for a state's candidate
 moves exactly once per expansion.
 
-Callers may pass a ``memo``, a dict of estimates shared by every search of
-one model.  The flow program of a marking whose trace token sits on
-``tp{k}`` is determined by the mode, the marking's model part and the
+Every estimate goes through the memo of the net's move table
+(:attr:`~streamalign.spn.MoveTable.memo`), which every search on a product
+net of that table shares.  The flow program of a marking whose trace token
+sits on ``tp{k}`` is determined by the mode, the marking's model part and the
 remaining activities ``trace[k:]``: its columns are the model moves plus,
 per remaining activity, a log move and one synchronous move per model
 transition with that label, its activity rows have the activities' counts
 as right-hand sides and its model rows ``-m(p)``.  Its value is therefore
 the same in every case, at every position and however far the net has
 grown, and the memo keys it by exactly those three things, the model part
-as the state's model fields (:func:`memo_key`).  A memo serves one model.
-It keeps at most :data:`MEMO_ENTRIES` values and evicts the oldest first;
+as the state's model fields (:func:`memo_key`).  A table serves one model,
+so its memo does too.  A product net built without a table has a private
+one, whose memo still serves every repeated suffix of its own case.  A memo
+keeps at most :data:`MEMO_ENTRIES` values and evicts the oldest first;
 ``lps_solved`` counts only the programs actually solved.  Under ``zero``
 no estimate is asked for or stored at all.
 
@@ -203,28 +206,23 @@ def memo_key(spn: SyncProductNet, state: int, h_mode: str) -> tuple:
     return h_mode, state & table.model_mask, tuple(spn.trace[state >> table.shift :])
 
 
-def _astar(
-    cache: SearchCache, h_mode: str, refresh: bool = False, memo: dict | None = None
-) -> SearchOutcome:
+def _astar(cache: SearchCache, h_mode: str, refresh: bool = False) -> SearchOutcome:
     started = time.perf_counter()
     metrics = SearchMetrics()
     if h_mode not in MODES:
         raise ValueError(f"unknown heuristic mode {h_mode!r}")
     spn = cache.spn
     table = spn.table
-    g_map, p_map = cache.g, cache._p
+    g_map, p_map, memo = cache.g, cache._p, table.memo
     open_set, live = cache.open, cache.open._live
     zero = h_mode == "zero"  # every estimate is 0
 
     def fresh_h(state: int):
-        key = None if memo is None else memo_key(spn, state, h_mode)
-        if key is not None:
-            value = memo.get(key)
-            if value is not None:
-                return value
-        value = estimate(spn, state, h_mode)
-        metrics.lps_solved += 1
-        if key is not None:
+        key = memo_key(spn, state, h_mode)
+        value = memo.get(key)
+        if value is None:
+            value = estimate(spn, state, h_mode)
+            metrics.lps_solved += 1
             if len(memo) >= MEMO_ENTRIES:
                 del memo[next(iter(memo))]
             memo[key] = value
@@ -312,24 +310,17 @@ def _astar(
     )
 
 
-def astar_inc(
-    cache: SearchCache,
-    h_mode: str = "ilp",
-    *,
-    refresh: bool = False,
-    memo: dict | None = None,
-) -> SearchOutcome:
+def astar_inc(cache: SearchCache, h_mode: str = "ilp", *, refresh: bool = False) -> SearchOutcome:
     """Continue the search on ``cache.spn`` after (at most) one extension.
 
     The cache must be freshly initialized or be left as the previous call
     left it; the call updates it in place.  ``refresh`` recomputes every
-    open estimate first; by default they are kept.  ``memo`` is an optional
-    estimate memo for the net's model (see the module docstring).  The
-    alignment is rebuilt and verified from the previous call's goal and
-    checkpoint where they still hold (see the module docstring).
+    open estimate first; by default they are kept.  The alignment is
+    rebuilt and verified from the previous call's goal and checkpoint where
+    they still hold (see the module docstring).
     """
     since = cache.checkpoint
-    outcome = _astar(cache, h_mode, refresh, memo)
+    outcome = _astar(cache, h_mode, refresh)
     spn = cache.spn
     checkpoint = verify_prefix_alignment(outcome.alignment, spn.trace, spn.model, since)
     if not checkpoint:
@@ -342,14 +333,11 @@ def astar_inc(
 
 
 def astar_scratch(
-    spn: SyncProductNet,
-    h_mode: str = "ilp",
-    start: int | None = None,
-    memo: dict | None = None,
+    spn: SyncProductNet, h_mode: str = "ilp", start: int | None = None
 ) -> SearchOutcome:
     """One-shot search from the packed state ``start`` (default: the
     initial marking)."""
-    return _astar(SearchCache(spn, start), h_mode, memo=memo)
+    return _astar(SearchCache(spn, start), h_mode)
 
 
 def dijkstra_oracle(

@@ -163,6 +163,11 @@ class MoveTable:
     table grows with the distinct (position, activity) pairs seen, not with
     the number of cases.  The layout is fixed at construction, since the
     model's places are (see the module docstring).
+
+    ``memo`` holds the flow-program values that searches on the table's
+    product nets have solved (see :mod:`streamalign.search`).  A program's
+    value depends on the model, not on the case, so every net on the table
+    shares them: one memo per model holds by construction.
     """
 
     def __init__(self, model: WorkflowNet):
@@ -193,6 +198,7 @@ class MoveTable:
         self._add_trace_place(0)
         # (position, activity) -> its block and the expansion ending in it
         self._positions: dict[tuple[int, str], tuple[tuple[Move, ...], tuple[Move, ...]]] = {}
+        self.memo: dict[tuple, object] = {}  # memo_key -> estimate, filled by the search
 
     def _layout(self, places: tuple[str, ...]) -> None:
         # Every trace place id sorts in [tp0, tp:), so the trace token can
@@ -344,7 +350,8 @@ class SyncProductNet:
     One instance belongs to one case; callers extend it through
     :func:`extend_spn` as the case's events arrive.  Its moves come from a
     :class:`MoveTable` of the model, shared with other cases when one is
-    passed and private otherwise.  The net keeps only its trace and, per
+    passed and private otherwise, and so does the estimate memo of its
+    searches (:attr:`MoveTable.memo`).  The net keeps only its trace and, per
     trace position, the table's tuple of the moves a state before that
     position can try; no move is stored per net.  The search sees the
     net's markings as the table's packed states (:meth:`encode`,

@@ -23,6 +23,7 @@ import pytest
 
 from streamalign import (
     CaseEntry,
+    MoveTable,
     SearchCache,
     StreamEngine,
     astar_inc,
@@ -85,6 +86,7 @@ def suite() -> SuiteData:
     started = time.perf_counter()
     for preset_name, build in PRESETS.items():
         model = build()
+        occ_table = MoveTable(model)
         log = generate_log(model, TRACES_PER_PRESET, NOISE, max_len=8, seed=SUITE_SEED)
         totals = {"ias": 0, "iasr": 0}
         for trace in log:
@@ -155,7 +157,7 @@ def suite() -> SuiteData:
                         data.h_regressions.append((preset_name, trace[:k], m, h_old, h_new))
                 totals["ias"] += ias_out.metrics.lps_solved
                 totals["iasr"] += iasr_out.metrics.lps_solved
-                occ_alignment, _ = occ_process_event(occ_state, model, activity, None, HEURISTIC)
+                occ_alignment, _ = occ_process_event(occ_state, activity, None, HEURISTIC, occ_table)
                 prefix_spn = build_spn(model, trace[:k])
                 scratch_cost = astar_scratch(prefix_spn, HEURISTIC).alignment.total_cost
                 oracle_cost, _ = dijkstra_oracle(prefix_spn, prefix_spn.initial)

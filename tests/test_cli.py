@@ -149,6 +149,22 @@ def test_unknown_algorithm_is_data_error(capsys, tmp_path):
     assert "warp" in err
 
 
+@pytest.mark.parametrize("names", ["ias,ias", "occ-w1,occ-w01"])
+def test_a_repeated_algorithm_is_data_error(capsys, tmp_path, names):
+    # both names parse to one (kind, window): replaying it twice would
+    # overwrite its events file and repeat every metrics.csv column
+    out_dir = tmp_path / "x"
+    code, _, err = run_cli(
+        capsys,
+        "replay", "--model", "n1", "--log", "bundled-3traces",
+        "--algorithms", names, "--out", str(out_dir),
+    )
+    assert code == EXIT_DATA
+    first, second = names.split(",")
+    assert f"{first!r} and {second!r}" in err
+    assert not out_dir.exists()
+
+
 def test_unreadable_model_is_data_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", "--model", str(tmp_path / "missing.json"))
     assert code == EXIT_DATA

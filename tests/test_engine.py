@@ -9,6 +9,7 @@ from streamalign import (
     EventResult,
     CaseEntry,
     Marking,
+    MoveTable,
     SearchCache,
     StreamEngine,
     astar_inc,
@@ -180,22 +181,39 @@ def test_occ_window_algorithms_parse():
         parse_algorithm("bogus")
 
 
-# -- the engine's estimate memo ------------------------------------------------
+# -- the estimate memo of the engine's move table ------------------------------
 
 NOISE = {"swap_p": 0.15, "drop_p": 0.1, "insert_p": 0.1}
 
 
+class AuditedMemo(dict):
+    """A memo that never hits: each would-be hit is solved again and compared."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        self.hits += key in self
+        return default
+
+    def __setitem__(self, key, value):
+        if key in self:
+            assert self[key] == value, f"memo holds {self[key]} for {key}, solved {value}"
+        super().__setitem__(key, value)
+
+
 def memoless_replay(model, events, algorithm, heuristic):
-    """Per-event outcomes of the engine's searches, called without a memo."""
+    """Per-event outcomes of the engine's searches on a table whose memo never hits."""
     kind, window = parse_algorithm(algorithm)
+    table = MoveTable(model)
+    table.memo = AuditedMemo()
     cases, outcomes = {}, []
     for event in events:
         if kind == "occ":
             entry = cases.setdefault(event.case_id, CaseEntry())
-            alignment, outcome = occ_process_event(entry, model, event.activity, window, heuristic)
+            alignment, outcome = occ_process_event(entry, event.activity, window, heuristic, table)
         else:
             if event.case_id not in cases:
-                spn = build_spn(model, [event.activity])
+                spn = build_spn(model, [event.activity], table)
                 cases[event.case_id] = (spn, SearchCache(spn))
             else:
                 extend_spn(cases[event.case_id][0], event.activity)
@@ -220,23 +238,8 @@ def test_memo_changes_nothing_but_the_programs_solved(preset_models, algorithm, 
             for counter in ("queued", "visited", "reopened", "heuristic_recomputations"):
                 assert getattr(result.metrics, counter) == getattr(metrics, counter)
             assert result.metrics.lps_solved <= metrics.lps_solved
-        assert engine.memo
+        assert engine.moves.memo
         assert sum(r.metrics.lps_solved for r in with_memo) < sum(m.lps_solved for _, m in without)
-
-
-class AuditedMemo(dict):
-    """A memo that never hits: each would-be hit is solved again and compared."""
-
-    hits = 0
-
-    def get(self, key, default=None):
-        self.hits += key in self
-        return default
-
-    def __setitem__(self, key, value):
-        if key in self:
-            assert self[key] == value, f"memo holds {self[key]} for {key}, solved {value}"
-        super().__setitem__(key, value)
 
 
 @pytest.mark.parametrize("algorithm", ["ias", "occ-w1"])
@@ -244,9 +247,54 @@ def test_memo_hits_equal_freshly_solved_values(preset_models, algorithm):
     for seed, model in enumerate(preset_models.values(), start=21):
         for heuristic in ("lp", "ilp"):
             engine = StreamEngine(model, algorithm, heuristic)
-            engine.memo = AuditedMemo()
+            engine.moves.memo = AuditedMemo()
             engine.run(replay_log_as_stream(generate_log(model, 12, NOISE, seed=seed)))
-            assert engine.memo.hits > 0
+            assert engine.moves.memo.hits > 0
+
+
+def programs_solved_per_case(trace, tables):
+    """Programs solved by one ``ias`` case per table, each fed ``trace``."""
+    solved = []
+    for table in tables:
+        spn = build_spn(table.model, trace[:1], table)
+        cache = SearchCache(spn)
+        total = 0
+        for k, activity in enumerate(trace):
+            if k:
+                extend_spn(spn, activity)
+            total += astar_inc(cache, "ilp").metrics.lps_solved
+        solved.append(total)
+    return solved
+
+
+REPEATED_CHECK = ["register", "check", "check", "approve", "check", "archive"]
+
+
+def test_nets_on_one_table_share_solved_estimates(preset_models):
+    table = MoveTable(preset_models["choice-loop"])
+    first, second = programs_solved_per_case(REPEATED_CHECK, [table, table])
+    assert first > 0 and second == 0
+
+
+def test_nets_on_two_tables_share_nothing(preset_models):
+    model = preset_models["choice-loop"]
+    tables = [MoveTable(model), MoveTable(model)]
+    first, second = programs_solved_per_case(REPEATED_CHECK, tables)
+    assert first == second > 0
+    assert tables[0].memo.keys() == tables[1].memo.keys()
+    assert tables[0].memo is not tables[1].memo
+
+
+def test_a_private_table_reuses_the_estimate_of_a_repeated_suffix(preset_models):
+    # A net built without a table gets a private one, which carries a memo
+    # too: the case's own later events reuse what its earlier ones solved.
+    model = preset_models["choice-loop"]
+    audited = MoveTable(model)
+    audited.memo = AuditedMemo()
+    private = build_spn(model, REPEATED_CHECK[:1]).table
+    reused, fresh = programs_solved_per_case(REPEATED_CHECK, [private, audited])
+    assert audited.memo.hits > 0
+    assert 0 < reused < fresh
 
 
 def test_engines_share_no_memo_entries(preset_models):
@@ -254,9 +302,10 @@ def test_engines_share_no_memo_entries(preset_models):
     events = replay_log_as_stream(generate_log(model, 5, NOISE, seed=31))
     first, second = StreamEngine(model), StreamEngine(model)
     first.run(events)
-    assert first.memo and not second.memo
+    assert first.moves.memo and not second.moves.memo
     second.run(events)
-    assert first.memo.keys() == second.memo.keys() and first.memo is not second.memo
+    assert first.moves.memo.keys() == second.moves.memo.keys()
+    assert first.moves.memo is not second.moves.memo
 
 
 def test_memo_stays_within_its_bound(preset_models, monkeypatch):
@@ -268,7 +317,7 @@ def test_memo_stays_within_its_bound(preset_models, monkeypatch):
     sizes = []
     for event, expected in zip(events, unbounded):
         result = engine.process_event(event)
-        sizes.append(len(engine.memo))
+        sizes.append(len(engine.moves.memo))
         assert result.alignment.to_records() == expected.alignment.to_records()
         assert result.metrics.visited == expected.metrics.visited
     assert max(sizes) == 4

@@ -3,6 +3,7 @@ import pytest
 from streamalign import (
     CaseEntry,
     Marking,
+    MoveTable,
     build_spn,
     dijkstra_oracle,
     fire_sequence,
@@ -15,10 +16,10 @@ from tests.conftest import SeededRandom, random_net_and_trace
 
 
 def run_occ(model, trace, window, h_mode="ilp"):
-    state = CaseEntry()
+    state, table = CaseEntry(), MoveTable(model)
     results = []
     for activity in trace:
-        alignment, outcome = occ_process_event(state, model, activity, window, h_mode)
+        alignment, outcome = occ_process_event(state, activity, window, h_mode, table)
         results.append((alignment, outcome))
     return state, results
 
@@ -38,7 +39,7 @@ def test_unbounded_window_is_optimal_on_running_example(n1):
 
 def test_first_event_starts_at_initial(n1):
     state = CaseEntry()
-    alignment, _ = occ_process_event(state, n1, "a", 1)
+    alignment, _ = occ_process_event(state, "a", 1, "ilp", MoveTable(n1))
     assert alignment.total_cost == 0
     assert state.spn is not None
 
@@ -83,11 +84,12 @@ def test_restart_state_is_the_replay_of_the_surviving_moves():
     reverted = 0
     for _ in range(20):
         net, trace = random_net_and_trace(rng, max_len=6)
+        table = MoveTable(net)
         for window in (1, 2, 3, None):
             entry = CaseEntry()
             for activity in trace:
                 previous = () if entry.checkpoint is None else entry.checkpoint.moves
-                alignment, _ = occ_process_event(entry, net, activity, window)
+                alignment, _ = occ_process_event(entry, activity, window, "ilp", table)
                 spn = entry.spn
                 surviving, restart = revert_alignment(spn, previous, window)
                 replay = fire_sequence(spn.petri_net(), spn.initial, [mv.tid for mv in surviving])

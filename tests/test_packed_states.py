@@ -62,7 +62,7 @@ def test_draws_have_concurrency_loops_and_interleaved_ids():
 def test_every_algorithm_matches_the_oracle_on_every_prefix(seed, length):
     net, trace, _ = net_and_trace(seed, length)
     caches = {}
-    occ = CaseEntry()
+    occ, occ_table = CaseEntry(), MoveTable(net)
     spns = {}
     for k, activity in enumerate(trace, start=1):
         costs = {}
@@ -75,7 +75,7 @@ def test_every_algorithm_matches_the_oracle_on_every_prefix(seed, length):
             outcome = astar_inc(caches[refresh], "ilp", refresh=refresh)
             costs[refresh] = outcome.alignment.total_cost
             assert caches[refresh].invariants_ok()
-        costs["occ"] = occ_process_event(occ, net, activity, None, "ilp")[0].total_cost
+        costs["occ"] = occ_process_event(occ, activity, None, "ilp", occ_table)[0].total_cost
         prefix = build_spn(net, trace[:k])
         oracle, _ = dijkstra_oracle(prefix, prefix.initial)
         assert costs == {False: oracle, True: oracle, "occ": oracle}, (seed, trace[:k])

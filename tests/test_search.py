@@ -294,7 +294,7 @@ OPTIMIZED_CHECK = """
 import sys
 import streamalign.occ as occ
 import streamalign.search as search
-from streamalign import CaseEntry, InvariantViolation, SearchCache, build_spn
+from streamalign import CaseEntry, InvariantViolation, MoveTable, SearchCache, build_spn
 from streamalign.assets import ordering_model
 
 if not sys.flags.optimize:
@@ -308,7 +308,7 @@ try:
 except InvariantViolation:
     print("search raised")
 try:
-    occ.occ_process_event(CaseEntry(), model, "a", None)
+    occ.occ_process_event(CaseEntry(), "a", None, "ilp", MoveTable(model))
 except InvariantViolation:
     print("occ raised")
 """
@@ -417,7 +417,8 @@ def test_refresh_and_reopen_counts_are_pinned(preset_models):
 def test_a_rejected_argument_leaves_the_cache_untouched(n1, h_mode, refresh):
     # The arguments are checked before the search pops the root or takes
     # its seed off the counters, so the next valid call runs as on a fresh
-    # cache.
+    # cache.  That cache is on a net of its own, whose table's memo holds
+    # none of the estimates the first search solves.
     def summary(outcome, cache):
         metrics = asdict(outcome.metrics)
         del metrics["wall_time"]
@@ -430,7 +431,7 @@ def test_a_rejected_argument_leaves_the_cache_untouched(n1, h_mode, refresh):
             astar_inc(rejected, h_mode, refresh=refresh)
         with pytest.raises(TypeError):  # refresh is keyword-only, so a stale policy string fails
             astar_inc(rejected, valid_mode, "lazy")
-        fresh = SearchCache(spn)
+        fresh = SearchCache(build_spn(n1, ["a"]))
         assert summary(astar_inc(rejected, valid_mode, refresh=valid_refresh), rejected) == summary(
             astar_inc(fresh, valid_mode, refresh=valid_refresh), fresh
         )
