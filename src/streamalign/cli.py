@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .alignment import InvariantViolation, render_alignment
 from .engine import EventError, StreamEngine, parse_algorithm, replay_log_as_stream
-from .fileio import DataError, load_net, load_traces, save_traces, write_jsonl
+from .fileio import DataError, jsonl_text, load_net, load_traces, save_traces
 from .generator import GenerationError, generate_log
 from .metrics import compute_metrics, metrics_csv, metrics_text, oracle_costs_by_case
 from .petri import StateSpaceTooLarge, validate_wfnet
@@ -106,25 +106,25 @@ def _cmd_replay(args) -> int:
     traces = load_traces(args.log)
     events = replay_log_as_stream(traces, args.order)
 
-    results = {}
-    for algo in algorithms:
-        engine = StreamEngine(model, algo, args.heuristic)
-        outcome = engine.run(events)
+    def replay(algo: str) -> list:
+        outcome = StreamEngine(model, algo, args.heuristic).run(events)
         rejected = [r for r in outcome if isinstance(r, EventError)]
         if rejected:
             raise DataError(f"stream contains invalid events: {rejected[0].message}")
-        results[algo] = outcome
+        return outcome
 
-    if "ias" in results:
-        oracle = oracle_costs_by_case(results["ias"])
-    else:
-        oracle_engine = StreamEngine(model, "occ", args.heuristic)
-        oracle = oracle_costs_by_case(oracle_engine.run(events))
-
-    records = {}
-    stats = {}
-    for algo in algorithms:
-        records[algo], stats[algo] = compute_metrics(algo, results[algo], oracle)
+    # ias's costs are the oracle when it is listed, so it runs first.  Each
+    # algorithm's results shrink to their event lines and metrics before the
+    # next engine runs, so no engine's move table outlives its turn.
+    oracle = None if "ias" in algorithms else oracle_costs_by_case(replay("occ"))
+    lines, records = {}, {}
+    for algo in sorted(algorithms, key=lambda a: a != "ias"):
+        outcome = replay(algo)
+        if oracle is None:
+            oracle = oracle_costs_by_case(outcome)
+        lines[algo] = jsonl_text(r.to_record() for r in outcome)
+        records[algo] = compute_metrics(algo, outcome, oracle)[0]
+        del outcome
 
     timing = args.timing == "wall"
     log_name = str(args.log)
@@ -138,7 +138,7 @@ def _cmd_replay(args) -> int:
     try:
         for algo in algorithms:
             path = out_dir / f"events_{algo}.jsonl"
-            write_jsonl([r.to_record() for r in results[algo]], path)
+            path.write_text(lines[algo], encoding="utf-8")
             written.append(path)
         (out_dir / "metrics.csv").write_text(csv_text, encoding="utf-8")
         written.append(out_dir / "metrics.csv")

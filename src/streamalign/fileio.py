@@ -194,7 +194,6 @@ def save_traces(log: list[list[str]], path: str | Path) -> None:
                     )
 
 
-def write_jsonl(records: list[dict], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+def jsonl_text(records) -> str:
+    """The records as JSON lines, keys sorted."""
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)

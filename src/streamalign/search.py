@@ -56,8 +56,9 @@ Every estimate goes through the memo of the net's move table
 net of that table shares.  The flow program of a marking whose trace token
 sits on ``tp{k}`` is determined by the mode, the marking's model part and the
 remaining activities ``trace[k:]``: its columns are the model moves plus,
-per remaining activity, a log move and one synchronous move per model
-transition with that label, its activity rows have the activities' counts
+per remaining activity, one synchronous move per model transition with
+that label (the log moves are substituted out, their cost kept as the
+program's offset), its activity rows have the activities' negated counts
 as right-hand sides and its model rows ``-m(p)``.  Its value is therefore
 the same in every case, at every position and however far the net has
 grown, and the memo keys it by exactly those three things, the model part

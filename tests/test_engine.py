@@ -1,3 +1,4 @@
+import random
 from dataclasses import asdict, fields
 
 import pytest
@@ -23,8 +24,9 @@ from streamalign import (
 )
 from streamalign.petri import StateSpaceTooLarge
 from streamalign.search import memo_key
+from streamalign.simplex import BranchDepthExceeded
 from streamalign.spn import FIELD_MAX
-from tests.conftest import SeededRandom, random_net_and_trace
+from tests.conftest import SeededRandom, make_random_concurrent_wfnet, random_net_and_trace
 
 
 def costs_by_case(results):
@@ -373,6 +375,20 @@ def test_an_unbounded_net_raises_instead_of_searching_forever(unbounded, algorit
     engine = StreamEngine(unbounded, algorithm, heuristic)
     with pytest.raises(StateSpaceTooLarge, match=f"place 'sink' would hold more than {FIELD_MAX}"):
         engine.process_event(Event("1", "a", 1))
+
+
+@pytest.mark.xfail(raises=BranchDepthExceeded, strict=True, reason="known defect, not yet mended")
+@pytest.mark.parametrize("algorithm", ["ias", "occ"])
+def test_ilp_aligns_past_a_silent_zero_cost_cycle(algorithm):
+    # The silent t10 (tp10x -> tp0a) and t11 (tp0a -> tp10x) form a
+    # zero-cost flow cycle, so an LP optimum of a flow program here lies on
+    # an unbounded face, and best-bound branching on the first fractional
+    # variable keeps going along it until the depth limit.  ``lp`` gives
+    # the optimal costs.
+    net = make_random_concurrent_wfnet(random.Random(1872))
+    events = replay_log_as_stream([["c", "c", "a"]])
+    assert [r.cost for r in StreamEngine(net, algorithm, "lp").run(events)] == [0, 1, 2]
+    assert StreamEngine(net, algorithm, "ilp").run(events)[-1].cost == 2
 
 
 @pytest.mark.parametrize("algorithm", ["ias", "occ-w1"])

@@ -19,7 +19,7 @@ from streamalign import (
     solve_lp,
 )
 from streamalign.search import memo_key
-from streamalign.simplex import INFEASIBLE, UNBOUNDED, LpResult
+from streamalign.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _Tableau
 from streamalign.spn import MoveTable, trace_place
 from tests.conftest import SeededRandom, nets_and_traces, random_net_and_trace
 
@@ -27,13 +27,16 @@ from tests.conftest import SeededRandom, nets_and_traces, random_net_and_trace
 def test_problem_shape_for_unit_trace(n1):
     spn = build_spn(n1, ["a"])
     problem = build_problem(spn, spn.encode(spn.initial))
-    assert len(problem.variables) == 6  # 4 model + 1 log + 1 sync
+    # 4 model + 1 sync: the log move is substituted out
+    assert problem.variables[-1] == "sync:tt1|t1" and len(problem.variables) == 5
     assert problem.n_activity_rows == 1
     assert problem.n_model_rows == 3
-    rels = [rel for _, rel, _ in problem.rows]
-    assert rels.count("=") == 1 and rels.count(">=") == 3
-    # the one remaining a must be consumed once, by its log or sync move
-    assert problem.rows[0] == ([0, 0, 0, 0, 1, 1], "=", 1)
+    assert [rel for _, rel, _ in problem.rows] == [">="] * 4
+    # the one remaining a is consumed once, by its log or sync move, so the
+    # sync move fires at most once; the log move's cost 1 is the offset, and
+    # the sync move saves it
+    assert problem.rows[0] == ([0, 0, 0, 0, -1], ">=", -1)
+    assert problem.objective[-1] == -1 and problem.offset == 1
 
 
 def unrestricted_problem(spn, marking):
@@ -57,7 +60,8 @@ def assert_same_optimum(problem, objective, rows, context):
     for solver in (solve_lp, solve_ilp):
         mine = solver(list(problem.objective), list(problem.rows))
         full = solver(objective, rows)
-        assert (mine.status, mine.value) == (full.status, full.value), (context, solver)
+        assert mine.status == full.status == OPTIMAL, (context, solver)
+        assert mine.value + problem.offset == full.value, (context, solver)
 
 
 def test_suffix_program_matches_unrestricted_program(preset_models):
@@ -84,22 +88,27 @@ def test_suffix_program_matches_unrestricted_program(preset_models):
                 assert problem.n_activity_rows == len(distinct)
                 assert problem.n_model_rows == len(net.places)
                 variables, objective, rows = unrestricted_problem(spn, m)
-                # each column is a model move or the log or a synchronous move
-                # of its activity's first remaining position, with that move's
-                # cost and model flow and +1 in its activity's row
+                # each column is a model move or a synchronous move of its
+                # activity's first remaining position, with that move's model
+                # flow and -1 in its activity's row; a synchronous move costs
+                # its own cost less its log move's, and the log moves' costs
+                # make up the offset
                 blocks = [spn.table.position(remaining.index(a) + k + 1, a) for a in distinct]
                 assert problem.variables == tuple(
-                    r.tid for r in spn.table.model_moves + sum(blocks, ())
+                    r.tid for r in spn.table.model_moves + sum((b[1:] for b in blocks), ())
                 )
                 activity_rows = problem.rows[: problem.n_activity_rows]
                 model_rows = problem.rows[problem.n_activity_rows :]
-                assert [rhs for _, _, rhs in activity_rows] == [remaining.count(a) for a in distinct]
+                assert [rhs for _, _, rhs in activity_rows] == [-remaining.count(a) for a in distinct]
                 full = {t: j for j, t in enumerate(variables)}
+                log_cost = {a: objective[full[b[0].tid]] for a, b in zip(distinct, blocks)}
+                assert problem.offset == sum(log_cost[a] for a in remaining)
                 full_model_rows = rows[spn.n + 1 :]
                 for j, t in enumerate(problem.variables):
-                    assert problem.objective[j] == objective[full[t]]
+                    saved = log_cost.get(moves[t].activity, 0)
+                    assert problem.objective[j] == objective[full[t]] - saved
                     assert [c[j] for c, _, _ in activity_rows] == [
-                        int(a == moves[t].activity) for a in distinct
+                        -int(a == moves[t].activity) for a in distinct
                     ]
                     assert [c[j] for c, _, _ in model_rows] == [
                         c[full[t]] for c, _, _ in full_model_rows
@@ -107,9 +116,40 @@ def test_suffix_program_matches_unrestricted_program(preset_models):
                 assert [rhs for *_, rhs in model_rows] == [rhs for *_, rhs in full_model_rows]
                 assert_same_optimum(problem, objective, rows, m)
                 checked += 1
-                repeated += any(rhs >= 2 for _, _, rhs in activity_rows)
+                repeated += any(rhs <= -2 for _, _, rhs in activity_rows)
     assert checked > 1000
     assert repeated > 0
+
+
+def test_every_program_starts_at_the_all_log_moves_solution(preset_models, monkeypatch):
+    # Every row is >= with a right-hand side of at most 0, so x = 0 is
+    # feasible; its value, the offset, is the cost of a log move for each
+    # remaining event; and the simplex starts there, with one minimize
+    # (phase 2) and no phase 1.
+    minimized = []
+    minimize = _Tableau.minimize
+
+    def counted(tab, obj):
+        minimized.append(obj)
+        return minimize(tab, obj)
+
+    monkeypatch.setattr(_Tableau, "minimize", counted)
+    checked = 0
+    for net, trace in nets_and_traces(preset_models, 71):
+        spn = build_spn(net, trace)
+        markings, _ = enumerate_state_space(spn.petri_net(), spn.initial, 3000)
+        for m in markings:
+            problem = build_problem(spn, spn.encode(m))
+            k = spn.encode(m) >> spn.table.shift
+            assert all(rel == ">=" and rhs <= 0 for _, rel, rhs in problem.rows), m
+            log_moves = [spn.table.position(i + 1, a)[0] for i, a in enumerate(trace)]
+            assert problem.offset == sum(move_cost(r) for r in log_moves[k:])
+            minimized.clear()
+            result = solve_lp(list(problem.objective), list(problem.rows))
+            assert result.status == OPTIMAL and len(minimized) == 1, m
+            assert result.value <= 0  # never above the all-log-moves value
+            checked += 1
+    assert checked > 500
 
 
 def test_estimates_ignore_the_order_of_the_remaining_activities(preset_models):
@@ -212,11 +252,8 @@ def test_problem_zero_solution_at_goal(n1):
     spn = build_spn(n1, ["a"])
     goal = Marking.of("tp1", "p2")
     problem = build_problem(spn, spn.encode(goal))
-    for coeffs, rel, rhs in problem.rows:
-        if rel == "=":
-            assert rhs == 0
-        else:
-            assert rhs <= 0
+    assert problem.n_activity_rows == 0 and problem.offset == 0
+    assert all(rel == ">=" and rhs <= 0 for _, rel, rhs in problem.rows)
     assert estimate(spn, spn.encode(goal), "ilp") == 0
 
 
