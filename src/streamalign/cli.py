@@ -113,12 +113,14 @@ def _cmd_replay(args) -> int:
             raise DataError(f"stream contains invalid events: {rejected[0].message}")
         return outcome
 
-    # ias's costs are the oracle when it is listed, so it runs first.  Each
+    # The oracle's costs are ias's when it is listed and occ's otherwise.
+    # The oracle algorithm runs first, and only once when it is listed.  Each
     # algorithm's results shrink to their event lines and metrics before the
     # next engine runs, so no engine's move table outlives its turn.
-    oracle = None if "ias" in algorithms else oracle_costs_by_case(replay("occ"))
+    first = "ias" if "ias" in algorithms else "occ"
+    oracle = None if first in algorithms else oracle_costs_by_case(replay(first))
     lines, records = {}, {}
-    for algo in sorted(algorithms, key=lambda a: a != "ias"):
+    for algo in sorted(algorithms, key=lambda a: a != first):
         outcome = replay(algo)
         if oracle is None:
             oracle = oracle_costs_by_case(outcome)

@@ -11,10 +11,12 @@ Every product net of one engine is built on the engine's move table
 (``engine.moves``, see :mod:`streamalign.spn`), so each move exists once
 however many cases reach it; building the table validates the model.  The
 table also owns the estimate memo (``engine.moves.memo``) that every search
-of the engine shares.  A flow program depends on the marking's model part
-and the activities still ahead of its trace token, not on the case, so a
-program one case solved serves every case that reaches the same model
-marking with the same remaining activities (see :mod:`streamalign.search`).
+of the engine shares, and the model's one flow-program matrix, built at the
+first estimate (``engine.moves.program``).  A flow program depends on the
+marking's model part and the activities still ahead of its trace token, not
+on the case, so a program one case solved serves every case that reaches the
+same model marking with the same remaining activities (see
+:mod:`streamalign.search`).
 The table and its memo live as long as their engine or an alignment it
 emitted, which keeps the table to decode its end marking.
 """

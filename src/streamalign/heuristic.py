@@ -8,22 +8,30 @@ is marking-dependent and admissible.  Solving over integers (``ilp``) gives
 a tighter bound than the rational relaxation (``lp``); ``zero`` turns the
 estimate off for uninformed search.
 
-With the marking's trace token on ``tp{k}``, the program has one row per
-distinct activity a of ``trace[k:]`` and one row per model place.  Every
-remaining a is consumed once, by its log move or by one of its
-synchronous moves, so the log moves are substituted out: x_log(a) =
-count(a) - sum of a's synchronous moves.  The columns are the model moves
-and, per a, the synchronous moves of a's first remaining position.  A
-synchronous move costs its own cost minus a's log-move cost, and the
+Every flow program of a model shares one constraint matrix and one
+objective, the model's :class:`FlowProgram`, built at the first estimate on
+a :class:`~streamalign.spn.MoveTable` and kept on it beside its memo.  Its
+columns are the model moves, then one synchronous column per labelled
+model transition, at no particular trace position.  Its rows are one
+``>=`` row per model activity and one per model place.  With the marking's
+trace token on ``tp{k}``, every remaining event is consumed once, by its
+log move or by a synchronous move of its activity, so the log moves are
+substituted out: x_log(a) = count(a) - the synchronous columns of a, with
+count(a) the occurrences of a in ``trace[k:]``.  A synchronous column then
+costs its own cost minus the log-move cost of its activity, and the
 constant sum of count(a) times that log-move cost is the problem's
 :attr:`~HeuristicProblem.offset`, added to the optimum.  Activity row a,
 ``-sum x_sync(a) >= -count(a)``, says the log moves left over are
-non-negative; an activity without a synchronous move keeps its all-zero
-row.  Every row is a ``>=`` row with a right-hand side of at most 0, so
-x = 0, the all-log-moves alignment, is feasible and the simplex starts at
-its slack basis with no phase 1.  The substitution is exact under ``lp``
-and ``ilp`` alike, since integral synchronous counts give integral log
-counts.
+non-negative; it has right-hand side 0 when a is not ahead.  Model row p is
+``m(p) + flow(p) >= 0``.  A remaining activity that the model lacks has no
+column, and adds only to the offset.  So a program is its right-hand side,
+and the simplex re-solves each one from the last optimal basis of the
+model's matrix (:class:`~streamalign.simplex.WarmStart`).  Every right-hand
+side is at most 0, so x = 0, the all-log-moves alignment, is feasible.  The
+substitution is exact under ``lp`` and ``ilp`` alike, since integral
+synchronous counts give integral log counts.  It relies on a log move's
+cost depending on its activity only, not on its trace position, as
+:func:`~streamalign.spn.move_cost` does.
 
 One row per trace place ``tp{k} .. tp{n}`` instead would make each
 remaining position's moves fire once in total, but it puts no order on the
@@ -32,14 +40,11 @@ programs have the same optimum, under ``ilp`` and ``lp`` alike: a
 per-position solution sums to an activity-count one of the same cost and
 model flow, and an activity-count solution splits back into per-position
 moves, an integer one unit by unit over the positions of a and a
-fractional one evenly.  The program grows with the distinct activities
-left, not with ``n - k``.
+fractional one evenly.
 
-Each column is a :class:`~streamalign.spn.Move` of the product net's move
-table, contributing -1 to its activity's row, -1 to the row of every
+Each column contributes -1 to its activity's row, -1 to the row of every
 model place in its preset and +1 to every model place in its postset, so a
-self-loop cancels to 0; trace places are ignored.  Nothing is cached per
-net.
+self-loop cancels to 0.
 
 A state is a packed product marking, the search's own state type
 (:meth:`~streamalign.spn.SyncProductNet.encode`); ``k`` and the model
@@ -54,62 +59,107 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .alignment import InvariantViolation
-from .simplex import OPTIMAL, Row, solve_ilp, solve_lp
-from .spn import SyncProductNet
+from .simplex import OPTIMAL, Row, WarmStart, solve_ilp, solve_lp
+from .spn import Move, MoveKind, MoveTable, SyncProductNet
 
 MODES = ("lp", "ilp", "zero")
 
 
+class FlowProgram:
+    """The constraint matrix and objective that every flow program of one
+    model shares, and the warm start of its simplex solves.
+
+    ``coeffs`` holds the activity rows, then the place rows, and the same
+    list objects go into every program, as the warm start requires.
+    """
+
+    __slots__ = (
+        "variables", "objective", "coeffs", "activity_rows", "place_rows", "log_costs", "warm"
+    )
+
+    def __init__(self, table: MoveTable):
+        # one synchronous column per labelled model transition, at no trace position
+        syncs = tuple(
+            Move(
+                f"sync:{r.model_transition}", MoveKind.SYNC, None, r.model_transition,
+                r.model_label, r.model_label, r.pre, r.post, 0, 0,
+            )
+            for r in table.model_moves
+            if r.model_label is not None
+        )
+        columns = table.model_moves + syncs
+        activities = dict.fromkeys(r.activity for r in syncs)
+        self.activity_rows = {a: i for i, a in enumerate(activities)}
+        self.place_rows = {p: len(activities) + i for i, p in enumerate(table.model.places)}
+        self.coeffs = [[0] * len(columns) for _ in range(len(activities) + len(self.place_rows))]
+        for j, r in enumerate(columns):
+            if r.activity is not None:
+                self.coeffs[self.activity_rows[r.activity]][j] = -1
+            for p in r.pre:
+                self.coeffs[self.place_rows[p]][j] -= 1
+            for p in r.post:
+                self.coeffs[self.place_rows[p]][j] += 1
+        self.log_costs: dict[str, int] = {}
+        self.variables = tuple(r.tid for r in columns)
+        self.objective = [
+            r.cost - (0 if r.activity is None else self.log_cost(r.activity)) for r in columns
+        ]
+        self.warm = WarmStart()
+
+    def log_cost(self, activity: str) -> int:
+        """The cost of a log move observing ``activity``, at any position."""
+        cost = self.log_costs.get(activity)
+        if cost is None:
+            log = Move(f"log:{activity}", MoveKind.LOG, None, None, activity, None, (), (), 0, 0)
+            cost = self.log_costs[activity] = log.cost
+        return cost
+
+
 @dataclass(frozen=True)
 class HeuristicProblem:
-    """One concrete flow problem: objective, rows and variable naming, and
-    the constant ``offset`` that the log moves substituted out contribute."""
+    """One concrete flow problem: the model's objective, rows with the
+    state's right-hand sides and variable naming, and the constant
+    ``offset`` that the log moves substituted out contribute."""
 
     variables: tuple[str, ...]
-    objective: tuple[int, ...]
-    rows: tuple[Row, ...]
+    objective: list[int]
+    rows: list[Row]
     n_activity_rows: int
     n_model_rows: int
     offset: int
 
 
 def build_problem(spn: SyncProductNet, state: int) -> HeuristicProblem:
-    """Assemble the activity-count flow problem for one packed state.
+    """The flow problem of one packed state of ``spn``.
 
-    With the trace token on ``tp{k}``, each distinct activity a of
-    ``trace[k:]`` contributes ``-sync(a) >= -count(a)``, where ``sync(a)``
-    is the total of its synchronous moves, and each model place the
-    inequality ``m(p) + flow(p) >= 0``.  ``state`` is a state of ``spn``,
-    as :meth:`SyncProductNet.encode` returns it.
+    It is the model's :class:`FlowProgram`, built on the first call for a
+    move table, with the state's right-hand side: ``-count(a)`` for each
+    model activity a, counted over ``trace[k:]`` with the trace token on
+    ``tp{k}``, and ``-m(p)`` for each model place.  ``state`` is a state of
+    ``spn``, as :meth:`SyncProductNet.encode` returns it.
     """
-    k, counts = spn.table.unpack(state)
-    remaining = Counter(spn.trace[k:])
-    columns = spn.table.model_moves
-    log_cost = {}
-    for a in remaining:
-        block = spn.table.position(spn.trace.index(a, k) + 1, a)
-        log_cost[a] = block[0].cost
-        columns += block[1:]
-    activity_rows = {a: [0] * len(columns) for a in remaining}
-    model_rows = {p: [0] * len(columns) for p in spn.model.places}
-    for j, r in enumerate(columns):
-        if r.activity is not None:
-            activity_rows[r.activity][j] = -1
-        for p in r.pre:
-            if p in model_rows:
-                model_rows[p][j] -= 1
-        for p in r.post:
-            if p in model_rows:
-                model_rows[p][j] += 1
-    rows = [(coeffs, ">=", -remaining[a]) for a, coeffs in activity_rows.items()]
-    rows += [(coeffs, ">=", -counts.get(p, 0)) for p, coeffs in model_rows.items()]
+    table = spn.table
+    program = table.program
+    if program is None:
+        program = table.program = FlowProgram(table)
+    k, counts = table.unpack(state)
+    activity_rows, place_rows = program.activity_rows, program.place_rows
+    rhs = [0] * len(program.coeffs)
+    offset = 0
+    for a, count in Counter(spn.trace[k:]).items():
+        offset += count * program.log_cost(a)
+        i = activity_rows.get(a)
+        if i is not None:
+            rhs[i] = -count
+    for p, count in counts.items():
+        rhs[place_rows[p]] = -count
     return HeuristicProblem(
-        tuple(r.tid for r in columns),
-        tuple(r.cost - log_cost.get(r.activity, 0) for r in columns),
-        tuple(rows),
+        program.variables,
+        program.objective,
+        [(coeffs, ">=", b) for coeffs, b in zip(program.coeffs, rhs)],
         n_activity_rows=len(activity_rows),
-        n_model_rows=len(model_rows),
-        offset=sum(remaining[a] * c for a, c in log_cost.items()),
+        n_model_rows=len(place_rows),
+        offset=offset,
     )
 
 
@@ -118,8 +168,9 @@ def estimate(spn: SyncProductNet, state: int, mode: str = "ilp") -> Fraction | i
     under ``ilp`` and ``zero``, a ``Fraction`` under ``lp``.
 
     The estimate is the optimum of the program :func:`build_problem` builds
-    plus its offset.  That program is feasible, because x = 0, the
-    all-log-moves alignment, meets every row.  Its optimum is bounded too:
+    plus its offset, solved from the last optimal basis of the model's
+    matrix.  That program is feasible, because x = 0, the all-log-moves
+    alignment, meets every row.  Its optimum is bounded too:
     only a synchronous move can cost less than 0, and its activity row caps
     it at count(a).  Any status other than optimal is therefore a solver
     fault and raises :class:`~streamalign.alignment.InvariantViolation`.
@@ -130,7 +181,7 @@ def estimate(spn: SyncProductNet, state: int, mode: str = "ilp") -> Fraction | i
         return 0
     problem = build_problem(spn, state)
     solver = solve_lp if mode == "lp" else solve_ilp
-    result = solver(list(problem.objective), list(problem.rows))
+    result = solver(problem.objective, problem.rows, spn.table.program.warm)
     if result.status != OPTIMAL:
         raise InvariantViolation(f"flow program for {spn.decode(state)} is {result.status}")
     value = result.value + problem.offset

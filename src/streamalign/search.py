@@ -53,16 +53,16 @@ moves exactly once per expansion.
 
 Every estimate goes through the memo of the net's move table
 (:attr:`~streamalign.spn.MoveTable.memo`), which every search on a product
-net of that table shares.  The flow program of a marking whose trace token
-sits on ``tp{k}`` is determined by the mode, the marking's model part and the
-remaining activities ``trace[k:]``: its columns are the model moves plus,
-per remaining activity, one synchronous move per model transition with
-that label (the log moves are substituted out, their cost kept as the
-program's offset), its activity rows have the activities' negated counts
-as right-hand sides and its model rows ``-m(p)``.  Its value is therefore
-the same in every case, at every position and however far the net has
-grown, and the memo keys it by exactly those three things, the model part
-as the state's model fields (:func:`memo_key`).  A table serves one model,
+net of that table shares.  Every flow program of a model has one
+constraint matrix and objective, the table's
+:class:`~streamalign.heuristic.FlowProgram`.  The program of a marking whose
+trace token sits on ``tp{k}`` differs only in its right-hand side: the
+negated counts of the model's activities in ``trace[k:]`` and ``-m(p)`` per
+model place, plus an offset that the remaining activities' log moves cost.
+Its value is therefore the same in every case, at every position and
+however far the net has grown.  The memo keys it by the mode, the model
+part as the state's model fields, and the remaining activities themselves
+(:func:`memo_key`), which fix those counts.  A table serves one model,
 so its memo does too.  A product net built without a table has a private
 one, whose memo still serves every repeated suffix of its own case.  A memo
 keeps at most :data:`MEMO_ENTRIES` values and evicts the oldest first;

@@ -2,8 +2,7 @@
 
 A small dense two-phase simplex with Bland's rule, plus a best-bound
 branch-and-bound wrapper for integer programs.  Problems here are tiny (tens
-of variables), so exactness beats sophistication: no tolerances, no presolve,
-no warm starts.
+of variables), so exactness beats sophistication: no tolerances, no presolve.
 
 Pivoting is fraction-free (Edmonds 1967; Bareiss 1968).  The tableau holds
 Python ``int``s over one common positive denominator ``d``: the entry it
@@ -20,6 +19,20 @@ All variables are constrained to be non-negative.  Constraint rows are
 ``(coefficients, relation, rhs)`` with relation ``"="`` or ``">="`` and
 ``int`` or ``Fraction`` entries; a row with fractions is scaled to integers
 by the common multiple of its denominators.
+
+Programs that share one constraint matrix and objective and differ only in
+their right-hand sides can be re-solved warm: :func:`solve_lp` keeps its
+last optimal tableau in a :class:`WarmStart` the caller passes, and starts
+the next program on the same matrix from that basis.  A warm program has
+only ``>=`` rows with integer coefficients and integer right-hand sides of
+at most 0, so every slack starts basic and the tableau's slack block is ``d`` times the basis
+inverse, objective row included.  The new right-hand-side column is that
+block times the new right-hand side, in integers.  The basis stays dual
+feasible, since the objective has not changed.  If the column is
+non-negative, the basis is optimal at once.  Otherwise the dual simplex
+(Lemke 1954) pivots to optimality with Bland's rule (Bland 1977): the
+infeasible row whose basic variable has the smallest index leaves, and
+ratio ties go to the smallest entering index, so it ends.
 """
 
 from __future__ import annotations
@@ -121,13 +134,101 @@ class _Tableau:
                 return UNBOUNDED
             self.pivot(leaving, entering, obj)
 
+    def dual_minimize(self, obj: list[int]) -> str:
+        """Drive the rhs column non-negative with the dual simplex and
+        Bland's rule, from a basis whose reduced costs ``obj`` are all
+        non-negative."""
+        rows, basis = self.rows, self.basis
+        while True:
+            leaving = -1
+            for i, row in enumerate(rows):
+                if row[-1] < 0 and (leaving < 0 or basis[i] < basis[leaving]):
+                    leaving = i
+            if leaving < 0:
+                return OPTIMAL
+            prow = rows[leaving]
+            entering = -1
+            for j in range(self.ncols):
+                a = prow[j]
+                # obj[j] / -a against obj[entering] / -prow[entering], both a < 0
+                if a < 0 and (entering < 0 or obj[j] * prow[entering] > obj[entering] * a):
+                    entering = j
+            if entering < 0:
+                return INFEASIBLE
+            self.pivot(leaving, entering, obj)
 
-def solve_lp(objective: list, rows: list[Row]) -> LpResult:
+
+class WarmStart:
+    """The last optimal tableau :func:`solve_lp` reached on one constraint
+    matrix, which the next program on that matrix starts from.
+
+    It is tied to the objective and coefficient lists it was built from, by
+    identity: a caller keeps one holder per matrix and passes the same list
+    objects each time.  Any other program is solved cold and re-seeds it.
+    """
+
+    __slots__ = ("objective", "coeffs", "scale", "rhs", "tab", "obj")
+
+    def __init__(self):
+        self.tab: _Tableau | None = None
+
+    def _seed(self, objective, rows, scale, tab, obj) -> None:
+        self.objective, self.coeffs = objective, [c for c, _, _ in rows]
+        self.rhs = [-rhs for _, _, rhs in rows]
+        self.scale, self.tab, self.obj = scale, tab, obj
+
+    def _resolve(self, objective: list, rows: list[Row]) -> str | None:
+        """Re-solve on the stored tableau; None when the program is not on
+        its matrix or not in warm form."""
+        if self.tab is None or objective is not self.objective or len(rows) != len(self.coeffs):
+            return None
+        new = []
+        for (coeffs, rel, rhs), old in zip(rows, self.coeffs):
+            if coeffs is not old or rel != ">=" or type(rhs) is not int or rhs > 0:
+                return None
+            new.append(-rhs)
+        # rhs column = slack block (d times the basis inverse) times the new
+        # rhs: the old column plus the block times the change, or the block
+        # times the new rhs when fewer of its entries are nonzero
+        tab, first = self.tab, self.tab.ncols - len(new)
+        column = tab.rows + [self.obj]
+        terms = [(first + i, v - u) for i, (v, u) in enumerate(zip(new, self.rhs)) if v != u]
+        nonzero = [(first + i, v) for i, v in enumerate(new) if v]
+        if len(nonzero) < len(terms):
+            terms = nonzero
+            for row in column:
+                row[-1] = 0
+        for j, v in terms:
+            for row in column:
+                row[-1] += row[j] * v
+        self.rhs = new
+        return tab.dual_minimize(self.obj)
+
+
+def _optimum(tab: _Tableau, obj: list[int], n: int, scale: int) -> LpResult:
+    d = tab.d
+    x = [Fraction(0)] * n
+    for row, b in zip(tab.rows, tab.basis):
+        if b < n and row[-1]:
+            x[b] = Fraction(row[-1], d)
+    return LpResult(OPTIMAL, Fraction(-obj[-1], d * scale), tuple(x))
+
+
+def solve_lp(objective: list, rows: list[Row], warm: WarmStart | None = None) -> LpResult:
     """Minimize ``objective . x`` subject to the rows and ``x >= 0``.
 
     Returns exact rational optimum and one optimal vertex, an infeasibility
-    verdict, or an unboundedness verdict.
+    verdict, or an unboundedness verdict.  With ``warm``, a program on the
+    matrix it holds starts from its last optimal basis, and a program in
+    warm form (every row ``>=``, with integer coefficients and an integer
+    rhs of at most 0) solved cold leaves its optimal tableau there.
     """
+    if warm is not None:
+        status = warm._resolve(objective, rows)
+        if status == OPTIMAL:
+            return _optimum(warm.tab, warm.obj, len(objective), warm.scale)
+        if status == INFEASIBLE:
+            return LpResult(INFEASIBLE, None, None)
     n = len(objective)
     n_slack = n_art = 0
     for coeffs, rel, rhs in rows:
@@ -151,9 +252,11 @@ def solve_lp(objective: list, rows: list[Row]) -> LpResult:
     pad = [0] * (n_slack + n_art)
     rows_out: list[list[int]] = []
     basis: list[int] = []
+    fractional = False  # a row was scaled to integers
     scol, acol = n, art_base
     for coeffs, rel, rhs in rows:
-        values = _integral([*coeffs, rhs])[0]
+        values, den = _integral([*coeffs, rhs])
+        fractional |= den != 1
         ge = rel == ">="
         flip = rhs <= 0 if ge else rhs < 0
         if flip:
@@ -212,13 +315,11 @@ def solve_lp(objective: list, rows: list[Row]) -> LpResult:
     status = tab.minimize(obj)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
-
-    d = tab.d
-    x = [Fraction(0)] * n
-    for i, b in enumerate(tab.basis):
-        if b < n:
-            x[b] = Fraction(tab.rows[i][-1], d)
-    return LpResult(OPTIMAL, Fraction(-obj[-1], d * scale), tuple(x))
+    if warm is not None and not fractional and n_slack == len(rows) and all(
+        type(rhs) is int and rhs <= 0 for _, _, rhs in rows
+    ):
+        warm._seed(objective, rows, scale, tab, obj)
+    return _optimum(tab, obj, n, scale)
 
 
 def _is_integral(value: Fraction) -> bool:
@@ -226,19 +327,23 @@ def _is_integral(value: Fraction) -> bool:
 
 
 def solve_ilp(
-    objective: list, rows: list[Row], depth_limit: int | None = None
+    objective: list,
+    rows: list[Row],
+    warm: WarmStart | None = None,
+    depth_limit: int | None = None,
 ) -> LpResult:
     """Minimize over non-negative integer vectors by branch and bound.
 
     Nodes are explored best-bound first; branching splits the first
     fractional coordinate of the node's LP vertex.  The depth limit defaults
     to ten times the variable count and exceeding it is an error rather than
-    an approximate answer.
+    an approximate answer.  Only the root LP uses ``warm``; every child is
+    solved cold.
     """
     n = len(objective)
     limit = depth_limit if depth_limit is not None else 10 * n
 
-    root = solve_lp(objective, rows)
+    root = solve_lp(objective, rows, warm)
     if root.status == INFEASIBLE:
         return root
     if root.status == UNBOUNDED:

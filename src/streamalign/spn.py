@@ -167,7 +167,9 @@ class MoveTable:
     ``memo`` holds the flow-program values that searches on the table's
     product nets have solved (see :mod:`streamalign.search`).  A program's
     value depends on the model, not on the case, so every net on the table
-    shares them: one memo per model holds by construction.
+    shares them: one memo per model holds by construction.  ``program`` is
+    the model's :class:`~streamalign.heuristic.FlowProgram`, the one
+    constraint matrix of those flow programs, built by the first estimate.
     """
 
     def __init__(self, model: WorkflowNet):
@@ -199,6 +201,7 @@ class MoveTable:
         # (position, activity) -> its block and the expansion ending in it
         self._positions: dict[tuple[int, str], tuple[tuple[Move, ...], tuple[Move, ...]]] = {}
         self.memo: dict[tuple, object] = {}  # memo_key -> estimate, filled by the search
+        self.program = None  # the FlowProgram, built by the first estimate
 
     def _layout(self, places: tuple[str, ...]) -> None:
         # Every trace place id sorts in [tp0, tp:), so the trace token can

@@ -130,6 +130,34 @@ def test_replay_deterministic_outputs(capsys, tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "names, runs",
+    [
+        ("occ,occ-w1", ["occ", "occ-w1"]),
+        ("occ-w1,iasr,occ", ["occ", "occ-w1", "iasr"]),
+        ("occ-w1,iasr", ["occ", "occ-w1", "iasr"]),
+        ("occ,ias,occ-w2", ["ias", "occ", "occ-w2"]),
+    ],
+)
+def test_replay_runs_each_engine_once(capsys, monkeypatch, tmp_path, names, runs):
+    # The oracle's algorithm runs first; it runs a second time only when it
+    # is not listed, and then just for the oracle.
+    ran = []
+    run = streamalign.cli.StreamEngine.run
+
+    def counted(engine, events):
+        ran.append(engine.algorithm)
+        return run(engine, events)
+
+    monkeypatch.setattr(streamalign.cli.StreamEngine, "run", counted)
+    code, _, _ = run_cli(
+        capsys,
+        "replay", "--model", "n1", "--log", "bundled-3traces",
+        "--algorithms", names, "--out", str(tmp_path), "--timing", "off",
+    )
+    assert code == EXIT_OK and ran == runs
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "replay", "--model", "n1")  # missing --log/--out
     assert code == EXIT_USAGE

@@ -6,6 +6,7 @@ import streamalign.heuristic as heuristic
 from streamalign import (
     InvariantViolation,
     Marking,
+    StreamEngine,
     WorkflowNet,
     build_problem,
     build_spn,
@@ -15,6 +16,7 @@ from streamalign import (
     extend_spn,
     generate_log,
     move_cost,
+    replay_log_as_stream,
     solve_ilp,
     solve_lp,
 )
@@ -27,16 +29,24 @@ from tests.conftest import SeededRandom, nets_and_traces, random_net_and_trace
 def test_problem_shape_for_unit_trace(n1):
     spn = build_spn(n1, ["a"])
     problem = build_problem(spn, spn.encode(spn.initial))
-    # 4 model + 1 sync: the log move is substituted out
-    assert problem.variables[-1] == "sync:tt1|t1" and len(problem.variables) == 5
-    assert problem.n_activity_rows == 1
+    # 4 model moves, then one synchronous column per labelled model
+    # transition (t1: a, t3: b, t4: c); the log moves are substituted out
+    assert problem.variables == (
+        "model:t1", "model:t2", "model:t3", "model:t4", "sync:t1", "sync:t3", "sync:t4"
+    )
+    assert problem.n_activity_rows == 3  # a, b and c, whether ahead or not
     assert problem.n_model_rows == 3
-    assert [rel for _, rel, _ in problem.rows] == [">="] * 4
+    assert [rel for _, rel, _ in problem.rows] == [">="] * 6
     # the one remaining a is consumed once, by its log or sync move, so the
-    # sync move fires at most once; the log move's cost 1 is the offset, and
-    # the sync move saves it
-    assert problem.rows[0] == ([0, 0, 0, 0, -1], ">=", -1)
-    assert problem.objective[-1] == -1 and problem.offset == 1
+    # sync move fires at most once; b and c are not ahead, so theirs never
+    # fire; the log move's cost 1 is the offset, and a sync move saves it
+    assert problem.rows[:3] == [
+        ([0, 0, 0, 0, -1, 0, 0], ">=", -1),
+        ([0, 0, 0, 0, 0, -1, 0], ">=", 0),
+        ([0, 0, 0, 0, 0, 0, -1], ">=", 0),
+    ]
+    assert problem.rows[3] == ([-1, -1, 0, 0, -1, 0, 0], ">=", -1)  # p1 holds the token
+    assert problem.objective == [1, 0, 1, 1, -1, -1, -1] and problem.offset == 1
 
 
 def unrestricted_problem(spn, marking):
@@ -56,9 +66,11 @@ def unrestricted_problem(spn, marking):
     return variables, objective, rows
 
 
-def assert_same_optimum(problem, objective, rows, context):
+def assert_same_optimum(problem, objective, rows, context, warm):
+    # the fixed-form program, re-solved from the model's last optimal basis,
+    # against the per-position program over every move, solved cold
     for solver in (solve_lp, solve_ilp):
-        mine = solver(list(problem.objective), list(problem.rows))
+        mine = solver(problem.objective, problem.rows, warm)
         full = solver(objective, rows)
         assert mine.status == full.status == OPTIMAL, (context, solver)
         assert mine.value + problem.offset == full.value, (context, solver)
@@ -74,47 +86,50 @@ def test_suffix_program_matches_unrestricted_program(preset_models):
         inputs += [(model, t) for t in generate_log(model, 3, noise, max_len=5, seed=43)]
     checked = repeated = 0
     for net, trace in inputs:
+        labelled = [t for t in net.transitions if net.label(t) is not None]
+        activities = list(dict.fromkeys(map(net.label, labelled)))
         spn = build_spn(net, trace[:1])
         for activity in [None] + trace[1:]:
             if activity is not None:
                 extend_spn(spn, activity)
             markings, _ = enumerate_state_space(spn.petri_net(), spn.initial, 3000)
-            moves = spn.transitions
             for m in markings:
                 k = next(i for i in range(spn.n + 1) if m.get(trace_place(i)))
                 remaining = spn.trace[k:]
-                distinct = list(dict.fromkeys(remaining))
                 problem = build_problem(spn, spn.encode(m))
-                assert problem.n_activity_rows == len(distinct)
+                # the columns are the model moves, then one synchronous
+                # column per labelled model transition; the rows are one per
+                # model activity, then one per model place
+                assert problem.variables == tuple(r.tid for r in spn.table.model_moves) + tuple(
+                    f"sync:{t}" for t in labelled
+                )
+                assert problem.n_activity_rows == len(activities)
                 assert problem.n_model_rows == len(net.places)
                 variables, objective, rows = unrestricted_problem(spn, m)
-                # each column is a model move or a synchronous move of its
-                # activity's first remaining position, with that move's model
-                # flow and -1 in its activity's row; a synchronous move costs
-                # its own cost less its log move's, and the log moves' costs
-                # make up the offset
-                blocks = [spn.table.position(remaining.index(a) + k + 1, a) for a in distinct]
-                assert problem.variables == tuple(
-                    r.tid for r in spn.table.model_moves + sum((b[1:] for b in blocks), ())
-                )
                 activity_rows = problem.rows[: problem.n_activity_rows]
                 model_rows = problem.rows[problem.n_activity_rows :]
-                assert [rhs for _, _, rhs in activity_rows] == [-remaining.count(a) for a in distinct]
+                assert [rhs for _, _, rhs in activity_rows] == [-remaining.count(a) for a in activities]
                 full = {t: j for j, t in enumerate(variables)}
-                log_cost = {a: objective[full[b[0].tid]] for a, b in zip(distinct, blocks)}
-                assert problem.offset == sum(log_cost[a] for a in remaining)
+                log_moves = [spn.table.position(i + 1, a)[0] for i, a in enumerate(spn.trace)]
+                assert problem.offset == sum(objective[full[r.tid]] for r in log_moves[k:])
                 full_model_rows = rows[spn.n + 1 :]
-                for j, t in enumerate(problem.variables):
-                    saved = log_cost.get(moves[t].activity, 0)
-                    assert problem.objective[j] == objective[full[t]] - saved
-                    assert [c[j] for c, _, _ in activity_rows] == [
-                        -int(a == moves[t].activity) for a in distinct
-                    ]
+                for j, tid in enumerate(problem.variables):
+                    # a synchronous column has its model transition's flow and
+                    # costs a synchronous move less its activity's log move,
+                    # as at every trace position of that activity
+                    kind, t = tid.split(":")
+                    a = net.label(t) if kind == "sync" else None
                     assert [c[j] for c, _, _ in model_rows] == [
-                        c[full[t]] for c, _, _ in full_model_rows
+                        c[full[f"model:{t}"]] for c, _, _ in full_model_rows
                     ]
+                    assert [c[j] for c, _, _ in activity_rows] == [-int(b == a) for b in activities]
+                    if a is None:
+                        assert problem.objective[j] == objective[full[tid]]
+                    for i in (i + 1 for i, b in enumerate(spn.trace) if b == a):
+                        sync, log = full[f"sync:tt{i}|{t}"], full[f"log:tt{i}"]
+                        assert problem.objective[j] == objective[sync] - objective[log]
                 assert [rhs for *_, rhs in model_rows] == [rhs for *_, rhs in full_model_rows]
-                assert_same_optimum(problem, objective, rows, m)
+                assert_same_optimum(problem, objective, rows, m, spn.table.program.warm)
                 checked += 1
                 repeated += any(rhs <= -2 for _, _, rhs in activity_rows)
     assert checked > 1000
@@ -175,7 +190,8 @@ def test_estimates_ignore_the_order_of_the_remaining_activities(preset_models):
                 assert mine == estimate(other, other.encode(m), mode), (m, mode)
             for case in (spn, other):
                 _, objective, rows = unrestricted_problem(case, m)
-                assert_same_optimum(build_problem(case, case.encode(m)), objective, rows, m)
+                problem = build_problem(case, case.encode(m))
+                assert_same_optimum(problem, objective, rows, m, case.table.program.warm)
             checked += 1
             reordered += other.trace != spn.trace
     assert checked > 500 and reordered > 100
@@ -252,9 +268,37 @@ def test_problem_zero_solution_at_goal(n1):
     spn = build_spn(n1, ["a"])
     goal = Marking.of("tp1", "p2")
     problem = build_problem(spn, spn.encode(goal))
-    assert problem.n_activity_rows == 0 and problem.offset == 0
-    assert all(rel == ">=" and rhs <= 0 for _, rel, rhs in problem.rows)
+    # no activity is ahead: every activity row has right-hand side 0
+    assert problem.n_activity_rows == 3 and problem.offset == 0
+    assert [rhs for _, _, rhs in problem.rows] == [0, 0, 0, 0, -1, 0]
+    assert all(rel == ">=" for _, rel, _ in problem.rows)
     assert estimate(spn, spn.encode(goal), "ilp") == 0
+
+
+def test_one_flow_program_per_move_table(preset_models):
+    # The program is built at a table's first estimate and shared by every
+    # net on the table; its matrix and objective are the very lists each
+    # problem carries, as the warm start requires.  A second table builds
+    # its own, and an engine under zero builds none.
+    net = preset_models["choice-loop"]
+    trace = generate_log(net, 1, {"swap_p": 0.2}, max_len=6, seed=5)[0]
+    table = MoveTable(net)
+    first, second = build_spn(net, trace, table), build_spn(net, trace[::-1], table)
+    assert table.program is None
+    estimate(first, first.encode(first.initial), "ilp")
+    program = table.program
+    assert program is not None
+    for spn, mode in ((first, "lp"), (second, "ilp"), (second, "lp")):
+        estimate(spn, spn.encode(spn.initial), mode)
+        problem = build_problem(spn, spn.encode(spn.initial))
+        assert table.program is program and problem.objective is program.objective
+        assert all(c is d for (c, _, _), d in zip(problem.rows, program.coeffs, strict=True))
+    alone = build_spn(net, trace)
+    estimate(alone, alone.encode(alone.initial), "ilp")
+    assert alone.table.program is not None and alone.table.program is not program
+    engine = StreamEngine(net, "ias", "zero")
+    engine.run(replay_log_as_stream([trace]))
+    assert engine.moves.memo == {} and engine.moves.program is None
 
 
 def test_problem_rejects_bad_markings(n1):

@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from streamalign import solve_ilp, solve_lp
+from streamalign import simplex, solve_ilp, solve_lp
 from streamalign.simplex import BranchDepthExceeded, INFEASIBLE, OPTIMAL, UNBOUNDED
 from tests import reference_simplex
 
@@ -196,3 +197,129 @@ def test_rational_input_is_scaled_exactly():
     result = solve_lp([Fraction(3, 4), 1], rows)
     assert result == reference_simplex.solve_lp([Fraction(3, 4), 1], rows)
     assert result.value == Fraction(7, 20)
+
+
+def _warm_sequences(rng, count, steps):
+    """Matrices in warm form, each with a sequence of right-hand sides.
+
+    Half the sequences draw every right-hand side afresh, half walk: each
+    step changes one or two entries of the last one.  Some matrices repeat
+    a row, have a zero row or column, or take mostly zero right-hand sides,
+    so many vertices are degenerate.  The last row boxes x in, so that
+    branch and bound ends.
+    """
+    for case in range(count):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        objective = [rng.randint(-1, 5) for _ in range(n)]
+        coeffs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        if case % 3 == 1:
+            coeffs.append(list(coeffs[0]))
+            coeffs.append([0] * n)
+            for row in coeffs:
+                row[-1] = 0
+        coeffs.append([-1] * n)
+        low = -1 if case % 4 == 0 else -4
+        rhs = [rng.randint(low, 0) for _ in coeffs]
+        sequence = []
+        for _ in range(steps):
+            if case % 2:
+                for i in rng.sample(range(len(rhs)), rng.randint(1, 2)):
+                    rhs[i] = rng.randint(low, 0)
+            else:
+                rhs = [rng.randint(low, 0) for _ in coeffs]
+            rhs[-1] = min(rhs[-1], -1) if case % 4 else rhs[-1]
+            sequence.append(list(rhs))
+        yield objective, coeffs, sequence
+
+
+def _check_solution(result, objective, rows, integral):
+    x = result.solution
+    assert all(v >= 0 for v in x)
+    assert sum(c * v for c, v in zip(objective, x)) == result.value
+    for coeffs, _, rhs in rows:
+        assert sum(c * v for c, v in zip(coeffs, x)) >= rhs
+    if integral:
+        assert all(v.denominator == 1 for v in x)
+
+
+@pytest.mark.parametrize("solver", ["lp", "ilp"])
+def test_warm_solves_match_the_reference_over_long_sequences(monkeypatch, solver):
+    # Each matrix keeps one holder for its whole sequence.  Values and
+    # statuses must equal the Fraction reference's cold solves, and every
+    # optimal vertex must be feasible (and integral under ilp); the vertex
+    # itself may differ, since a warm solve can land on another optimum.
+    pivots = []
+    pivot = simplex._Tableau.pivot
+
+    def counted(tab, r, c, obj):
+        pivots[-1] += 1
+        return pivot(tab, r, c, obj)
+
+    monkeypatch.setattr(simplex._Tableau, "pivot", counted)
+    mine, reference = (solve_lp, reference_simplex.solve_lp)
+    if solver == "ilp":
+        mine, reference = (solve_ilp, reference_simplex.solve_ilp)
+    warm_steps = Counter()
+    for objective, coeffs, sequence in _warm_sequences(random.Random(97), 120, 40):
+        warm = simplex.WarmStart()
+        for rhs in sequence:
+            rows = [(c, ">=", b) for c, b in zip(coeffs, rhs)]
+            seeded = warm.tab is not None
+            pivots.append(0)
+            result = mine(objective, rows, warm)
+            expected = reference(objective, rows)
+            assert (result.status, result.value) == (expected.status, expected.value), (
+                objective, rows,
+            )
+            if result.status == OPTIMAL:
+                _check_solution(result, objective, rows, solver == "ilp")
+                if seeded and solver == "lp":
+                    warm_steps["no pivot" if pivots[-1] == 0 else "dual pivots"] += 1
+            assert warm.tab is not None or result.status == UNBOUNDED
+    if solver == "lp":
+        assert warm_steps["no pivot"] > 2000 and warm_steps["dual pivots"] > 200, warm_steps
+
+
+def test_a_holder_given_another_program_solves_it_cold(monkeypatch):
+    # The holder is tied to the exact objective and coefficient lists it was
+    # built from.  An equal copy, another matrix, a row outside warm form or
+    # another row count is solved from the slack basis, so its answer is the
+    # cold solve's, vertex included.  A cold solve in warm form re-seeds the
+    # holder; one with a positive rhs or a fractional row leaves it as it is.
+    minimized = []
+    minimize = simplex._Tableau.minimize
+
+    def counted(tab, obj):
+        minimized.append(obj)
+        return minimize(tab, obj)
+
+    monkeypatch.setattr(simplex._Tableau, "minimize", counted)
+    objective = [2, 3, -1]
+    coeffs = [[1, 1, -1], [-1, 0, 1], [-1, -1, -1]]
+    warm = simplex.WarmStart()
+    rows = [(c, ">=", b) for c, b in zip(coeffs, [-1, -2, -5])]
+    assert solve_lp(objective, rows, warm) == solve_lp(objective, rows)
+    minimized.clear()
+    rows = [(c, ">=", b) for c, b in zip(coeffs, [0, -1, -3])]
+    assert solve_lp(objective, rows, warm).value == solve_lp(objective, rows).value
+    assert len(minimized) == 1  # the cold solve's; the warm one ran no primal simplex
+    others = [
+        ([(list(c), ">=", b) for c, b in zip(coeffs, [-2, 0, -4])], True),
+        ([([1, 0, -1], ">=", -1), ([0, -1, 1], ">=", -2), ([-1, -1, -1], ">=", -3)], True),
+        ([(c, ">=", b) for c, b in zip(coeffs, [1, -1, -3])], False),
+        ([([Fraction(1, 2), 1, -1], ">=", -1), (coeffs[1], ">=", 0), (coeffs[2], ">=", -3)], False),
+        ([(c, ">=", b) for c, b in zip(coeffs[:2], [0, -1])], True),
+    ]
+    for rows, seeds in others:
+        for same_objective in (objective, list(objective)):
+            held = warm.objective, warm.coeffs
+            minimized.clear()
+            result = solve_lp(same_objective, rows, warm)
+            assert minimized, rows  # solved from the slack basis
+            assert result == solve_lp(same_objective, rows)
+            assert result == reference_simplex.solve_lp(same_objective, rows)
+            if seeds:
+                assert warm.objective is same_objective
+                assert [id(c) for c in warm.coeffs] == [id(c) for c, _, _ in rows]
+            else:
+                assert warm.objective is held[0] and warm.coeffs is held[1]
