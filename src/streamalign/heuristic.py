@@ -26,8 +26,10 @@ non-negative; it has right-hand side 0 when a is not ahead.  Model row p is
 ``m(p) + flow(p) >= 0``.  A remaining activity that the model lacks has no
 column, and adds only to the offset.  So a program is its right-hand side,
 and the simplex re-solves each one from the last optimal basis of the
-model's matrix (:class:`~streamalign.simplex.WarmStart`).  Every right-hand
-side is at most 0, so x = 0, the all-log-moves alignment, is feasible.  The
+model's matrix, held in the :class:`~streamalign.simplex.WarmStart` that
+its :class:`FlowProgram` builds from it.  Every right-hand side is at most
+0, so x = 0, the all-log-moves alignment, is feasible, and whichever
+program comes first can start the holder from its slack basis.  The
 substitution is exact under ``lp`` and ``ilp`` alike, since integral
 synchronous counts give integral log counts.  It relies on a log move's
 cost depending on its activity only, not on its trace position, as
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .alignment import InvariantViolation
-from .simplex import OPTIMAL, Row, WarmStart, solve_ilp, solve_lp
+from .simplex import OPTIMAL, WarmStart, solve_ilp, solve_lp
 from .spn import Move, MoveKind, MoveTable, SyncProductNet
 
 MODES = ("lp", "ilp", "zero")
@@ -67,10 +69,10 @@ MODES = ("lp", "ilp", "zero")
 
 class FlowProgram:
     """The constraint matrix and objective that every flow program of one
-    model shares, and the warm start of its simplex solves.
+    model shares, and the warm start of its simplex solves, which holds
+    that matrix.
 
-    ``coeffs`` holds the activity rows, then the place rows, and the same
-    list objects go into every program, as the warm start requires.
+    ``coeffs`` holds the activity rows, then the place rows.
     """
 
     __slots__ = (
@@ -104,7 +106,7 @@ class FlowProgram:
         self.objective = [
             r.cost - (0 if r.activity is None else self.log_cost(r.activity)) for r in columns
         ]
-        self.warm = WarmStart()
+        self.warm = WarmStart(self.coeffs)
 
     def log_cost(self, activity: str) -> int:
         """The cost of a log move observing ``activity``, at any position."""
@@ -117,13 +119,13 @@ class FlowProgram:
 
 @dataclass(frozen=True)
 class HeuristicProblem:
-    """One concrete flow problem: the model's objective, rows with the
-    state's right-hand sides and variable naming, and the constant
+    """One concrete flow problem: the model's objective and variable naming,
+    the state's right-hand side of the model's rows, and the constant
     ``offset`` that the log moves substituted out contribute."""
 
     variables: tuple[str, ...]
     objective: list[int]
-    rows: list[Row]
+    rhs: list[int]
     n_activity_rows: int
     n_model_rows: int
     offset: int
@@ -132,11 +134,12 @@ class HeuristicProblem:
 def build_problem(spn: SyncProductNet, state: int) -> HeuristicProblem:
     """The flow problem of one packed state of ``spn``.
 
-    It is the model's :class:`FlowProgram`, built on the first call for a
-    move table, with the state's right-hand side: ``-count(a)`` for each
+    It is the state's right-hand side of the model's :class:`FlowProgram`,
+    which the first call for a move table builds: ``-count(a)`` for each
     model activity a, counted over ``trace[k:]`` with the trace token on
-    ``tp{k}``, and ``-m(p)`` for each model place.  ``state`` is a state of
-    ``spn``, as :meth:`SyncProductNet.encode` returns it.
+    ``tp{k}``, and ``-m(p)`` for each model place.  The matrix stays on the
+    program.  ``state`` is a state of ``spn``, as
+    :meth:`SyncProductNet.encode` returns it.
     """
     table = spn.table
     program = table.program
@@ -156,7 +159,7 @@ def build_problem(spn: SyncProductNet, state: int) -> HeuristicProblem:
     return HeuristicProblem(
         program.variables,
         program.objective,
-        [(coeffs, ">=", b) for coeffs, b in zip(program.coeffs, rhs)],
+        rhs,
         n_activity_rows=len(activity_rows),
         n_model_rows=len(place_rows),
         offset=offset,
@@ -167,13 +170,14 @@ def estimate(spn: SyncProductNet, state: int, mode: str = "ilp") -> Fraction | i
     """Remaining-cost estimate for a packed state of ``spn``: an ``int``
     under ``ilp`` and ``zero``, a ``Fraction`` under ``lp``.
 
-    The estimate is the optimum of the program :func:`build_problem` builds
-    plus its offset, solved from the last optimal basis of the model's
-    matrix.  That program is feasible, because x = 0, the all-log-moves
-    alignment, meets every row.  Its optimum is bounded too:
-    only a synchronous move can cost less than 0, and its activity row caps
-    it at count(a).  Any status other than optimal is therefore a solver
-    fault and raises :class:`~streamalign.alignment.InvariantViolation`.
+    The estimate is the optimum of the model's :class:`FlowProgram` at the
+    right-hand side :func:`build_problem` builds, plus its offset, solved
+    from the last optimal basis of the model's matrix.  That program is
+    feasible, because x = 0, the all-log-moves alignment, meets every row.
+    Its optimum is bounded too: only a synchronous move can cost less than
+    0, and its activity row caps it at count(a).  Any status other than
+    optimal is therefore a solver fault and raises
+    :class:`~streamalign.alignment.InvariantViolation`.
     """
     if mode not in MODES:
         raise ValueError(f"unknown heuristic mode {mode!r}")
@@ -181,7 +185,7 @@ def estimate(spn: SyncProductNet, state: int, mode: str = "ilp") -> Fraction | i
         return 0
     problem = build_problem(spn, state)
     solver = solve_lp if mode == "lp" else solve_ilp
-    result = solver(problem.objective, problem.rows, spn.table.program.warm)
+    result = solver(problem.objective, problem.rhs, spn.table.program.warm)
     if result.status != OPTIMAL:
         raise InvariantViolation(f"flow program for {spn.decode(state)} is {result.status}")
     value = result.value + problem.offset

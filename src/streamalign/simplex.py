@@ -1,8 +1,10 @@
-"""Exact rational linear programming for the alignment heuristics.
+"""Exact rational linear programming for the flow programs of the heuristic.
 
-A small dense two-phase simplex with Bland's rule, plus a best-bound
-branch-and-bound wrapper for integer programs.  Problems here are tiny (tens
-of variables), so exactness beats sophistication: no tolerances, no presolve.
+Every program has one form: minimize ``c . x`` subject to ``A x >= b`` and
+``x >= 0``, with integer ``c``, ``A`` and ``b``.  The programs of one matrix
+differ only in ``b``, and share one :class:`WarmStart`, which holds the
+last optimal tableau on that matrix.  Programs are tiny (tens of
+variables), so exactness beats sophistication: no tolerances, no presolve.
 
 Pivoting is fraction-free (Edmonds 1967; Bareiss 1968).  The tableau holds
 Python ``int``s over one common positive denominator ``d``: the entry it
@@ -15,24 +17,24 @@ the integer input.  When ``p < 0`` the whole tableau is negated as well, so
 ratio test cross-multiplies.  Values and vertices are built once at the end
 as exact ``Fraction``s.
 
-All variables are constrained to be non-negative.  Constraint rows are
-``(coefficients, relation, rhs)`` with relation ``"="`` or ``">="`` and
-``int`` or ``Fraction`` entries; a row with fractions is scaled to integers
-by the common multiple of its denominators.
+Row ``a . x >= b`` is held as ``-a . x + s = -b``, with its slack ``s >= 0``.
+A holder's first program has ``b <= 0``, so every slack starts basic at a
+non-negative value, and the primal simplex with Bland's rule (Bland 1977)
+pivots from there to an optimum.  The tableau's slack block is then ``d``
+times the basis inverse, objective row included.  Every later program on
+the holder, whatever the sign of its ``b``, starts from the last optimal
+tableau: its right-hand-side column is the slack block times the new
+``-b``, in integers.  The basis stays dual feasible, since the objective has
+not changed.  If the column is non-negative, the basis is optimal at once.
+Otherwise the dual simplex (Lemke 1954) pivots to optimality with Bland's
+rule: the infeasible row whose basic variable has the smallest index leaves,
+and ratio ties go to the smallest entering index, so it ends.
 
-Programs that share one constraint matrix and objective and differ only in
-their right-hand sides can be re-solved warm: :func:`solve_lp` keeps its
-last optimal tableau in a :class:`WarmStart` the caller passes, and starts
-the next program on the same matrix from that basis.  A warm program has
-only ``>=`` rows with integer coefficients and integer right-hand sides of
-at most 0, so every slack starts basic and the tableau's slack block is ``d`` times the basis
-inverse, objective row included.  The new right-hand-side column is that
-block times the new right-hand side, in integers.  The basis stays dual
-feasible, since the objective has not changed.  If the column is
-non-negative, the basis is optimal at once.  Otherwise the dual simplex
-(Lemke 1954) pivots to optimality with Bland's rule (Bland 1977): the
-infeasible row whose basic variable has the smallest index leaves, and
-ratio ties go to the smallest entering index, so it ends.
+Integer programs are solved by best-bound branch and bound (Land and Doig
+1960).  A child copies its parent's optimal tableau and adds one row,
+``x_j <= floor(v)`` or ``x_j >= ceil(v)``, with its new slack basic, written
+through the row in which ``x_j`` is basic.  The objective row does not
+change, so the child is dual feasible and the same dual simplex solves it.
 """
 
 from __future__ import annotations
@@ -40,13 +42,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+
+from .alignment import InvariantViolation
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-Row = tuple[list, str, object]  # (coefficients, "=" | ">=", rhs)
 
 
 class BranchDepthExceeded(RuntimeError):
@@ -58,14 +59,6 @@ class LpResult:
     status: str
     value: Fraction | None
     solution: tuple[Fraction, ...] | None
-
-
-def _integral(values: list) -> tuple[list[int], int]:
-    """The values times the least common multiple of their denominators."""
-    if set(map(type, values)) == {int}:
-        return values, 1
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 class _Tableau:
@@ -159,41 +152,43 @@ class _Tableau:
 
 
 class WarmStart:
-    """The last optimal tableau :func:`solve_lp` reached on one constraint
-    matrix, which the next program on that matrix starts from.
+    """One constraint matrix and the last optimal tableau reached on it,
+    which the next program on the matrix starts from.
 
-    It is tied to the objective and coefficient lists it was built from, by
-    identity: a caller keeps one holder per matrix and passes the same list
-    objects each time.  Any other program is solved cold and re-seeds it.
+    Every program solved on a holder has its matrix and one objective.  The
+    tableau's columns are the structural variables, one slack per row, then
+    the right-hand side, which stands for the program with ``b = rhs``.
     """
 
-    __slots__ = ("objective", "coeffs", "scale", "rhs", "tab", "obj")
+    __slots__ = ("coeffs", "rhs", "tab", "obj")
 
-    def __init__(self):
+    def __init__(self, coeffs: list[list[int]]):
+        self.coeffs = coeffs
         self.tab: _Tableau | None = None
 
-    def _seed(self, objective, rows, scale, tab, obj) -> None:
-        self.objective, self.coeffs = objective, [c for c, _, _ in rows]
-        self.rhs = [-rhs for _, _, rhs in rows]
-        self.scale, self.tab, self.obj = scale, tab, obj
+    def _seed(self, objective: list[int], rhs: list[int]) -> str:
+        """Solve the first program from the slack basis."""
+        if any(b > 0 for b in rhs):
+            raise InvariantViolation("the first program on a matrix has a positive right-hand side")
+        n, m = len(objective), len(rhs)
+        rows = [
+            [-a for a in coeffs] + [int(k == i) for k in range(m)] + [-b]
+            for i, (coeffs, b) in enumerate(zip(self.coeffs, rhs))
+        ]
+        self.tab = _Tableau(rows, list(range(n, n + m)), n + m)
+        self.obj = list(objective) + [0] * (m + 1)
+        self.rhs = list(rhs)
+        return self.tab.minimize(self.obj)
 
-    def _resolve(self, objective: list, rows: list[Row]) -> str | None:
-        """Re-solve on the stored tableau; None when the program is not on
-        its matrix or not in warm form."""
-        if self.tab is None or objective is not self.objective or len(rows) != len(self.coeffs):
-            return None
-        new = []
-        for (coeffs, rel, rhs), old in zip(rows, self.coeffs):
-            if coeffs is not old or rel != ">=" or type(rhs) is not int or rhs > 0:
-                return None
-            new.append(-rhs)
-        # rhs column = slack block (d times the basis inverse) times the new
-        # rhs: the old column plus the block times the change, or the block
-        # times the new rhs when fewer of its entries are nonzero
-        tab, first = self.tab, self.tab.ncols - len(new)
+    def _resolve(self, rhs: list[int]) -> str:
+        """Re-solve from the stored tableau at the new right-hand side."""
+        # rhs column = slack block (d times the basis inverse) times -b:
+        # the old column plus the block times the change, or the block
+        # times the new -b when fewer of its entries are nonzero
+        tab, first = self.tab, self.tab.ncols - len(rhs)
         column = tab.rows + [self.obj]
-        terms = [(first + i, v - u) for i, (v, u) in enumerate(zip(new, self.rhs)) if v != u]
-        nonzero = [(first + i, v) for i, v in enumerate(new) if v]
+        terms = [(first + i, u - v) for i, (v, u) in enumerate(zip(rhs, self.rhs)) if v != u]
+        nonzero = [(first + i, -v) for i, v in enumerate(rhs) if v]
         if len(nonzero) < len(terms):
             terms = nonzero
             for row in column:
@@ -201,160 +196,90 @@ class WarmStart:
         for j, v in terms:
             for row in column:
                 row[-1] += row[j] * v
-        self.rhs = new
+        self.rhs = list(rhs)
         return tab.dual_minimize(self.obj)
 
+    def branch(self, j: int, sign: int, bound: int) -> WarmStart:
+        """A copy with the row ``sign * x_j >= sign * bound`` added, where
+        ``x_j`` is basic and ``sign`` is -1 for an upper bound, 1 for a
+        lower one.  The copy's ``rhs`` is its program's, and the new slack
+        is basic."""
+        tab, d = self.tab, self.tab.d
+        unit = [0] * (tab.ncols - len(self.rhs))
+        unit[j] = sign
+        child = WarmStart(self.coeffs + [unit])
+        # s = sign * (x_j - bound), with x_j = (t[-1] - sum of t[k] x_k) / d
+        # over the non-basic k of the row t in which x_j is basic
+        t = tab.rows[tab.basis.index(j)]
+        row = [sign * v for v in t[:-1]] + [d, sign * (t[-1] - d * bound)]
+        row[j] = 0
+        child.tab = _Tableau(
+            [r[:-1] + [0, r[-1]] for r in tab.rows] + [row], tab.basis + [tab.ncols], tab.ncols + 1
+        )
+        child.tab.d = d
+        child.obj = self.obj[:-1] + [0, self.obj[-1]]
+        child.rhs = self.rhs + [sign * bound]
+        return child
 
-def _optimum(tab: _Tableau, obj: list[int], n: int, scale: int) -> LpResult:
+
+def _optimum(tab: _Tableau, obj: list[int], n: int) -> LpResult:
     d = tab.d
     x = [Fraction(0)] * n
     for row, b in zip(tab.rows, tab.basis):
         if b < n and row[-1]:
             x[b] = Fraction(row[-1], d)
-    return LpResult(OPTIMAL, Fraction(-obj[-1], d * scale), tuple(x))
+    return LpResult(OPTIMAL, Fraction(-obj[-1], d), tuple(x))
 
 
-def solve_lp(objective: list, rows: list[Row], warm: WarmStart | None = None) -> LpResult:
-    """Minimize ``objective . x`` subject to the rows and ``x >= 0``.
+def solve_lp(objective: list[int], rhs: list[int], warm: WarmStart) -> LpResult:
+    """Minimize ``objective . x`` subject to ``A x >= rhs`` and ``x >= 0``,
+    with ``A`` the matrix of ``warm``.
 
-    Returns exact rational optimum and one optimal vertex, an infeasibility
-    verdict, or an unboundedness verdict.  With ``warm``, a program on the
-    matrix it holds starts from its last optimal basis, and a program in
-    warm form (every row ``>=``, with integer coefficients and an integer
-    rhs of at most 0) solved cold leaves its optimal tableau there.
+    Returns the exact rational optimum and one optimal vertex, an
+    infeasibility verdict, or an unboundedness verdict.  The first program
+    on ``warm`` must have ``rhs <= 0``, or :class:`InvariantViolation` is
+    raised, and is solved from the slack basis; every later one starts from
+    the last optimal tableau.  A first program that is unbounded leaves
+    ``warm`` empty.
     """
-    if warm is not None:
-        status = warm._resolve(objective, rows)
-        if status == OPTIMAL:
-            return _optimum(warm.tab, warm.obj, len(objective), warm.scale)
-        if status == INFEASIBLE:
-            return LpResult(INFEASIBLE, None, None)
-    n = len(objective)
-    n_slack = n_art = 0
-    for coeffs, rel, rhs in rows:
-        if len(coeffs) != n:
-            raise ValueError("row length does not match objective length")
-        if rel == ">=":
-            n_slack += 1
-            n_art += rhs > 0
-        elif rel == "=":
-            n_art += 1
-        else:
-            raise ValueError(f"unsupported relation {rel!r}")
-
-    # Layout: structural vars | slacks (one per >= row) | artificials.  A >=
-    # row with rhs <= 0 is flipped so that its slack can start basic:
-    # a.x >= b  <=>  -a.x + s = -b with s >= 0.  Every other row gets a
-    # non-negative rhs and an artificial; a >= row with rhs > 0 keeps
-    # a.x - s = b, since its slack cannot start basic.
-    art_base = n + n_slack
-    ncols = art_base + n_art
-    pad = [0] * (n_slack + n_art)
-    rows_out: list[list[int]] = []
-    basis: list[int] = []
-    fractional = False  # a row was scaled to integers
-    scol, acol = n, art_base
-    for coeffs, rel, rhs in rows:
-        values, den = _integral([*coeffs, rhs])
-        fractional |= den != 1
-        ge = rel == ">="
-        flip = rhs <= 0 if ge else rhs < 0
-        if flip:
-            values = [-v for v in values]
-        row = values[:-1] + pad + values[-1:]
-        if ge:
-            row[scol] = 1 if flip else -1
-        if ge and flip:
-            basis.append(scol)
-        else:
-            row[acol] = 1
-            basis.append(acol)
-            acol += 1
-        scol += ge
-        rows_out.append(row)
-
-    tab = _Tableau(rows_out, basis, ncols)
-
-    if n_art:
-        # sum of the artificials, in terms of the non-basic columns: minus the
-        # sum of their rows, with cost 1 - 1 = 0 on the artificial columns
-        art_rows = [row for row, b in zip(rows_out, basis) if b >= art_base]
-        phase1 = [-t for t in map(sum, zip(*art_rows))]
-        phase1[art_base:ncols] = [0] * n_art
-        status = tab.minimize(phase1)
-        if status == UNBOUNDED or phase1[-1] < 0:
-            return LpResult(INFEASIBLE, None, None)
-        # pivot lingering artificials out of the basis, drop redundant rows
-        keep: list[int] = []
-        for i in range(len(tab.rows)):
-            if tab.basis[i] < art_base:
-                keep.append(i)
-                continue
-            pivot_col = -1
-            for j in range(art_base):
-                if tab.rows[i][j] != 0:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                tab.pivot(i, pivot_col, phase1)
-                keep.append(i)
-            # else: all-zero structural row, redundant; drop it
-        # artificial columns are dead from here on
-        tab.rows = [tab.rows[i][:art_base] + tab.rows[i][-1:] for i in keep]
-        tab.basis = [tab.basis[i] for i in keep]
-    tab.ncols = art_base
-
-    # reduced costs of the current basis: d * c - sum of c_b * row
-    costs, scale = _integral(list(objective))
-    d = tab.d
-    obj = [d * c for c in costs] + [0] * (n_slack + 1)
-    for i, b in enumerate(tab.basis):
-        if b < n and costs[b]:
-            f = costs[b]
-            obj = [a - f * v for a, v in zip(obj, tab.rows[i])]
-    status = tab.minimize(obj)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None)
-    if warm is not None and not fractional and n_slack == len(rows) and all(
-        type(rhs) is int and rhs <= 0 for _, _, rhs in rows
-    ):
-        warm._seed(objective, rows, scale, tab, obj)
-    return _optimum(tab, obj, n, scale)
-
-
-def _is_integral(value: Fraction) -> bool:
-    return value.denominator == 1
+    if warm.tab is None:
+        status = warm._seed(objective, rhs)
+        if status == UNBOUNDED:
+            warm.tab = None
+            return LpResult(UNBOUNDED, None, None)
+    elif warm._resolve(rhs) == INFEASIBLE:
+        return LpResult(INFEASIBLE, None, None)
+    return _optimum(warm.tab, warm.obj, len(objective))
 
 
 def solve_ilp(
-    objective: list,
-    rows: list[Row],
-    warm: WarmStart | None = None,
+    objective: list[int],
+    rhs: list[int],
+    warm: WarmStart,
     depth_limit: int | None = None,
 ) -> LpResult:
     """Minimize over non-negative integer vectors by branch and bound.
 
-    Nodes are explored best-bound first; branching splits the first
-    fractional coordinate of the node's LP vertex.  The depth limit defaults
-    to ten times the variable count and exceeding it is an error rather than
-    an approximate answer.  Only the root LP uses ``warm``; every child is
-    solved cold.
+    The root is :func:`solve_lp` on ``warm``, which keeps the root's optimal
+    tableau; every child is :func:`solve_lp` on a copy of its parent's with
+    one bound row added.  Nodes are explored best-bound first; branching
+    splits the first fractional coordinate of the node's LP vertex.  The
+    depth limit defaults to ten times the variable count and exceeding it
+    is an error rather than an approximate answer.
     """
     n = len(objective)
     limit = depth_limit if depth_limit is not None else 10 * n
 
-    root = solve_lp(objective, rows, warm)
-    if root.status == INFEASIBLE:
-        return root
-    if root.status == UNBOUNDED:
+    root = solve_lp(objective, rhs, warm)
+    if root.status != OPTIMAL:
         return root
 
     best_value: Fraction | None = None
     best_x: tuple[Fraction, ...] | None = None
     counter = 0
-    heap: list[tuple[Fraction, int, list[Row], int]] = []
+    heap: list[tuple[Fraction, int, WarmStart, int, int, int, int]] = []
 
-    def consider(result: LpResult, extra: list[Row], depth: int) -> None:
+    def consider(result: LpResult, node: WarmStart, depth: int) -> None:
         nonlocal best_value, best_x, counter
         if result.status != OPTIMAL:
             return
@@ -362,7 +287,7 @@ def solve_ilp(
             return
         frac_j = -1
         for j, v in enumerate(result.solution):
-            if not _is_integral(v):
+            if v.denominator != 1:
                 frac_j = j
                 break
         if frac_j < 0:
@@ -374,23 +299,17 @@ def solve_ilp(
             )
         v = result.solution[frac_j]
         floor_v = v.numerator // v.denominator
-        unit_neg = [0] * n
-        unit_neg[frac_j] = -1
-        unit_pos = [0] * n
-        unit_pos[frac_j] = 1
-        for extra_row in (
-            (unit_neg, ">=", -floor_v),  # x_j <= floor(v)
-            (unit_pos, ">=", floor_v + 1),  # x_j >= floor(v) + 1
-        ):
+        for sign, bound in ((-1, floor_v), (1, floor_v + 1)):  # x_j <= floor_v, x_j >= floor_v + 1
             counter += 1
-            heapq.heappush(heap, (result.value, counter, extra + [extra_row], depth + 1))
+            heapq.heappush(heap, (result.value, counter, node, frac_j, sign, bound, depth + 1))
 
-    consider(root, [], 0)
+    consider(root, warm, 0)
     while heap:
-        bound, _, extra, depth = heapq.heappop(heap)
-        if best_value is not None and bound >= best_value:
+        value, _, parent, j, sign, bound, depth = heapq.heappop(heap)
+        if best_value is not None and value >= best_value:
             continue
-        consider(solve_lp(objective, rows + extra), extra, depth)
+        child = parent.branch(j, sign, bound)
+        consider(solve_lp(objective, child.rhs, child), child, depth)
 
     if best_value is None:
         return LpResult(INFEASIBLE, None, None)

@@ -18,8 +18,9 @@ from streamalign.simplex import (
     UNBOUNDED,
     BranchDepthExceeded,
     LpResult,
-    Row,
 )
+
+Row = tuple[list, str, object]  # (coefficients, "=" | ">=", rhs)
 
 
 class _Tableau:

@@ -21,9 +21,14 @@ from streamalign import (
     solve_lp,
 )
 from streamalign.search import memo_key
-from streamalign.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, _Tableau
+from streamalign.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, WarmStart, _Tableau
 from streamalign.spn import MoveTable, trace_place
 from tests.conftest import SeededRandom, nets_and_traces, random_net_and_trace
+
+
+def rows_of(spn, problem):
+    """The problem's ``a . x >= b`` rows, as ``(a, b)`` pairs."""
+    return list(zip(spn.table.program.coeffs, problem.rhs, strict=True))
 
 
 def test_problem_shape_for_unit_trace(n1):
@@ -36,21 +41,26 @@ def test_problem_shape_for_unit_trace(n1):
     )
     assert problem.n_activity_rows == 3  # a, b and c, whether ahead or not
     assert problem.n_model_rows == 3
-    assert [rel for _, rel, _ in problem.rows] == [">="] * 6
+    rows = rows_of(spn, problem)
+    assert len(rows) == 6
     # the one remaining a is consumed once, by its log or sync move, so the
     # sync move fires at most once; b and c are not ahead, so theirs never
     # fire; the log move's cost 1 is the offset, and a sync move saves it
-    assert problem.rows[:3] == [
-        ([0, 0, 0, 0, -1, 0, 0], ">=", -1),
-        ([0, 0, 0, 0, 0, -1, 0], ">=", 0),
-        ([0, 0, 0, 0, 0, 0, -1], ">=", 0),
+    assert rows[:3] == [
+        ([0, 0, 0, 0, -1, 0, 0], -1),
+        ([0, 0, 0, 0, 0, -1, 0], 0),
+        ([0, 0, 0, 0, 0, 0, -1], 0),
     ]
-    assert problem.rows[3] == ([-1, -1, 0, 0, -1, 0, 0], ">=", -1)  # p1 holds the token
+    assert rows[3] == ([-1, -1, 0, 0, -1, 0, 0], -1)  # p1 holds the token
     assert problem.objective == [1, 0, 1, 1, -1, -1, -1] and problem.offset == 1
 
 
 def unrestricted_problem(spn, marking):
-    """The flow program over every product-net move and every trace place."""
+    """The flow program over every product-net move and every trace place.
+
+    Its rows are ``(coefficients, relation, rhs)``, with one ``=`` row per
+    trace place and one ``>=`` row per model place.
+    """
     net, moves = spn.petri_net(), spn.transitions
     variables = net.transitions
     objective = [move_cost(moves[t]) for t in variables]
@@ -68,10 +78,20 @@ def unrestricted_problem(spn, marking):
 
 def assert_same_optimum(problem, objective, rows, context, warm):
     # the fixed-form program, re-solved from the model's last optimal basis,
-    # against the per-position program over every move, solved cold
+    # against the per-position program over every move, with each = row
+    # written as two >= rows, on a holder seeded at b = 0
+    coeffs, rhs = [], []
+    for a, rel, b in rows:
+        coeffs.append(a)
+        rhs.append(b)
+        if rel == "=":
+            coeffs.append([-v for v in a])
+            rhs.append(-b)
     for solver in (solve_lp, solve_ilp):
-        mine = solver(problem.objective, problem.rows, warm)
-        full = solver(objective, rows)
+        mine = solver(problem.objective, problem.rhs, warm)
+        seeded = WarmStart(coeffs)
+        assert solve_lp(objective, [0] * len(coeffs), seeded).status == OPTIMAL
+        full = solver(objective, rhs, seeded)
         assert mine.status == full.status == OPTIMAL, (context, solver)
         assert mine.value + problem.offset == full.value, (context, solver)
 
@@ -106,9 +126,10 @@ def test_suffix_program_matches_unrestricted_program(preset_models):
                 assert problem.n_activity_rows == len(activities)
                 assert problem.n_model_rows == len(net.places)
                 variables, objective, rows = unrestricted_problem(spn, m)
-                activity_rows = problem.rows[: problem.n_activity_rows]
-                model_rows = problem.rows[problem.n_activity_rows :]
-                assert [rhs for _, _, rhs in activity_rows] == [-remaining.count(a) for a in activities]
+                fixed_rows = rows_of(spn, problem)
+                activity_rows = fixed_rows[: problem.n_activity_rows]
+                model_rows = fixed_rows[problem.n_activity_rows :]
+                assert [rhs for _, rhs in activity_rows] == [-remaining.count(a) for a in activities]
                 full = {t: j for j, t in enumerate(variables)}
                 log_moves = [spn.table.position(i + 1, a)[0] for i, a in enumerate(spn.trace)]
                 assert problem.offset == sum(objective[full[r.tid]] for r in log_moves[k:])
@@ -119,28 +140,27 @@ def test_suffix_program_matches_unrestricted_program(preset_models):
                     # as at every trace position of that activity
                     kind, t = tid.split(":")
                     a = net.label(t) if kind == "sync" else None
-                    assert [c[j] for c, _, _ in model_rows] == [
+                    assert [c[j] for c, _ in model_rows] == [
                         c[full[f"model:{t}"]] for c, _, _ in full_model_rows
                     ]
-                    assert [c[j] for c, _, _ in activity_rows] == [-int(b == a) for b in activities]
+                    assert [c[j] for c, _ in activity_rows] == [-int(b == a) for b in activities]
                     if a is None:
                         assert problem.objective[j] == objective[full[tid]]
                     for i in (i + 1 for i, b in enumerate(spn.trace) if b == a):
                         sync, log = full[f"sync:tt{i}|{t}"], full[f"log:tt{i}"]
                         assert problem.objective[j] == objective[sync] - objective[log]
-                assert [rhs for *_, rhs in model_rows] == [rhs for *_, rhs in full_model_rows]
+                assert [rhs for _, rhs in model_rows] == [rhs for *_, rhs in full_model_rows]
                 assert_same_optimum(problem, objective, rows, m, spn.table.program.warm)
                 checked += 1
-                repeated += any(rhs <= -2 for _, _, rhs in activity_rows)
+                repeated += any(rhs <= -2 for _, rhs in activity_rows)
     assert checked > 1000
     assert repeated > 0
 
 
 def test_every_program_starts_at_the_all_log_moves_solution(preset_models, monkeypatch):
-    # Every row is >= with a right-hand side of at most 0, so x = 0 is
-    # feasible; its value, the offset, is the cost of a log move for each
-    # remaining event; and the simplex starts there, with one minimize
-    # (phase 2) and no phase 1.
+    # Every right-hand side is at most 0, so x = 0 is feasible; its value,
+    # the offset, is the cost of a log move for each remaining event; and a
+    # first program on a holder starts there, with one primal minimize.
     minimized = []
     minimize = _Tableau.minimize
 
@@ -156,11 +176,11 @@ def test_every_program_starts_at_the_all_log_moves_solution(preset_models, monke
         for m in markings:
             problem = build_problem(spn, spn.encode(m))
             k = spn.encode(m) >> spn.table.shift
-            assert all(rel == ">=" and rhs <= 0 for _, rel, rhs in problem.rows), m
+            assert all(rhs <= 0 for rhs in problem.rhs), m
             log_moves = [spn.table.position(i + 1, a)[0] for i, a in enumerate(trace)]
             assert problem.offset == sum(move_cost(r) for r in log_moves[k:])
             minimized.clear()
-            result = solve_lp(list(problem.objective), list(problem.rows))
+            result = solve_lp(problem.objective, problem.rhs, WarmStart(spn.table.program.coeffs))
             assert result.status == OPTIMAL and len(minimized) == 1, m
             assert result.value <= 0  # never above the all-log-moves value
             checked += 1
@@ -270,15 +290,14 @@ def test_problem_zero_solution_at_goal(n1):
     problem = build_problem(spn, spn.encode(goal))
     # no activity is ahead: every activity row has right-hand side 0
     assert problem.n_activity_rows == 3 and problem.offset == 0
-    assert [rhs for _, _, rhs in problem.rows] == [0, 0, 0, 0, -1, 0]
-    assert all(rel == ">=" for _, rel, _ in problem.rows)
+    assert problem.rhs == [0, 0, 0, 0, -1, 0]
     assert estimate(spn, spn.encode(goal), "ilp") == 0
 
 
 def test_one_flow_program_per_move_table(preset_models):
     # The program is built at a table's first estimate and shared by every
-    # net on the table; its matrix and objective are the very lists each
-    # problem carries, as the warm start requires.  A second table builds
+    # net on the table; its objective is the very list each problem
+    # carries, and its warm start holds its matrix.  A second table builds
     # its own, and an engine under zero builds none.
     net = preset_models["choice-loop"]
     trace = generate_log(net, 1, {"swap_p": 0.2}, max_len=6, seed=5)[0]
@@ -292,7 +311,8 @@ def test_one_flow_program_per_move_table(preset_models):
         estimate(spn, spn.encode(spn.initial), mode)
         problem = build_problem(spn, spn.encode(spn.initial))
         assert table.program is program and problem.objective is program.objective
-        assert all(c is d for (c, _, _), d in zip(problem.rows, program.coeffs, strict=True))
+        assert program.warm.coeffs is program.coeffs
+        assert len(problem.rhs) == len(program.coeffs)
     alone = build_spn(net, trace)
     estimate(alone, alone.encode(alone.initial), "ilp")
     assert alone.table.program is not None and alone.table.program is not program
@@ -385,6 +405,47 @@ def test_lp_can_be_fractional_below_ilp():
     ilp = estimate(spn, start, "ilp")
     assert lp <= ilp
     assert isinstance(lp, Fraction)
+
+
+def test_the_benchmark_tracer_counts_every_branch_and_bound_node(monkeypatch):
+    # perfbench's tracer wraps heuristic.solve_ilp and simplex.solve_lp,
+    # reads the first two arguments of a solve as the objective and the
+    # right-hand side, and counts the solve_lp calls beyond one per
+    # solve_ilp as branch-and-bound nodes.  So every child is one call of
+    # the module's solve_lp, with one more right-hand side per bound row.
+    from perfbench.tracing import Tracer
+
+    children = []
+    branch = WarmStart.branch
+
+    def counted(self, *args):
+        children.append(branch(self, *args))
+        return children[-1]
+
+    monkeypatch.setattr(WarmStart, "branch", counted)
+    # a loop d a a back to p1, or an exit c d; on trace a d d the relaxation
+    # fires the loop's moves half a time each, at cost 1/2
+    net = WorkflowNet(
+        ["i", "p1", "p2", "p3", "p4", "o"],
+        ["t0", "t1", "t2", "t3", "t4", "t5"],
+        [("i", "t0"), ("t0", "p1"), ("p1", "t1"), ("t1", "p2"), ("p2", "t2"), ("t2", "p3"),
+         ("p3", "t3"), ("t3", "p1"), ("p3", "t4"), ("t4", "p4"), ("p4", "t5"), ("t5", "o")],
+        {"t0": None, "t1": "d", "t2": "a", "t3": "a", "t4": "c", "t5": "d"},
+        Marking.of("i"),
+        Marking.of("o"),
+    )
+    spn = build_spn(net, ["a", "d", "d"])
+    tracer = Tracer()
+    with tracer.installed_sites():
+        assert estimate(spn, spn.encode(spn.initial), "ilp") == 1
+    assert estimate(spn, spn.encode(spn.initial), "lp") == Fraction(1, 2)
+    program = spn.table.program
+    calls, sizes = tracer.calls, tracer.sizes
+    assert calls["heuristic.build"] == calls["simplex.ilp"] == 1
+    assert calls["simplex.lp"] - calls["simplex.ilp"] == len(children) > 0
+    assert sizes["simplex.lp_columns"] == len(program.variables) * calls["simplex.lp"]
+    assert sizes["simplex.lp_rows"] == len(program.coeffs) + sum(len(c.rhs) for c in children)
+    assert all(len(c.rhs) > len(program.coeffs) for c in children)
 
 
 def test_estimates_can_shrink_under_extension():

@@ -5,203 +5,68 @@ from fractions import Fraction
 
 import pytest
 
-from streamalign import simplex, solve_ilp, solve_lp
-from streamalign.simplex import BranchDepthExceeded, INFEASIBLE, OPTIMAL, UNBOUNDED
+from streamalign import InvariantViolation, simplex, solve_ilp, solve_lp
+from streamalign.simplex import BranchDepthExceeded, INFEASIBLE, OPTIMAL, UNBOUNDED, WarmStart
 from tests import reference_simplex
 
 
+def warm_solve(solver, objective, coeffs, rhs, **kwargs):
+    """``solver`` at ``rhs`` on a holder of ``coeffs`` first seeded at b = 0."""
+    warm = WarmStart(coeffs)
+    assert solve_lp(objective, [0] * len(coeffs), warm).status == OPTIMAL
+    return solver(objective, rhs, warm, **kwargs)
+
+
+def rows_of(coeffs, rhs):
+    """The program as the reference solver takes it."""
+    return [(c, ">=", b) for c, b in zip(coeffs, rhs)]
+
+
 def test_single_variable_lower_bound():
-    result = solve_lp([1], [([1], ">=", 3)])
+    result = warm_solve(solve_lp, [1], [[1]], [3])
     assert result.status == OPTIMAL
     assert result.value == 3
     assert result.solution == (Fraction(3),)
 
 
-def test_equality_and_inequality_mix():
-    # min x + y  s.t.  x + y = 2, x - y >= 1
-    result = solve_lp([1, 1], [([1, 1], "=", 2), ([1, -1], ">=", 1)])
-    assert result.status == OPTIMAL
-    assert result.value == 2
-
-
 def test_fractional_vertex():
     # min x + y  s.t.  2x + y >= 1, x + 2y >= 1 -> x = y = 1/3
-    result = solve_lp([1, 1], [([2, 1], ">=", 1), ([1, 2], ">=", 1)])
+    result = warm_solve(solve_lp, [1, 1], [[2, 1], [1, 2]], [1, 1])
     assert result.status == OPTIMAL
     assert result.value == Fraction(2, 3)
     assert result.solution == (Fraction(1, 3), Fraction(1, 3))
 
 
 def test_infeasible():
-    result = solve_lp([1], [([1], "=", 2), ([1], "=", 3)])
+    # x >= 2 and -x >= -1
+    result = warm_solve(solve_lp, [1], [[1], [-1]], [2, -1])
     assert result.status == INFEASIBLE
 
 
 def test_unbounded():
-    result = solve_lp([-1], [([1], ">=", 0)])
-    assert result.status == UNBOUNDED
+    warm = WarmStart([[1]])
+    assert solve_lp([-1], [0], warm).status == UNBOUNDED
+    assert warm.tab is None  # no optimal tableau to start the next program from
 
 
-def test_solution_satisfies_constraints():
-    rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        obj = [rng.randint(0, 4) for _ in range(n)]
-        rows = []
-        for _ in range(rng.randint(1, 5)):
-            coeffs = [rng.randint(-2, 2) for _ in range(n)]
-            rel = rng.choice(["=", ">="])
-            rhs = rng.randint(-3, 3)
-            rows.append((coeffs, rel, rhs))
-        result = solve_lp(obj, rows)
-        if result.status != OPTIMAL:
-            continue
-        x = result.solution
-        assert all(v >= 0 for v in x)
-        assert sum(c * v for c, v in zip(obj, x)) == result.value
-        for coeffs, rel, rhs in rows:
-            lhs = sum(c * v for c, v in zip(coeffs, x))
-            assert lhs == rhs if rel == "=" else lhs >= rhs
-
-
-def test_matches_scipy_on_random_problems():
-    scipy_optimize = pytest.importorskip("scipy.optimize")
-    rng = random.Random(17)
-    compared = 0
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        obj = [rng.randint(0, 5) for _ in range(n)]
-        rows = []
-        for _ in range(rng.randint(1, 5)):
-            coeffs = [rng.randint(-2, 2) for _ in range(n)]
-            rows.append((coeffs, rng.choice(["=", ">="]), rng.randint(-3, 3)))
-        mine = solve_lp(obj, rows)
-        a_ub = [[-c for c in coeffs] for coeffs, rel, _ in rows if rel == ">="]
-        b_ub = [-rhs for _, rel, rhs in rows if rel == ">="]
-        a_eq = [coeffs for coeffs, rel, _ in rows if rel == "="]
-        b_eq = [rhs for _, rel, rhs in rows if rel == "="]
-        ref = scipy_optimize.linprog(
-            obj,
-            A_ub=a_ub or None,
-            b_ub=b_ub or None,
-            A_eq=a_eq or None,
-            b_eq=b_eq or None,
-            bounds=[(0, None)] * n,
-            method="highs",
-        )
-        if mine.status == OPTIMAL:
-            assert ref.status == 0
-            assert abs(float(mine.value) - ref.fun) < 1e-7
-            compared += 1
-        elif mine.status == INFEASIBLE:
-            assert ref.status == 2
-        else:
-            assert ref.status == 3
-    assert compared > 50
-
-
-def brute_force_ilp(obj, rows, box=6):
-    best = None
-    n = len(obj)
-    for point in itertools.product(range(box + 1), repeat=n):
-        ok = True
-        for coeffs, rel, rhs in rows:
-            lhs = sum(c * v for c, v in zip(coeffs, point))
-            if rel == "=" and lhs != rhs:
-                ok = False
-                break
-            if rel == ">=" and lhs < rhs:
-                ok = False
-                break
-        if ok:
-            value = sum(c * v for c, v in zip(obj, point))
-            if best is None or value < best:
-                best = value
-    return best
-
-
-def test_ilp_matches_brute_force():
-    rng = random.Random(29)
-    checked = 0
-    for _ in range(150):
-        n = rng.randint(1, 3)
-        obj = [rng.randint(0, 4) for _ in range(n)]
-        rows = [([rng.randint(-2, 2) for _ in range(n)], rng.choice(["=", ">="]), rng.randint(-2, 2))]
-        # keep the feasible region bounded inside the brute-force box
-        rows.append(([-1] * n, ">=", -5))
-        expected = brute_force_ilp(obj, rows, box=5)
-        result = solve_ilp(obj, rows)
-        if expected is None:
-            assert result.status == INFEASIBLE
-        else:
-            assert result.status == OPTIMAL
-            assert result.value == expected
-            assert all(v.denominator == 1 for v in result.solution)
-            checked += 1
-    assert checked > 40
-
-
-def test_ilp_rounds_up_fractional_vertex():
-    # LP optimum 2/3 at (1/3, 1/3); integer optimum is 1
-    result = solve_ilp([1, 1], [([2, 1], ">=", 1), ([1, 2], ">=", 1)])
-    assert result.status == OPTIMAL
-    assert result.value == 1
-
-
-def test_lp_below_ilp():
-    rng = random.Random(31)
-    for _ in range(100):
-        n = rng.randint(1, 3)
-        obj = [rng.randint(0, 4) for _ in range(n)]
-        rows = [
-            ([rng.randint(-2, 2) for _ in range(n)], ">=", rng.randint(-2, 2)),
-            ([-1] * n, ">=", -4),
-        ]
-        lp = solve_lp(obj, rows)
-        ilp = solve_ilp(obj, rows)
-        if ilp.status == OPTIMAL:
-            assert lp.status == OPTIMAL
-            assert lp.value <= ilp.value
-
-
-def test_branch_depth_limit():
-    with pytest.raises(BranchDepthExceeded):
-        # fractional optimum that keeps branching; depth limit 0 trips at once
-        solve_ilp([1, 1], [([2, 1], ">=", 1), ([1, 2], ">=", 1)], depth_limit=0)
-
-
-def test_matches_fraction_reference_solver():
-    # The integer tableau must take the same pivots as the Fraction tableau
-    # it replaced: same status, same value and the same vertex, on random
-    # LPs and on random ILPs kept bounded by the box row -sum(x) >= -6.
-    rng = random.Random(2024)
-    seen = set()
-    for _ in range(2000):
-        n = rng.randint(1, 5)
-        obj = [rng.randint(-1, 5) for _ in range(n)]
-        rows = [
-            ([rng.randint(-3, 3) for _ in range(n)], rng.choice(["=", ">="]), rng.randint(-4, 4))
-            for _ in range(rng.randint(0, 5))
-        ]
-        lp = solve_lp(obj, rows)
-        assert lp == reference_simplex.solve_lp(obj, rows), (obj, rows)
-        boxed = rows + [([-1] * n, ">=", -6)]
-        ilp = solve_ilp(obj, boxed)
-        assert ilp == reference_simplex.solve_ilp(obj, boxed), (obj, boxed)
-        seen.update((lp.status, "ilp " + ilp.status))
-    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED, "ilp optimal", "ilp infeasible"}
-
-
-def test_rational_input_is_scaled_exactly():
-    rows = [([Fraction(1, 2), Fraction(1, 3)], ">=", Fraction(1, 6)), ([1, -1], "=", 0)]
-    result = solve_lp([Fraction(3, 4), 1], rows)
-    assert result == reference_simplex.solve_lp([Fraction(3, 4), 1], rows)
-    assert result.value == Fraction(7, 20)
+def test_a_first_program_with_a_positive_rhs_raises():
+    # Only a right-hand side of at most 0 lets every slack start basic.  The
+    # caller breaks that invariant, so it is an internal error (exit 3), not
+    # a data error (ValueError, exit 2).
+    warm = WarmStart([[1, 1], [1, -1]])
+    with pytest.raises(InvariantViolation, match="positive right-hand side") as raised:
+        solve_lp([1, 1], [-1, 1], warm)
+    assert not isinstance(raised.value, ValueError)
+    assert warm.tab is None
+    assert solve_lp([1, 1], [-1, 0], warm).status == OPTIMAL
+    assert solve_lp([1, 1], [-1, 1], warm).value == 1  # later programs may have b > 0
 
 
 def _warm_sequences(rng, count, steps):
-    """Matrices in warm form, each with a sequence of right-hand sides.
+    """Matrices, each with a sequence of right-hand sides.
 
+    The first right-hand side is at most 0; later ones have entries up to 2
+    in four of five matrices, so some of their programs are infeasible.
     Half the sequences draw every right-hand side afresh, half walk: each
     step changes one or two entries of the last one.  Some matrices repeat
     a row, have a zero row or column, or take mostly zero right-hand sides,
@@ -219,25 +84,27 @@ def _warm_sequences(rng, count, steps):
                 row[-1] = 0
         coeffs.append([-1] * n)
         low = -1 if case % 4 == 0 else -4
-        rhs = [rng.randint(low, 0) for _ in coeffs]
+        high = 0 if case % 5 == 0 else 2
+        rhs = []
         sequence = []
-        for _ in range(steps):
-            if case % 2:
+        for step in range(steps):
+            top = 0 if step == 0 else high
+            if case % 2 and rhs:
                 for i in rng.sample(range(len(rhs)), rng.randint(1, 2)):
-                    rhs[i] = rng.randint(low, 0)
+                    rhs[i] = rng.randint(low, top)
             else:
-                rhs = [rng.randint(low, 0) for _ in coeffs]
-            rhs[-1] = min(rhs[-1], -1) if case % 4 else rhs[-1]
+                rhs = [rng.randint(low, top) for _ in coeffs]
+            rhs[-1] = min(rhs[-1], -1 if case % 4 else 0)
             sequence.append(list(rhs))
         yield objective, coeffs, sequence
 
 
-def _check_solution(result, objective, rows, integral):
+def _check_solution(result, objective, coeffs, rhs, integral):
     x = result.solution
     assert all(v >= 0 for v in x)
     assert sum(c * v for c, v in zip(objective, x)) == result.value
-    for coeffs, _, rhs in rows:
-        assert sum(c * v for c, v in zip(coeffs, x)) >= rhs
+    for row, b in zip(coeffs, rhs, strict=True):
+        assert sum(c * v for c, v in zip(row, x)) >= b
     if integral:
         assert all(v.denominator == 1 for v in x)
 
@@ -259,67 +126,186 @@ def test_warm_solves_match_the_reference_over_long_sequences(monkeypatch, solver
     mine, reference = (solve_lp, reference_simplex.solve_lp)
     if solver == "ilp":
         mine, reference = (solve_ilp, reference_simplex.solve_ilp)
-    warm_steps = Counter()
+    seen = Counter()
     for objective, coeffs, sequence in _warm_sequences(random.Random(97), 120, 40):
-        warm = simplex.WarmStart()
+        warm = WarmStart(coeffs)
         for rhs in sequence:
-            rows = [(c, ">=", b) for c, b in zip(coeffs, rhs)]
             seeded = warm.tab is not None
             pivots.append(0)
-            result = mine(objective, rows, warm)
-            expected = reference(objective, rows)
+            result = mine(objective, rhs, warm)
+            expected = reference(objective, rows_of(coeffs, rhs))
             assert (result.status, result.value) == (expected.status, expected.value), (
-                objective, rows,
+                objective, coeffs, rhs,
             )
+            seen[result.status, any(b > 0 for b in rhs)] += 1
             if result.status == OPTIMAL:
-                _check_solution(result, objective, rows, solver == "ilp")
+                _check_solution(result, objective, coeffs, rhs, solver == "ilp")
                 if seeded and solver == "lp":
-                    warm_steps["no pivot" if pivots[-1] == 0 else "dual pivots"] += 1
-            assert warm.tab is not None or result.status == UNBOUNDED
+                    seen["no pivot" if pivots[-1] == 0 else "dual pivots"] += 1
+            assert warm.tab is not None
+    assert seen[INFEASIBLE, True] > 1000 and seen[OPTIMAL, True] > 400, seen
     if solver == "lp":
-        assert warm_steps["no pivot"] > 2000 and warm_steps["dual pivots"] > 200, warm_steps
+        assert seen["no pivot"] > 2000 and seen["dual pivots"] > 200, seen
 
 
-def test_a_holder_given_another_program_solves_it_cold(monkeypatch):
-    # The holder is tied to the exact objective and coefficient lists it was
-    # built from.  An equal copy, another matrix, a row outside warm form or
-    # another row count is solved from the slack basis, so its answer is the
-    # cold solve's, vertex included.  A cold solve in warm form re-seeds the
-    # holder; one with a positive rhs or a fractional row leaves it as it is.
-    minimized = []
-    minimize = simplex._Tableau.minimize
+def test_solution_satisfies_constraints():
+    rng = random.Random(5)
+    for objective, coeffs, sequence in _warm_sequences(rng, 60, 10):
+        warm = WarmStart(coeffs)
+        for rhs in sequence:
+            result = solve_lp(objective, rhs, warm)
+            if result.status == OPTIMAL:
+                _check_solution(result, objective, coeffs, rhs, False)
 
-    def counted(tab, obj):
-        minimized.append(obj)
-        return minimize(tab, obj)
 
-    monkeypatch.setattr(simplex._Tableau, "minimize", counted)
-    objective = [2, 3, -1]
-    coeffs = [[1, 1, -1], [-1, 0, 1], [-1, -1, -1]]
-    warm = simplex.WarmStart()
-    rows = [(c, ">=", b) for c, b in zip(coeffs, [-1, -2, -5])]
-    assert solve_lp(objective, rows, warm) == solve_lp(objective, rows)
-    minimized.clear()
-    rows = [(c, ">=", b) for c, b in zip(coeffs, [0, -1, -3])]
-    assert solve_lp(objective, rows, warm).value == solve_lp(objective, rows).value
-    assert len(minimized) == 1  # the cold solve's; the warm one ran no primal simplex
-    others = [
-        ([(list(c), ">=", b) for c, b in zip(coeffs, [-2, 0, -4])], True),
-        ([([1, 0, -1], ">=", -1), ([0, -1, 1], ">=", -2), ([-1, -1, -1], ">=", -3)], True),
-        ([(c, ">=", b) for c, b in zip(coeffs, [1, -1, -3])], False),
-        ([([Fraction(1, 2), 1, -1], ">=", -1), (coeffs[1], ">=", 0), (coeffs[2], ">=", -3)], False),
-        ([(c, ">=", b) for c, b in zip(coeffs[:2], [0, -1])], True),
-    ]
-    for rows, seeds in others:
-        for same_objective in (objective, list(objective)):
-            held = warm.objective, warm.coeffs
-            minimized.clear()
-            result = solve_lp(same_objective, rows, warm)
-            assert minimized, rows  # solved from the slack basis
-            assert result == solve_lp(same_objective, rows)
-            assert result == reference_simplex.solve_lp(same_objective, rows)
-            if seeds:
-                assert warm.objective is same_objective
-                assert [id(c) for c in warm.coeffs] == [id(c) for c, _, _ in rows]
+def test_matches_scipy_on_random_problems():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    compared = 0
+    for objective, coeffs, sequence in _warm_sequences(random.Random(17), 40, 10):
+        warm = WarmStart(coeffs)
+        for rhs in sequence:
+            mine = solve_lp(objective, rhs, warm)
+            ref = scipy_optimize.linprog(
+                objective,
+                A_ub=[[-c for c in row] for row in coeffs],
+                b_ub=[-b for b in rhs],
+                bounds=[(0, None)] * len(objective),
+                method="highs",
+            )
+            if mine.status == OPTIMAL:
+                assert ref.status == 0
+                assert abs(float(mine.value) - ref.fun) < 1e-7
+                compared += 1
             else:
-                assert warm.objective is held[0] and warm.coeffs is held[1]
+                assert mine.status == INFEASIBLE and ref.status == 2
+    assert compared > 50
+
+
+def brute_force_ilp(obj, coeffs, rhs, box=6):
+    best = None
+    for point in itertools.product(range(box + 1), repeat=len(obj)):
+        if all(sum(c * v for c, v in zip(row, point)) >= b for row, b in zip(coeffs, rhs)):
+            value = sum(c * v for c, v in zip(obj, point))
+            if best is None or value < best:
+                best = value
+    return best
+
+
+def test_ilp_matches_brute_force():
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        obj = [rng.randint(0, 4) for _ in range(n)]
+        # keep the feasible region bounded inside the brute-force box
+        coeffs = [[rng.randint(-2, 2) for _ in range(n)], [-1] * n]
+        rhs = [rng.randint(-2, 2), -5]
+        expected = brute_force_ilp(obj, coeffs, rhs, box=5)
+        result = warm_solve(solve_ilp, obj, coeffs, rhs)
+        if expected is None:
+            assert result.status == INFEASIBLE
+        else:
+            assert result.status == OPTIMAL
+            assert result.value == expected
+            assert all(v.denominator == 1 for v in result.solution)
+            checked += 1
+    assert checked > 40
+
+
+def test_ilp_rounds_up_fractional_vertex():
+    # LP optimum 2/3 at (1/3, 1/3); integer optimum is 1
+    result = warm_solve(solve_ilp, [1, 1], [[2, 1], [1, 2]], [1, 1])
+    assert result.status == OPTIMAL
+    assert result.value == 1
+
+
+def test_lp_below_ilp():
+    rng = random.Random(31)
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        obj = [rng.randint(0, 4) for _ in range(n)]
+        coeffs = [[rng.randint(-2, 2) for _ in range(n)], [-1] * n]
+        rhs = [rng.randint(-2, 2), -4]
+        lp = warm_solve(solve_lp, obj, coeffs, rhs)
+        ilp = warm_solve(solve_ilp, obj, coeffs, rhs)
+        if ilp.status == OPTIMAL:
+            assert lp.status == OPTIMAL
+            assert lp.value <= ilp.value
+
+
+def test_branch_depth_limit():
+    with pytest.raises(BranchDepthExceeded):
+        # fractional optimum that keeps branching; depth limit 0 trips at once
+        warm_solve(solve_ilp, [1, 1], [[2, 1], [1, 2]], [1, 1], depth_limit=0)
+
+
+def _branching_programs(rng, count):
+    """Boxed programs whose root LP vertex is fractional, with b up to 3."""
+    while count:
+        n, m = rng.randint(2, 5), rng.randint(1, 4)
+        objective = [rng.randint(0, 5) for _ in range(n)]
+        coeffs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)] + [[-1] * n]
+        rhs = [rng.randint(-3, 3) for _ in range(m)] + [-rng.randint(2, 8)]
+        lp = warm_solve(solve_lp, objective, coeffs, rhs)
+        if lp.status == OPTIMAL and any(v.denominator != 1 for v in lp.solution):
+            count -= 1
+            yield objective, coeffs, rhs, lp
+
+
+def test_branch_and_bound_children_match_the_reference(monkeypatch):
+    # Each child is one solve_lp call on a copy of its parent's tableau with
+    # one bound row added; every node, the root included, is one call, and
+    # each child's answer is the reference's on the program its holder names.
+    calls, branches = [], []
+    solve, branch = simplex.solve_lp, WarmStart.branch
+
+    def counted_solve(objective, rhs, warm):
+        calls.append((objective, len(rhs), warm))
+        result = solve(objective, rhs, warm)
+        if calls[1:]:
+            expected = reference_simplex.solve_lp(objective, rows_of(warm.coeffs, warm.rhs))
+            assert (result.status, result.value) == (expected.status, expected.value)
+            if result.status == OPTIMAL:
+                _check_solution(result, objective, warm.coeffs, warm.rhs, False)
+        return result
+
+    def counted_branch(self, *args):
+        child = branch(self, *args)
+        branches.append(child)
+        return child
+
+    monkeypatch.setattr(simplex, "solve_lp", counted_solve)
+    monkeypatch.setattr(WarmStart, "branch", counted_branch)
+    above = 0
+    for objective, coeffs, rhs, lp in _branching_programs(random.Random(83), 300):
+        warm = WarmStart(coeffs)
+        solve_lp(objective, [0] * len(coeffs), warm)  # not through the patched module
+        calls.clear()
+        branches.clear()
+        result = solve_ilp(objective, rhs, warm)
+        expected = reference_simplex.solve_ilp(objective, rows_of(coeffs, rhs))
+        assert (result.status, result.value) == (expected.status, expected.value), (
+            objective, coeffs, rhs,
+        )
+        if result.status == OPTIMAL:
+            _check_solution(result, objective, coeffs, rhs, True)
+            above += result.value > lp.value
+        assert calls[0] == (objective, len(coeffs), warm)
+        assert [warm for _, _, warm in calls[1:]] == branches
+        assert all(o is objective and rows > len(coeffs) for o, rows, _ in calls[1:])
+    assert above > 100
+
+
+def test_solve_ilp_leaves_the_holder_at_the_root_optimum():
+    # The children work on copies, so after a solve_ilp the caller's holder
+    # is where a solve_lp of the root would have left it.
+    rng = random.Random(89)
+    for objective, coeffs, rhs, _ in _branching_programs(rng, 100):
+        after_ilp, after_lp = WarmStart(coeffs), WarmStart(coeffs)
+        for warm in (after_ilp, after_lp):
+            solve_lp(objective, [0] * len(coeffs), warm)
+        solve_ilp(objective, rhs, after_ilp)
+        solve_lp(objective, rhs, after_lp)
+        assert after_ilp.tab.rows == after_lp.tab.rows and after_ilp.obj == after_lp.obj
+        following = [rng.randint(-3, 1) for _ in coeffs]
+        assert solve_lp(objective, following, after_ilp) == solve_lp(objective, following, after_lp)
