@@ -49,20 +49,26 @@ model place in its preset and +1 to every model place in its postset, so a
 self-loop cancels to 0.
 
 A state is a packed product marking, the search's own state type
-(:meth:`~streamalign.spn.SyncProductNet.encode`); ``k`` and the model
-counts are read off it with :meth:`~streamalign.spn.MoveTable.unpack`, so
-the packed layout stays in :mod:`streamalign.spn`.
+(:meth:`~streamalign.spn.SyncProductNet.encode`).  ``k`` lies above bit
+:attr:`~streamalign.spn.MoveTable.shift`, and each place row reads its
+count off the state's field at the offset that
+:attr:`~streamalign.spn.MoveTable.fields` gives.  The activity rows and the
+offset are differences of the net's per-position prefix counts
+(:attr:`~streamalign.spn.SyncProductNet.prefix_counts`), which the first
+program on a net builds and each later one extends, since extension only
+appends to the trace.  An integral optimum comes back from the simplex as
+an ``int``, so an ``ilp`` estimate is computed and checked in integers;
+an ``lp`` estimate is returned as a ``Fraction``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .alignment import InvariantViolation
 from .simplex import OPTIMAL, WarmStart, solve_ilp, solve_lp
-from .spn import Move, MoveKind, MoveTable, SyncProductNet
+from .spn import FIELD_BITS, Move, MoveKind, MoveTable, SyncProductNet
 
 MODES = ("lp", "ilp", "zero")
 
@@ -72,11 +78,14 @@ class FlowProgram:
     model shares, and the warm start of its simplex solves, which holds
     that matrix.
 
-    ``coeffs`` holds the activity rows, then the place rows.
+    ``coeffs`` holds the activity rows, then the place rows;
+    ``place_offsets`` holds the offset of each place row's field in a
+    packed state, in row order.
     """
 
     __slots__ = (
-        "variables", "objective", "coeffs", "activity_rows", "place_rows", "log_costs", "warm"
+        "variables", "objective", "coeffs", "activity_rows", "place_rows", "place_offsets",
+        "log_costs", "warm",
     )
 
     def __init__(self, table: MoveTable):
@@ -93,6 +102,8 @@ class FlowProgram:
         activities = dict.fromkeys(r.activity for r in syncs)
         self.activity_rows = {a: i for i, a in enumerate(activities)}
         self.place_rows = {p: len(activities) + i for i, p in enumerate(table.model.places)}
+        offsets = dict(table.fields)
+        self.place_offsets = tuple(offsets[p] for p in self.place_rows)
         self.coeffs = [[0] * len(columns) for _ in range(len(activities) + len(self.place_rows))]
         for j, r in enumerate(columns):
             if r.activity is not None:
@@ -117,8 +128,7 @@ class FlowProgram:
         return cost
 
 
-@dataclass(frozen=True)
-class HeuristicProblem:
+class HeuristicProblem(NamedTuple):
     """One concrete flow problem: the model's objective and variable naming,
     the state's right-hand side of the model's rows, and the constant
     ``offset`` that the log moves substituted out contribute."""
@@ -137,7 +147,10 @@ def build_problem(spn: SyncProductNet, state: int) -> HeuristicProblem:
     It is the state's right-hand side of the model's :class:`FlowProgram`,
     which the first call for a move table builds: ``-count(a)`` for each
     model activity a, counted over ``trace[k:]`` with the trace token on
-    ``tp{k}``, and ``-m(p)`` for each model place.  The matrix stays on the
+    ``tp{k}``, and ``-m(p)`` for each model place.  The counts and the
+    offset are differences of the net's prefix counts at ``k`` and at the
+    end of its trace, which the first call on a net builds and every call
+    extends to the trace's current length.  The matrix stays on the
     program.  ``state`` is a state of ``spn``, as
     :meth:`SyncProductNet.encode` returns it.
     """
@@ -145,24 +158,27 @@ def build_problem(spn: SyncProductNet, state: int) -> HeuristicProblem:
     program = table.program
     if program is None:
         program = table.program = FlowProgram(table)
-    k, counts = table.unpack(state)
-    activity_rows, place_rows = program.activity_rows, program.place_rows
-    rhs = [0] * len(program.coeffs)
-    offset = 0
-    for a, count in Counter(spn.trace[k:]).items():
-        offset += count * program.log_cost(a)
-        i = activity_rows.get(a)
-        if i is not None:
-            rhs[i] = -count
-    for p, count in counts.items():
-        rhs[place_rows[p]] = -count
+    prefix, trace = spn.prefix_counts, spn.trace
+    if prefix is None:
+        prefix = spn.prefix_counts = [(0,) * (len(program.activity_rows) + 1)]
+    if len(prefix) <= len(trace):
+        # per new position: its activity's row, if the model has it, and
+        # the summed log-move cost, last
+        counts = list(prefix[-1])
+        row, log_cost = program.activity_rows.get, program.log_cost
+        for activity in trace[len(prefix) - 1 :]:
+            i = row(activity)
+            if i is not None:
+                counts[i] += 1
+            counts[-1] += log_cost(activity)
+            prefix.append(tuple(counts))
+    rhs = [a - b for a, b in zip(prefix[state >> table.shift], prefix[-1])]
+    offset = -rhs.pop()
+    mask = (1 << FIELD_BITS) - 1
+    rhs += [-((state >> o) & mask) for o in program.place_offsets]
     return HeuristicProblem(
-        program.variables,
-        program.objective,
-        rhs,
-        n_activity_rows=len(activity_rows),
-        n_model_rows=len(place_rows),
-        offset=offset,
+        program.variables, program.objective, rhs, len(program.activity_rows),
+        len(program.place_offsets), offset,
     )
 
 
@@ -177,7 +193,9 @@ def estimate(spn: SyncProductNet, state: int, mode: str = "ilp") -> Fraction | i
     Its optimum is bounded too: only a synchronous move can cost less than
     0, and its activity row caps it at count(a).  Any status other than
     optimal is therefore a solver fault and raises
-    :class:`~streamalign.alignment.InvariantViolation`.
+    :class:`~streamalign.alignment.InvariantViolation`, and so does a
+    negative estimate or an ``ilp`` one that is not an ``int``.  The value
+    and the checks run on ``int``s unless the optimum is fractional.
     """
     if mode not in MODES:
         raise ValueError(f"unknown heuristic mode {mode!r}")
@@ -189,8 +207,8 @@ def estimate(spn: SyncProductNet, state: int, mode: str = "ilp") -> Fraction | i
     if result.status != OPTIMAL:
         raise InvariantViolation(f"flow program for {spn.decode(state)} is {result.status}")
     value = result.value + problem.offset
-    if value < 0 or (mode == "ilp" and value.denominator != 1):
+    if value < 0 or (mode == "ilp" and type(value) is not int):
         raise InvariantViolation(
             f"{mode} estimate {value} for {spn.decode(state)} is negative or fractional"
         )
-    return int(value) if mode == "ilp" else value
+    return value if mode == "ilp" else Fraction(value)

@@ -14,8 +14,9 @@ as it is and sets every other row, objective row included, to
 division is exact, because by Sylvester's identity every entry is a minor of
 the integer input.  When ``p < 0`` the whole tableau is negated as well, so
 ``d`` stays positive and signs read as they would over the rationals.  The
-ratio test cross-multiplies.  Values and vertices are built once at the end
-as exact ``Fraction``s.
+ratio test cross-multiplies.  The value and the vertex are read off once at
+the end, each coordinate an ``int`` when ``d`` divides it and a
+``Fraction`` only when it does not.
 
 Row ``a . x >= b`` is held as ``-a . x + s = -b``, with its slack ``s >= 0``.
 A holder's first program has ``b <= 0``, so every slack starts basic at a
@@ -31,17 +32,19 @@ rule: the infeasible row whose basic variable has the smallest index leaves,
 and ratio ties go to the smallest entering index, so it ends.
 
 Integer programs are solved by best-bound branch and bound (Land and Doig
-1960).  A child copies its parent's optimal tableau and adds one row,
-``x_j <= floor(v)`` or ``x_j >= ceil(v)``, with its new slack basic, written
-through the row in which ``x_j`` is basic.  The objective row does not
-change, so the child is dual feasible and the same dual simplex solves it.
+1960), which starts only when the root's vertex is fractional.  A child
+copies its parent's optimal tableau and adds one row, ``x_j <= floor(v)`` or
+``x_j >= ceil(v)``, with its new slack basic, written through the row in
+which ``x_j`` is basic.  The objective row does not change, so the child is
+dual feasible and the same dual simplex solves it.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
+from typing import NamedTuple
 
 from .alignment import InvariantViolation
 
@@ -54,11 +57,13 @@ class BranchDepthExceeded(RuntimeError):
     """Branch-and-bound hit its depth limit without closing the gap."""
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
+    """A solver's verdict; for an optimum, its exact value and vertex, each
+    an ``int`` where integral and a ``Fraction`` elsewhere."""
+
     status: str
-    value: Fraction | None
-    solution: tuple[Fraction, ...] | None
+    value: int | Fraction | None
+    solution: tuple[int | Fraction, ...] | None
 
 
 class _Tableau:
@@ -224,23 +229,25 @@ class WarmStart:
 
 def _optimum(tab: _Tableau, obj: list[int], n: int) -> LpResult:
     d = tab.d
-    x = [Fraction(0)] * n
+    x = [0] * n
     for row, b in zip(tab.rows, tab.basis):
-        if b < n and row[-1]:
-            x[b] = Fraction(row[-1], d)
-    return LpResult(OPTIMAL, Fraction(-obj[-1], d), tuple(x))
+        v = row[-1]
+        if b < n and v:
+            x[b] = v // d if v % d == 0 else Fraction(v, d)
+    value = -obj[-1]
+    return LpResult(OPTIMAL, value // d if value % d == 0 else Fraction(value, d), tuple(x))
 
 
 def solve_lp(objective: list[int], rhs: list[int], warm: WarmStart) -> LpResult:
     """Minimize ``objective . x`` subject to ``A x >= rhs`` and ``x >= 0``,
     with ``A`` the matrix of ``warm``.
 
-    Returns the exact rational optimum and one optimal vertex, an
-    infeasibility verdict, or an unboundedness verdict.  The first program
-    on ``warm`` must have ``rhs <= 0``, or :class:`InvariantViolation` is
-    raised, and is solved from the slack basis; every later one starts from
-    the last optimal tableau.  A first program that is unbounded leaves
-    ``warm`` empty.
+    Returns the exact optimum and one optimal vertex, an infeasibility
+    verdict, or an unboundedness verdict.  The first program on ``warm``
+    must have ``rhs <= 0``, or :class:`InvariantViolation` is raised, and is
+    solved from the slack basis; every later one starts from the last
+    optimal tableau.  A first program that is unbounded leaves ``warm``
+    empty.
     """
     if warm.tab is None:
         status = warm._seed(objective, rhs)
@@ -261,56 +268,52 @@ def solve_ilp(
     """Minimize over non-negative integer vectors by branch and bound.
 
     The root is :func:`solve_lp` on ``warm``, which keeps the root's optimal
-    tableau; every child is :func:`solve_lp` on a copy of its parent's with
-    one bound row added.  Nodes are explored best-bound first; branching
-    splits the first fractional coordinate of the node's LP vertex.  The
-    depth limit defaults to ten times the variable count and exceeding it
-    is an error rather than an approximate answer.
-    """
-    n = len(objective)
-    limit = depth_limit if depth_limit is not None else 10 * n
+    tableau.  A root whose basic structural entries ``d`` divides, as every
+    entry does when ``d == 1``, is integral and returned as it is.  Otherwise
+    every child is :func:`solve_lp` on a copy of its parent's tableau with
+    one bound row added, and nodes are explored best-bound first.
 
+    Every cost is an integer, so no integer point below a node is cheaper
+    than the ceiling of its LP value, and a node is pruned when that ceiling
+    reaches the incumbent.  When every entry of ``rhs`` is at most 0, x = 0
+    seeds the incumbent at value 0.  A node splits its first fractional
+    coordinate with a nonzero cost, or its first fractional one when every
+    fractional coordinate costs 0: a zero-cost variable can grow along a
+    zero-cost cycle without moving the bound.  The depth limit defaults to
+    ten times the variable count, and exceeding it is an error rather than
+    an approximate answer.
+    """
     root = solve_lp(objective, rhs, warm)
     if root.status != OPTIMAL:
         return root
-
-    best_value: Fraction | None = None
-    best_x: tuple[Fraction, ...] | None = None
-    counter = 0
-    heap: list[tuple[Fraction, int, WarmStart, int, int, int, int]] = []
-
-    def consider(result: LpResult, node: WarmStart, depth: int) -> None:
-        nonlocal best_value, best_x, counter
-        if result.status != OPTIMAL:
-            return
-        if best_value is not None and result.value >= best_value:
-            return
-        frac_j = -1
-        for j, v in enumerate(result.solution):
-            if v.denominator != 1:
-                frac_j = j
-                break
-        if frac_j < 0:
-            best_value, best_x = result.value, result.solution
-            return
-        if depth >= limit:
-            raise BranchDepthExceeded(
-                f"branch and bound exceeded depth {limit} on {n} variables"
-            )
-        v = result.solution[frac_j]
-        floor_v = v.numerator // v.denominator
-        for sign, bound in ((-1, floor_v), (1, floor_v + 1)):  # x_j <= floor_v, x_j >= floor_v + 1
-            counter += 1
-            heapq.heappush(heap, (result.value, counter, node, frac_j, sign, bound, depth + 1))
-
-    consider(root, warm, 0)
-    while heap:
-        value, _, parent, j, sign, bound, depth = heapq.heappop(heap)
-        if best_value is not None and value >= best_value:
-            continue
-        child = parent.branch(j, sign, bound)
-        consider(solve_lp(objective, child.rhs, child), child, depth)
-
-    if best_value is None:
-        return LpResult(INFEASIBLE, None, None)
-    return LpResult(OPTIMAL, best_value, best_x)
+    n, tab = len(objective), warm.tab
+    d = tab.d
+    if d == 1 or all(row[-1] % d == 0 for row, b in zip(tab.rows, tab.basis) if b < n):
+        return root
+    limit = depth_limit if depth_limit is not None else 10 * n
+    best = LpResult(OPTIMAL, 0, (0,) * n) if all(b <= 0 for b in rhs) else None
+    # (parent's LP value, tie-break, parent, j, sign, bound, depth) per child
+    heap: list[tuple[int | Fraction, int, WarmStart, int, int, int, int]] = []
+    node, result, depth, pushed = warm, root, 0, 0
+    while True:
+        if result.status == OPTIMAL and (best is None or ceil(result.value) < best.value):
+            x = result.solution
+            fractional = [j for j, v in enumerate(x) if v.denominator != 1]
+            if not fractional:
+                best = result
+            elif depth >= limit:
+                raise BranchDepthExceeded(
+                    f"branch and bound exceeded depth {limit} on {n} variables"
+                )
+            else:
+                j = next((j for j in fractional if objective[j]), fractional[0])
+                floor_v = x[j].numerator // x[j].denominator
+                for sign, bound in ((-1, floor_v), (1, floor_v + 1)):  # x_j <= floor_v, x_j >= floor_v + 1
+                    pushed += 1
+                    heapq.heappush(heap, (result.value, pushed, node, j, sign, bound, depth + 1))
+        if not heap or (best is not None and ceil(heap[0][0]) >= best.value):
+            break
+        _, _, parent, j, sign, bound, depth = heapq.heappop(heap)
+        node = parent.branch(j, sign, bound)
+        result = solve_lp(objective, node.rhs, node)
+    return best if best is not None else LpResult(INFEASIBLE, None, None)

@@ -24,10 +24,10 @@ product as an ordinary Petri net, such as the reference oracles, asks for
 
 :class:`~streamalign.petri.Marking` is the public type of a product
 marking; the search and the heuristic run on the table's encoding of it as
-one ``int`` (:meth:`MoveTable.encode`, :meth:`MoveTable.decode`, and
-:meth:`MoveTable.unpack`, which reads a state's fields).  Every reachable
-product marking holds exactly one trace token, so a state is its trace
-position ``k`` and its model marking.  ``k`` sits above bit
+one ``int`` (:meth:`MoveTable.encode`, :meth:`MoveTable.decode`;
+:attr:`MoveTable.fields` gives the offset of each model place's field).
+Every reachable product marking holds exactly one trace token, so a state
+is its trace position ``k`` and its model marking.  ``k`` sits above bit
 :attr:`MoveTable.shift`; below it lie one field per place, in sorted
 place-id order with the first place highest.  A model place has
 :data:`FIELD_BITS` bits, a count under a guard bit, so it holds at most
@@ -232,7 +232,7 @@ class MoveTable:
         trace_guard = 1 << (_TRACE_BITS - 1)
         self._tie_guards = self.guards + sum(trace_guard << o for o in self._gap_offsets.values())
         self._tie_lows = self.lows + sum(1 << o for o in self._gap_offsets.values())
-        self._fields = tuple(self._offsets.items())
+        self.fields = tuple(self._offsets.items())  # (model place, offset of its field)
 
     def _add_trace_place(self, i: int) -> None:
         place = trace_place(i)
@@ -304,21 +304,15 @@ class MoveTable:
             raise ValueError(f"marking {marking} holds no trace token")
         return state + self._trace_bits[k]
 
-    def unpack(self, state: int) -> tuple[int, dict[str, int]]:
-        """The trace position ``k`` of a packed state and the token counts
-        of its nonempty model places."""
+    def decode(self, state: int) -> Marking:
+        """The product marking of a packed state."""
         mask = (1 << FIELD_BITS) - 1
         counts = {}
-        for place, offset in self._fields:
+        for place, offset in self.fields:
             count = (state >> offset) & mask
             if count:
                 counts[place] = count
-        return state >> self.shift, counts
-
-    def decode(self, state: int) -> Marking:
-        """The product marking of a packed state."""
-        k, counts = self.unpack(state)
-        counts[trace_place(k)] = 1
+        counts[trace_place(state >> self.shift)] = 1
         return Marking._trusted(counts)
 
     def tie_key(self, state: int) -> int:
@@ -340,7 +334,7 @@ class MoveTable:
     def overflow(self, state: int) -> StateSpaceTooLarge:
         """The error for a firing that produced ``state`` with a guard bit set."""
         guard = 1 << (FIELD_BITS - 1)
-        full = [p for p, offset in self._fields if state & (guard << offset)]
+        full = [p for p, offset in self.fields if state & (guard << offset)]
         return StateSpaceTooLarge(
             f"place {full[0]!r} would hold more than {FIELD_MAX} tokens; "
             "the product net is unbounded or too large to search"
@@ -375,6 +369,11 @@ class SyncProductNet:
         # expansions[k]: the moves a state on tp{k} can try, for k < n
         self._expansions: list[tuple[Move, ...]] = []
         self._shift = table.shift
+        # prefix_counts[i]: the count in trace[:i] of each activity row of
+        # the model's flow program, then the summed cost of the log moves
+        # of trace[:i]; built and extended by heuristic.build_problem, so
+        # only a net that is estimated has them
+        self.prefix_counts: list[tuple[int, ...]] | None = None
         for activity in trace:
             self._append_position(activity)
 

@@ -16,15 +16,16 @@ from streamalign import (
     astar_inc,
     build_spn,
     dijkstra_oracle,
+    estimate,
     extend_spn,
     generate_log,
     occ_process_event,
     parse_algorithm,
     replay_log_as_stream,
+    validate_wfnet,
 )
 from streamalign.petri import StateSpaceTooLarge
 from streamalign.search import memo_key
-from streamalign.simplex import BranchDepthExceeded
 from streamalign.spn import FIELD_MAX
 from tests.conftest import SeededRandom, make_random_concurrent_wfnet, random_net_and_trace
 
@@ -377,18 +378,71 @@ def test_an_unbounded_net_raises_instead_of_searching_forever(unbounded, algorit
         engine.process_event(Event("1", "a", 1))
 
 
-@pytest.mark.xfail(raises=BranchDepthExceeded, strict=True, reason="known defect, not yet mended")
 @pytest.mark.parametrize("algorithm", ["ias", "occ"])
 def test_ilp_aligns_past_a_silent_zero_cost_cycle(algorithm):
     # The silent t10 (tp10x -> tp0a) and t11 (tp0a -> tp10x) form a
     # zero-cost flow cycle, so an LP optimum of a flow program here lies on
-    # an unbounded face, and best-bound branching on the first fractional
-    # variable keeps going along it until the depth limit.  ``lp`` gives
-    # the optimal costs.
+    # an unbounded face.  Branching on the first fractional variable, which
+    # can lie on the cycle, never raised the bound and ran into the depth
+    # limit; branching prefers a variable with a cost, and a node whose
+    # rounded-up bound reaches the incumbent is pruned.
     net = make_random_concurrent_wfnet(random.Random(1872))
     events = replay_log_as_stream([["c", "c", "a"]])
     assert [r.cost for r in StreamEngine(net, algorithm, "lp").run(events)] == [0, 1, 2]
     assert StreamEngine(net, algorithm, "ilp").run(events)[-1].cost == 2
+
+
+def has_silent_cycle(net) -> bool:
+    """Whether silent transitions lead from some place back to it, each
+    step from a place in a transition's preset to one in its postset."""
+    edges: dict[str, set[str]] = {}
+    for t in net.transitions:
+        if net.label(t) is None:
+            for p in net.preset(t):
+                edges.setdefault(p, set()).update(net.postset(t))
+    done: set[str] = set()
+
+    def cycles_from(p, path):
+        if p in path:
+            return True
+        if p in done:
+            return False
+        path.add(p)
+        found = any(cycles_from(q, path) for q in edges.get(p, ()))
+        path.discard(p)
+        done.add(p)
+        return found
+
+    return any(cycles_from(p, set()) for p in edges)
+
+
+def test_ilp_ends_and_matches_lp_costs_on_nets_with_a_silent_cycle():
+    # Every valid draw among the first 2000 seeds whose silent transitions
+    # form a cycle, seeds 1872 and 1943 among them (both hit the depth
+    # limit when branching took the first fractional variable).  ilp must
+    # end, never estimate below lp, and emit lp's optimal costs.
+    seeds = []
+    for seed in range(2000):
+        net = make_random_concurrent_wfnet(random.Random(seed))
+        if validate_wfnet(net).ok and has_silent_cycle(net):
+            seeds.append(seed)
+    assert {1872, 1943} <= set(seeds) and len(seeds) > 50
+    estimates = 0
+    for seed in seeds:
+        net = make_random_concurrent_wfnet(random.Random(seed))
+        rng = random.Random(seed)
+        alphabet = sorted(net.visible_alphabet())
+        log = [[rng.choice(alphabet) for _ in range(rng.randint(1, 6))] for _ in range(3)]
+        events = replay_log_as_stream(log, "round-robin")
+        engines = {h: StreamEngine(net, "ias", h) for h in ("lp", "ilp")}
+        costs = {h: [r.cost for r in engine.run(events)] for h, engine in engines.items()}
+        assert costs["ilp"] == costs["lp"], seed
+        for entry in engines["ilp"].table.cases.values():
+            spn = entry.cache.spn
+            for state in entry.cache.g:  # every state the search reached
+                assert estimate(spn, state, "ilp") >= estimate(spn, state, "lp"), (seed, state)
+                estimates += 1
+    assert estimates > 1000
 
 
 @pytest.mark.parametrize("algorithm", ["ias", "occ-w1"])

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,42 @@ def test_estimates_ignore_the_order_of_the_remaining_activities(preset_models):
     assert checked > 500 and reordered > 100
 
 
+def test_right_hand_sides_match_the_remaining_activity_counts(preset_models):
+    # build_problem reads the activity rows and the offset off the net's
+    # prefix counts and the place rows off the packed state.  After every
+    # extension, and with the counts built by an estimate before it, they
+    # must equal a count of trace[k:] and of the marking at every k, on a
+    # shared table and on a private one.
+    checked = 0
+    for net, trace in nets_and_traces(preset_models, 61):
+        table = MoveTable(net)
+        build_spn(net, list(reversed(trace)) + trace, table)  # other blocks come first
+        nets = (build_spn(net, trace[:1], table), build_spn(net, trace[:1]))
+        models = (net.initial, net.final)
+        for activity in [None] + trace[1:]:
+            for spn in nets:
+                if activity is not None:
+                    extend_spn(spn, activity)
+                log_costs = [move_cost(spn.table.position(i + 1, a)[0]) for i, a in
+                             enumerate(spn.trace)]
+                for k in range(spn.n + 1):
+                    remaining = Counter(spn.trace[k:])
+                    for model in models:
+                        state = spn.encode(Marking.of(trace_place(k), *model.places()))
+                        problem = build_problem(spn, state)
+                        program = spn.table.program
+                        activities = [-remaining[a] for a in program.activity_rows]
+                        places = [-model.get(p) for p in program.place_rows]
+                        assert problem.rhs == activities + places, (spn.trace, k, model)
+                        assert problem.offset == sum(log_costs[k:])
+                        checked += 1
+                # the prefix counts reach the end of the trace, and the next
+                # extension finds them built
+                assert len(spn.prefix_counts) == spn.n + 1
+                estimate(spn, spn.encode(spn.initial), "ilp")
+    assert checked > 1000
+
+
 def test_trace_places_of_a_longer_case_are_unknown(n1):
     table = MoveTable(n1)
     build_spn(n1, ["a", "b", "c"], table)  # the table now knows tp0 .. tp3
@@ -316,9 +353,12 @@ def test_one_flow_program_per_move_table(preset_models):
     alone = build_spn(net, trace)
     estimate(alone, alone.encode(alone.initial), "ilp")
     assert alone.table.program is not None and alone.table.program is not program
-    engine = StreamEngine(net, "ias", "zero")
-    engine.run(replay_log_as_stream([trace]))
-    assert engine.moves.memo == {} and engine.moves.program is None
+    for algorithm in ("ias", "occ"):
+        engine = StreamEngine(net, algorithm, "zero")
+        engine.run(replay_log_as_stream([trace]))
+        assert engine.moves.memo == {} and engine.moves.program is None
+        (entry,) = engine.table.cases.values()
+        assert entry.spn.n == len(trace) and entry.spn.prefix_counts is None
 
 
 def test_problem_rejects_bad_markings(n1):
@@ -337,9 +377,10 @@ def test_estimate_examples_match_oracle(n1):
     m_behind = Marking.of("tp0", "p2")
     assert dist[m_sync] == 0
     assert dist[m_behind] == 1
-    for mode in ("lp", "ilp"):
-        assert estimate(spn, spn.encode(m_sync), mode) == 0
-        assert estimate(spn, spn.encode(m_behind), mode) == 1
+    for mode, kind in (("lp", Fraction), ("ilp", int)):
+        for m, value in ((m_sync, 0), (m_behind, 1)):
+            h = estimate(spn, spn.encode(m), mode)
+            assert h == value and type(h) is kind  # lp gives a Fraction even when integral
     assert estimate(spn, spn.encode(Marking.of("tp1", "p2")), "ilp") == 0
 
 
@@ -446,6 +487,30 @@ def test_the_benchmark_tracer_counts_every_branch_and_bound_node(monkeypatch):
     assert sizes["simplex.lp_columns"] == len(program.variables) * calls["simplex.lp"]
     assert sizes["simplex.lp_rows"] == len(program.coeffs) + sum(len(c.rhs) for c in children)
     assert all(len(c.rhs) > len(program.coeffs) for c in children)
+
+
+@pytest.mark.parametrize("preset, rows, columns", [("choice-loop", 10, 11), ("parallel-tau", 10, 8)])
+def test_the_benchmark_traces_one_root_solve_per_estimate(preset_models, preset, rows, columns):
+    # perfbench's tracer times search.estimate -> heuristic.build_problem ->
+    # heuristic.solve_ilp -> simplex.solve_lp and reads the objective's and
+    # the right-hand side's lengths.  On a replay whose every root is
+    # integral, each estimate is one solve_ilp and one solve_lp call, and
+    # the program's size per solve is fixed by the model.
+    from perfbench.tracing import Tracer
+
+    net = preset_models[preset]
+    log = generate_log(net, 6, {"swap_p": 0.15, "drop_p": 0.1, "insert_p": 0.1}, 8, seed=2024)
+    engine = StreamEngine(net, "ias", "ilp")
+    tracer = Tracer()
+    with tracer.installed_sites():
+        results = engine.run(replay_log_as_stream(log))
+    calls, sizes = tracer.calls, tracer.sizes
+    lps = sum(r.metrics.lps_solved for r in results)
+    assert lps > 0
+    assert calls["heuristic"] == calls["heuristic.build"] == lps
+    assert calls["simplex.ilp"] == calls["simplex.lp"] == lps  # no branch-and-bound node
+    assert sizes["simplex.lp_rows"] == rows * lps
+    assert sizes["simplex.lp_columns"] == columns * lps
 
 
 def test_estimates_can_shrink_under_extension():

@@ -233,6 +233,46 @@ def test_lp_below_ilp():
             assert lp.value <= ilp.value
 
 
+def test_a_root_that_d_divides_is_integral_and_never_branches(monkeypatch):
+    # min x + y s.t. 2x >= 2 and 3y >= 6: the dual simplex pivots on -2 and
+    # -3, so the tableau ends over d = 6 with x and y basic at 6 and 12, both
+    # multiples of d.  The root is integral, so solve_ilp returns it from
+    # its one solve_lp call, and the vertex and value are ints.
+    calls = []
+    solve = simplex.solve_lp
+
+    def counted(*args):
+        calls.append(solve(*args))
+        return calls[-1]
+
+    def no_branch(*args):
+        raise AssertionError("an integral root was branched")
+
+    warm = WarmStart([[2, 0], [0, 3]])
+    assert solve_lp([1, 1], [0, 0], warm).status == OPTIMAL
+    monkeypatch.setattr(simplex, "solve_lp", counted)
+    monkeypatch.setattr(WarmStart, "branch", no_branch)
+    result = solve_ilp([1, 1], [2, 6], warm)
+    assert warm.tab.d == 6 and sorted(row[-1] for row in warm.tab.rows) == [6, 12]
+    assert calls == [result] and result == (OPTIMAL, 3, (1, 2))
+    assert type(result.value) is int and all(type(v) is int for v in result.solution)
+
+
+def test_vertex_coordinates_are_ints_unless_fractional():
+    # only a coordinate that d does not divide is a Fraction
+    rng = random.Random(7)
+    kinds = Counter()
+    for objective, coeffs, sequence in _warm_sequences(rng, 60, 10):
+        warm = WarmStart(coeffs)
+        for rhs in sequence:
+            result = solve_lp(objective, rhs, warm)
+            if result.status == OPTIMAL:
+                for v in result.solution + (result.value,):
+                    assert type(v) is (int if v.denominator == 1 else Fraction), v
+                    kinds[type(v), warm.tab.d > 1] += 1
+    assert kinds[int, True] > 100 and kinds[Fraction, True] > 100, kinds
+
+
 def test_branch_depth_limit():
     with pytest.raises(BranchDepthExceeded):
         # fractional optimum that keeps branching; depth limit 0 trips at once
