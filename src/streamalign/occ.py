@@ -40,7 +40,7 @@ def revert_alignment(
     """
     if window is not None and window < 1:
         raise ValueError("window must be >= 1 (or None for unbounded)")
-    initial = spn.encode(spn.initial)
+    initial = spn.table.initial_state
     if window is None:
         return (), initial
     moves = list(moves)

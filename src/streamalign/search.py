@@ -47,9 +47,11 @@ raises :class:`~streamalign.petri.StateSpaceTooLarge`.  Each move is a
 :class:`~streamalign.spn.Move` of the product net's move table, which
 carries its cost and which the search stores as a state's predecessor
 entry: the state it was fired from is the state minus the move's delta, so
-reconstruction allocates no moves.  The search reports what it did only
-through :class:`SearchMetrics`; it asks the net for a state's candidate
-moves exactly once per expansion.
+reconstruction allocates no moves.  The loop pushes and pops on the
+:class:`OpenSet`'s ``heap`` and ``live`` map itself, with entries ``(f, -g,
+tie_key(state), state)`` as :meth:`OpenSet.push` builds them.  It asks the
+net for a state's candidate moves exactly once per expansion and reports
+only through :class:`SearchMetrics`.
 
 Every estimate goes through the memo of the net's move table
 (:attr:`~streamalign.spn.MoveTable.memo`), which every search on a product
@@ -75,9 +77,9 @@ oracle; it shares nothing with the A* machinery except the net semantics.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import itemgetter
 
 from .alignment import (
@@ -103,31 +105,29 @@ class OpenSet:
 
     Keys order by f ascending, then larger cost-so-far, then the canonical
     marking order (:meth:`~streamalign.spn.MoveTable.tie_key`), which makes
-    every pop deterministic.  Decrease-key pushes a fresh entry and abandons
-    the old one.
+    every pop deterministic.  ``heap`` holds entries ``(f, -g, tie_key,
+    state)``, ``live`` each open state's current one.  Decrease-key pushes a
+    fresh entry and abandons the old one, which a pop skips.
     """
 
     def __init__(self, table: MoveTable):
-        self._heap: list[tuple] = []
-        self._live: dict[int, tuple] = {}  # state -> its current heap entry
+        self.heap: list[tuple] = []
+        self.live: dict[int, tuple] = {}  # state -> its current heap entry
         self._table = table
-
-    def __len__(self) -> int:
-        return len(self._live)
 
     def states(self) -> list[int]:
         """The open states in the canonical marking order."""
-        return [entry[3] for entry in sorted(self._live.values(), key=itemgetter(2))]
+        return [entry[3] for entry in sorted(self.live.values(), key=itemgetter(2))]
 
     def push(self, state: int, f, g: int) -> None:
         entry = (f, -g, self._table.tie_key(state), state)
-        self._live[state] = entry
-        heapq.heappush(self._heap, entry)
+        self.live[state] = entry
+        heappush(self.heap, entry)
 
     def pop(self) -> tuple[int, object, int]:
-        heap, live = self._heap, self._live
+        heap, live = self.heap, self.live
         while heap:
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             state = entry[3]
             if live.get(state) is entry:
                 del live[state]
@@ -166,7 +166,7 @@ class SearchCache:
 
     def __init__(self, spn: SyncProductNet, start: int | None = None):
         self.spn = spn
-        self.root = spn.encode(spn.initial) if start is None else start
+        self.root = spn.table.initial_state if start is None else start
         self.open = OpenSet(spn.table)
         self.g: dict[int, int] = {self.root: 0}
         self._p: dict[int, Move | None] = {self.root: None}  # the move that reached a state
@@ -176,7 +176,7 @@ class SearchCache:
 
     def invariants_ok(self) -> bool:
         # every open state has a g value, every closed or open state a predecessor
-        if not self.open._live.keys() <= self.g.keys() <= self._p.keys():
+        if not self.open.live.keys() <= self.g.keys() <= self._p.keys():
             return False
         if self.g.get(self.root) != 0 or self._p.get(self.root, 0) is not None:
             return False
@@ -194,7 +194,7 @@ class SearchCache:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchOutcome:
     alignment: PrefixAlignment
     metrics: SearchMetrics
@@ -207,56 +207,57 @@ def memo_key(spn: SyncProductNet, state: int, h_mode: str) -> tuple:
     return h_mode, state & table.model_mask, tuple(spn.trace[state >> table.shift :])
 
 
+def _solve(spn: SyncProductNet, state: int, h_mode: str, memo: dict, key: tuple):
+    """Solve a state's flow program and keep its value in ``memo`` under ``key``."""
+    value = estimate(spn, state, h_mode)
+    if len(memo) >= MEMO_ENTRIES:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 def _astar(cache: SearchCache, h_mode: str, refresh: bool = False) -> SearchOutcome:
     started = time.perf_counter()
-    metrics = SearchMetrics()
     if h_mode not in MODES:
         raise ValueError(f"unknown heuristic mode {h_mode!r}")
     spn = cache.spn
     table = spn.table
     g_map, p_map, memo = cache.g, cache._p, table.memo
-    open_set, live = cache.open, cache.open._live
+    heap, live, tie_key = cache.open.heap, cache.open.live, table.tie_key
     zero = h_mode == "zero"  # every estimate is 0
-
-    def fresh_h(state: int):
-        key = memo_key(spn, state, h_mode)
-        value = memo.get(key)
-        if value is None:
-            value = estimate(spn, state, h_mode)
-            metrics.lps_solved += 1
-            if len(memo) >= MEMO_ENTRIES:
-                del memo[next(iter(memo))]
-            memo[key] = value
-        return value
-
-    def refresh_h(state: int):
-        metrics.heuristic_recomputations += 1
-        return 0 if zero else fresh_h(state)
+    queued = visited = solved = recomputed = reopened = 0
 
     if cache.goal is None:
         # The cache's first search: its root counts as queued.  Being the
         # only open state, it is popped first whatever its estimate, and it
         # closes at g = 0, never to be reopened, so none is ever solved.
-        metrics.queued += 1
+        queued = 1
     elif refresh and not zero:  # a zero estimate never goes out of date
-        for s in open_set.states():
-            hv = refresh_h(s)
-            open_set.push(s, g_map[s] + hv, g_map[s])
+        for s in cache.open.states():
+            key = memo_key(spn, s, h_mode)
+            hv = memo.get(key)
+            if hv is None:
+                hv = _solve(spn, s, h_mode, memo, key)
+                solved += 1
+            recomputed += 1
+            cache.open.push(s, g_map[s] + hv, g_map[s])
 
     n, shift, guards, lows = spn.n, table.shift, table.guards, table.lows
-    while len(open_set):
-        state, f, g_here = open_set.pop()
+    while live:
+        entry = heappop(heap)
+        state = entry[3]
+        if live.get(state) is not entry:
+            continue  # abandoned by a cheaper push of its state
 
+        g_here = -entry[1]
         if state >> shift == n:  # the trace token is on the goal place
-            open_set.push(state, f, g_here)  # stays in open
+            heappush(heap, entry)  # stays in open
             # The previous goal's chain still holds its verified moves while
             # its g is unchanged (an entry is only ever overwritten by a
             # strictly cheaper path) and no closed state on it was reopened.
             previous = cache.checkpoint
             chain_holds = (
-                previous is not None
-                and not metrics.reopened
-                and g_map[cache.goal] == previous.cost
+                previous is not None and not reopened and g_map[cache.goal] == previous.cost
             )
             alignment = reconstruct(
                 p_map, state, cache.root, spn, (cache.goal, previous) if chain_holds else None
@@ -269,10 +270,12 @@ def _astar(cache: SearchCache, h_mode: str, refresh: bool = False) -> SearchOutc
                     f"alignment to {alignment.end_marking} costs {alignment.total_cost}, "
                     f"search cost is {g_here}"
                 )
-            metrics.wall_time = time.perf_counter() - started
+            wall_time = time.perf_counter() - started
+            metrics = SearchMetrics(queued, visited, solved, recomputed, reopened, wall_time)
             return SearchOutcome(alignment, metrics)
 
-        metrics.visited += 1  # closed from here on: in g_map, not live
+        del live[state]
+        visited += 1  # closed from here on: in g_map, not live
         marked = ((state | guards) - lows) & guards  # guard bits of nonempty model places
 
         for move in spn.candidate_moves(state):
@@ -288,22 +291,30 @@ def _astar(cache: SearchCache, h_mode: str, refresh: bool = False) -> SearchOutc
                 continue  # reached before at least as cheaply
             g_map[successor] = new_g
             p_map[successor] = move
-            if old_g is not None and successor not in live:
-                # A strictly cheaper path to a closed marking can only
-                # appear when a kept estimate mis-ordered earlier pops (an
-                # extension may lower a fresh estimate below the kept one).
-                # Reopen it so the cheaper cost propagates; with refreshed
-                # estimates this branch is unreachable.
-                hv = refresh_h(successor)
-                metrics.reopened += 1
-                metrics.queued += 1
-            elif old_g is None:
-                metrics.queued += 1
-                hv = 0 if zero else fresh_h(successor)
-            else:  # open: it keeps its estimate
-                entry = live[successor]
-                hv = entry[0] + entry[1]  # its key f minus its g
-            open_set.push(successor, new_g + hv, new_g)
+            old = live.get(successor)
+            if old is not None:  # open: it keeps its estimate
+                hv = old[0] + old[1]  # its key f minus its g
+            else:
+                queued += 1
+                if old_g is not None:
+                    # A strictly cheaper path to a closed marking can only
+                    # appear when a kept estimate mis-ordered earlier pops
+                    # (an extension may lower a fresh estimate below the
+                    # kept one).  Reopen it so the cheaper cost propagates;
+                    # with refreshed estimates this branch is unreachable.
+                    reopened += 1
+                    recomputed += 1
+                if zero:
+                    hv = 0
+                else:
+                    key = memo_key(spn, successor, h_mode)
+                    hv = memo.get(key)
+                    if hv is None:
+                        hv = _solve(spn, successor, h_mode, memo, key)
+                        solved += 1
+            entry = (new_g + hv, -new_g, tie_key(successor), successor)
+            live[successor] = entry
+            heappush(heap, entry)
 
     raise SearchExhausted(
         "open set exhausted before reaching the trace frontier; "
@@ -359,7 +370,7 @@ def dijkstra_oracle(
     costs = [moves[t].cost for t in transition_ids]
     presets = [net.preset(t) for t in transition_ids]
     while heap:
-        d, _, marking = heapq.heappop(heap)
+        d, _, marking = heappop(heap)
         if d > dist.get(marking, d):
             continue
         if goal_cost is None and marking.get(goal):
@@ -373,7 +384,7 @@ def dijkstra_oracle(
                 if successor not in dist and len(dist) >= bound:
                     raise StateSpaceTooLarge(f"more than {bound} reachable markings")
                 dist[successor] = nd
-                heapq.heappush(heap, (nd, successor.items, successor))
+                heappush(heap, (nd, successor.items, successor))
     return goal_cost, dist
 
 
@@ -398,14 +409,14 @@ def distances_to_goal(
     for m in markings:
         if m.get(goal):
             dist[m] = 0
-            heapq.heappush(heap, (0, m.items, m))
+            heappush(heap, (0, m.items, m))
     while heap:
-        d, _, marking = heapq.heappop(heap)
+        d, _, marking = heappop(heap)
         if d > dist.get(marking, d):
             continue
         for cost, source in backward[marking]:
             nd = d + cost
             if nd < dist.get(source, nd + 1):
                 dist[source] = nd
-                heapq.heappush(heap, (nd, source.items, source))
+                heappush(heap, (nd, source.items, source))
     return markings, edges, dist

@@ -198,6 +198,7 @@ class MoveTable:
         # position -> the bits of a state whose trace token is on it
         self._trace_bits: dict[int, int] = {}
         self._add_trace_place(0)
+        self.initial_state = self.encode(self.initial)  # the packed initial marking
         # (position, activity) -> its block and the expansion ending in it
         self._positions: dict[tuple[int, str], tuple[tuple[Move, ...], tuple[Move, ...]]] = {}
         self.memo: dict[tuple, object] = {}  # memo_key -> estimate, filled by the search

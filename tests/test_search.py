@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -17,11 +18,13 @@ from streamalign import (
     extend_spn,
     generate_log,
     replay_log_as_stream,
+    validate_wfnet,
     verify_prefix_alignment,
 )
-from streamalign.search import OpenSet, SearchExhausted
+from streamalign.search import OpenSet, SearchExhausted, memo_key
 from tests.conftest import (
     SeededRandom,
+    make_random_concurrent_wfnet,
     nets_and_traces,
     open_estimates,
     random_net_and_trace,
@@ -98,7 +101,7 @@ def test_open_set_decrease_key(n1):
     m = spn.encode(Marking.of("tp0", "p1"))
     open_set.push(m, 5, 0)
     open_set.push(m, 2, 1)
-    assert len(open_set) == 1
+    assert len(open_set.live) == 1
     popped, f, g = open_set.pop()
     assert (popped, f, g) == (m, 2, 1)
     with pytest.raises(IndexError):
@@ -216,22 +219,17 @@ def test_pop_count_bounds(n1):
         for refresh in (False, True):
             spn = build_spn(net, trace[:1])
             cache = SearchCache(spn)
+            log = ExpansionLog(spn)
             for k, activity in enumerate(trace):
                 if k:
                     extend_spn(spn, activity)
-                pops: dict = {}
-                original_pop = cache.open.pop
-
-                def counting_pop():
-                    item = original_pop()
-                    pops[item[0]] = pops.get(item[0], 0) + 1
-                    return item
-
-                cache.open.pop = counting_pop
+                log.markings.clear()
                 outcome = astar_inc(cache, "ilp", refresh=refresh)
-                cache.open.pop = original_pop
-                # a state pops once per search unless a cheaper path reopens it
-                assert max(pops.values()) <= 1 + outcome.metrics.reopened
+                # A state pops once per search unless a cheaper path reopens
+                # it; every pop but the goal's expands its state, and the
+                # search asks for candidate moves once per expansion.
+                assert max(Counter(log.markings).values()) <= 1 + outcome.metrics.reopened
+                assert len(log.markings) == outcome.metrics.visited
                 if refresh:
                     assert outcome.metrics.reopened == 0
 
@@ -336,6 +334,64 @@ def test_emitted_alignments_always_verify(n1):
         spn, outcomes = run_incremental(net, trace, "ilp")
         for k, outcome in enumerate(outcomes, start=1):
             assert verify_prefix_alignment(outcome.alignment, trace[:k], net)
+
+
+def searched_entries(net, trace, h_mode, refresh):
+    """Resume one search over the growing trace and check, after every
+    event, the open-set entries and memo keys that the search loop built.
+
+    Every live entry must be the one :meth:`OpenSet.push` builds for its
+    state's ``g`` and an estimate the memo holds for that state, under the
+    trace of one of the searches since it was reached (a kept estimate
+    dates from an earlier event), and it must be on the heap.  Every memo
+    key must be :func:`memo_key` of a reached state under the trace of
+    some search.  Returns the searches' summed ``reopened``.
+    """
+    spn = build_spn(net, trace[:1])
+    cache = SearchCache(spn)
+    table, memo = spn.table, spn.table.memo
+    keys: dict[int, set] = {}  # state -> its memo keys under each search's trace
+    reopened = 0
+    for k, activity in enumerate(trace):
+        if k:
+            extend_spn(spn, activity)
+        reopened += astar_inc(cache, h_mode, refresh=refresh).metrics.reopened
+        for s in cache.g:
+            keys.setdefault(s, set()).add(memo_key(spn, s, h_mode))
+        on_heap = {id(entry) for entry in cache.open.heap}
+        for s, entry in cache.open.live.items():
+            g = cache.g[s]
+            h = entry[0] - g
+            assert entry == (g + h, -g, table.tie_key(s), s)
+            assert id(entry) in on_heap
+            if h_mode == "zero":
+                assert h == 0
+            elif refresh:
+                assert h == memo[memo_key(spn, s, h_mode)]
+            else:
+                assert h in {memo[key] for key in keys[s] if key in memo}
+        assert memo.keys() <= set().union(*keys.values())
+    return reopened
+
+
+def test_the_loop_builds_entries_and_memo_keys_as_the_open_set_would():
+    draws = [random_net_and_trace(SeededRandom(seed), max_len=6) for seed in range(15)]
+    for seed in range(40):
+        net = make_random_concurrent_wfnet(SeededRandom(seed))
+        if validate_wfnet(net).ok:
+            rng = SeededRandom(seed)
+            alphabet = sorted(net.visible_alphabet())
+            draws.append((net, [rng.choice(alphabet) for _ in range(rng.randint(1, 6))]))
+    assert len(draws) > 40
+    for net, trace in draws:
+        for h_mode in ("ilp", "zero"):
+            for refresh in (False, True):
+                searched_entries(net, trace, h_mode, refresh)
+    # the reopening instance of test_reopening_repairs_stale_key_misordering
+    net, trace = random_net_and_trace(SeededRandom(1285), max_len=7)
+    for h_mode in ("ilp", "lp"):
+        assert searched_entries(net, trace, h_mode, False) >= 1
+        searched_entries(net, trace, h_mode, True)
 
 
 def test_reopening_repairs_stale_key_misordering():
