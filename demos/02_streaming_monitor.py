@@ -25,7 +25,7 @@ for event in stream:
     result = engine.process_event(event)
     print(f"({event.case_id}, {event.activity:>2}) -> {result.cost}")
 
-print("\ncases tracked:", engine.table.case_count())
+print("\ncases tracked:", len(engine.table.cases))
 print("markings cached by the searches:", engine.table.cached_markings())
 
 # the per-event record is what the CLI writes as JSONL

@@ -30,7 +30,7 @@ from .engine import (
     replay_log_as_stream,
 )
 from .generator import PRESETS, generate_log
-from .heuristic import HeuristicProblem, build_problem, estimate
+from .heuristic import build_problem, estimate
 from .occ import occ_process_event, revert_alignment
 from .petri import (
     Marking,
@@ -70,7 +70,6 @@ __all__ = [
     "Event",
     "EventError",
     "EventResult",
-    "HeuristicProblem",
     "InvariantViolation",
     "Marking",
     "Move",

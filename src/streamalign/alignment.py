@@ -107,22 +107,6 @@ class PrefixAlignment:
     def __len__(self) -> int:
         return len(self.moves)
 
-    def activities(self) -> list[str]:
-        """First-row projection: observed activities of log and sync moves."""
-        return [
-            m.activity
-            for m in self.moves
-            if m.kind in (MoveKind.LOG, MoveKind.SYNC)
-        ]
-
-    def model_transitions(self) -> list[str]:
-        """Second-row projection: model transitions of model and sync moves."""
-        return [
-            m.model_transition
-            for m in self.moves
-            if m.kind in (MoveKind.MODEL, MoveKind.SYNC)
-        ]
-
     def to_records(self) -> list[dict]:
         return [m.to_record() for m in self.moves]
 

@@ -33,7 +33,7 @@ from .petri import WorkflowNet
 from .search import SearchCache, SearchMetrics, astar_inc
 from .spn import MoveTable, SyncProductNet, build_spn, extend_spn
 
-_OCC_W = re.compile(r"^occ-w([0-9]+)$")
+_OCC_W = re.compile(r"occ-w([0-9]+)")
 
 
 def parse_algorithm(name: str) -> tuple[str, int | None]:
@@ -42,7 +42,7 @@ def parse_algorithm(name: str) -> tuple[str, int | None]:
         return name, None
     if name == "occ":
         return "occ", None
-    m = _OCC_W.match(name)
+    m = _OCC_W.fullmatch(name)
     if m:
         w = int(m.group(1))
         if w < 1:
@@ -116,9 +116,6 @@ class CaseTable:
         if case_id not in self.cases:
             self.cases[case_id] = CaseEntry()
         return self.cases[case_id]
-
-    def case_count(self) -> int:
-        return len(self.cases)
 
     def cached_markings(self) -> int:
         """Markings held in the search caches of all cases.

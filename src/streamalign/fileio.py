@@ -14,6 +14,7 @@ would win without notice.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from collections import Counter
 from pathlib import Path
@@ -93,12 +94,6 @@ def _marking(doc: dict, name: str) -> Marking:
         raise DataError(f"net document field {name!r}: {exc}") from exc
 
 
-def save_net(net: WorkflowNet, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(net_to_dict(net), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def load_net(path_or_name: str | Path) -> WorkflowNet:
     name = str(path_or_name)
     if name in BUNDLED_MODELS:
@@ -124,7 +119,7 @@ def read_stream_records(path: Path) -> list[tuple[str, str]]:
         raise DataError(f"cannot read log {path}: {exc}") from exc
     records: list[tuple[str, str]] = []
     if path.suffix.lower() == ".csv":
-        reader = csv.DictReader(text.splitlines())
+        reader = csv.DictReader(io.StringIO(text, newline=""))
         if reader.fieldnames is None or not {"case", "activity"} <= set(reader.fieldnames):
             raise DataError(f"{path}: CSV log needs a 'case,activity' header")
         repeated = [name for name, n in Counter(reader.fieldnames).items() if n > 1]
@@ -133,7 +128,8 @@ def read_stream_records(path: Path) -> list[tuple[str, str]]:
         for row in reader:
             records.append((row["case"], row["activity"]))
     else:
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        # only "\n" ends a record: U+2028 and its kin may stand raw in a JSON string
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             try:

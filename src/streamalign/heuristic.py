@@ -19,17 +19,17 @@ log move or by a synchronous move of its activity, so the log moves are
 substituted out: x_log(a) = count(a) - the synchronous columns of a, with
 count(a) the occurrences of a in ``trace[k:]``.  A synchronous column then
 costs its own cost minus the log-move cost of its activity, and the
-constant sum of count(a) times that log-move cost is the problem's
-:attr:`~HeuristicProblem.offset`, added to the optimum.  Activity row a,
-``-sum x_sync(a) >= -count(a)``, says the log moves left over are
-non-negative; it has right-hand side 0 when a is not ahead.  Model row p is
-``m(p) + flow(p) >= 0``.  A remaining activity that the model lacks has no
-column, and adds only to the offset.  So a program is its right-hand side,
-and the simplex re-solves each one from the last optimal basis of the
-model's matrix, held in the :class:`~streamalign.simplex.WarmStart` that
-its :class:`FlowProgram` builds from it.  Every right-hand side is at most
-0, so x = 0, the all-log-moves alignment, is feasible, and whichever
-program comes first can start the holder from its slack basis.  The
+constant sum of count(a) times that log-move cost is the state's offset,
+added to the optimum.  Activity row a, ``-sum x_sync(a) >= -count(a)``,
+says the log moves left over are non-negative; it has right-hand side 0
+when a is not ahead.  Model row p is ``m(p) + flow(p) >= 0``.  A remaining
+activity that the model lacks has no column, and adds only to the offset.
+So a program is its right-hand side, and the simplex re-solves each one
+from the last optimal basis of the model's matrix, held in the
+:class:`~streamalign.simplex.WarmStart` that its :class:`FlowProgram`
+builds from it.  Every right-hand side is at most 0, so x = 0, the
+all-log-moves alignment, is feasible, and whichever program comes first
+can start the holder from its slack basis.  The
 substitution is exact under ``lp`` and ``ilp`` alike, since integral
 synchronous counts give integral log counts.  It relies on a log move's
 cost depending on its activity only, not on its trace position, as
@@ -64,7 +64,6 @@ an ``lp`` estimate is returned as a ``Fraction``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .alignment import InvariantViolation
 from .simplex import OPTIMAL, WarmStart, solve_ilp, solve_lp
@@ -128,30 +127,19 @@ class FlowProgram:
         return cost
 
 
-class HeuristicProblem(NamedTuple):
-    """One concrete flow problem: the model's objective and variable naming,
-    the state's right-hand side of the model's rows, and the constant
-    ``offset`` that the log moves substituted out contribute."""
+def build_problem(spn: SyncProductNet, state: int) -> tuple[list[int], int]:
+    """The flow problem of one packed state of ``spn``, as ``(rhs, offset)``.
 
-    variables: tuple[str, ...]
-    objective: list[int]
-    rhs: list[int]
-    n_activity_rows: int
-    n_model_rows: int
-    offset: int
-
-
-def build_problem(spn: SyncProductNet, state: int) -> HeuristicProblem:
-    """The flow problem of one packed state of ``spn``.
-
-    It is the state's right-hand side of the model's :class:`FlowProgram`,
-    which the first call for a move table builds: ``-count(a)`` for each
-    model activity a, counted over ``trace[k:]`` with the trace token on
-    ``tp{k}``, and ``-m(p)`` for each model place.  The counts and the
-    offset are differences of the net's prefix counts at ``k`` and at the
-    end of its trace, which the first call on a net builds and every call
-    extends to the trace's current length.  The matrix stays on the
-    program.  ``state`` is a state of ``spn``, as
+    ``rhs`` is the state's right-hand side of the model's
+    :class:`FlowProgram`, which the first call for a move table builds, and
+    ``offset`` the constant that the log moves substituted out contribute.
+    The right-hand side holds ``-count(a)`` for each model activity a,
+    counted over ``trace[k:]`` with the trace token on ``tp{k}``, and
+    ``-m(p)`` for each model place.  The counts and the offset are
+    differences of the net's prefix counts at ``k`` and at the end of its
+    trace, which the first call on a net builds and every call extends to
+    the trace's current length.  The matrix, objective and variable names
+    stay on the program.  ``state`` is a state of ``spn``, as
     :meth:`SyncProductNet.encode` returns it.
     """
     table = spn.table
@@ -176,10 +164,7 @@ def build_problem(spn: SyncProductNet, state: int) -> HeuristicProblem:
     offset = -rhs.pop()
     mask = (1 << FIELD_BITS) - 1
     rhs += [-((state >> o) & mask) for o in program.place_offsets]
-    return HeuristicProblem(
-        program.variables, program.objective, rhs, len(program.activity_rows),
-        len(program.place_offsets), offset,
-    )
+    return rhs, offset
 
 
 def estimate(spn: SyncProductNet, state: int, mode: str = "ilp") -> Fraction | int:
@@ -201,12 +186,13 @@ def estimate(spn: SyncProductNet, state: int, mode: str = "ilp") -> Fraction | i
         raise ValueError(f"unknown heuristic mode {mode!r}")
     if mode == "zero":
         return 0
-    problem = build_problem(spn, state)
+    rhs, offset = build_problem(spn, state)
+    program = spn.table.program
     solver = solve_lp if mode == "lp" else solve_ilp
-    result = solver(problem.objective, problem.rhs, spn.table.program.warm)
+    result = solver(program.objective, rhs, program.warm)
     if result.status != OPTIMAL:
         raise InvariantViolation(f"flow program for {spn.decode(state)} is {result.status}")
-    value = result.value + problem.offset
+    value = result.value + offset
     if value < 0 or (mode == "ilp" and type(value) is not int):
         raise InvariantViolation(
             f"{mode} estimate {value} for {spn.decode(state)} is negative or fractional"

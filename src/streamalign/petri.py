@@ -83,9 +83,6 @@ class Marking:
     def get(self, place: str) -> int:
         return self._map.get(place, 0)
 
-    def total(self) -> int:
-        return sum(self._map.values())
-
     def places(self) -> tuple[str, ...]:
         return tuple(p for p, _ in self.items)
 
@@ -234,9 +231,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def nodes_in_violation(self) -> set[str]:
-        return {n for v in self.violations for n in v.nodes}
 
     def __str__(self) -> str:
         if self.ok:

@@ -47,11 +47,12 @@ raises :class:`~streamalign.petri.StateSpaceTooLarge`.  Each move is a
 :class:`~streamalign.spn.Move` of the product net's move table, which
 carries its cost and which the search stores as a state's predecessor
 entry: the state it was fired from is the state minus the move's delta, so
-reconstruction allocates no moves.  The loop pushes and pops on the
-:class:`OpenSet`'s ``heap`` and ``live`` map itself, with entries ``(f, -g,
-tie_key(state), state)`` as :meth:`OpenSet.push` builds them.  It asks the
-net for a state's candidate moves exactly once per expansion and reports
-only through :class:`SearchMetrics`.
+reconstruction allocates no moves.  The open set is the cache's ``heap``
+and ``live`` map, which the loop pushes and pops itself; its entries order
+by f ascending, then larger cost-so-far, then the canonical marking order
+(see :class:`SearchCache`).  It asks the net for a state's candidate moves
+exactly once per expansion and reports only through
+:class:`SearchMetrics`.
 
 Every estimate goes through the memo of the net's move table
 (:attr:`~streamalign.spn.MoveTable.memo`), which every search on a product
@@ -91,48 +92,13 @@ from .alignment import (
 )
 from .heuristic import MODES, estimate
 from .petri import Marking, StateSpaceTooLarge, enumerate_state_space, fire
-from .spn import Move, MoveTable, SyncProductNet
+from .spn import Move, SyncProductNet
 
 MEMO_ENTRIES = 2**14  # estimates one memo keeps before evicting the oldest
 
 
 class SearchExhausted(RuntimeError):
     """Open set ran dry before any goal marking was reached."""
-
-
-class OpenSet:
-    """Priority structure over packed states with lazy invalidation.
-
-    Keys order by f ascending, then larger cost-so-far, then the canonical
-    marking order (:meth:`~streamalign.spn.MoveTable.tie_key`), which makes
-    every pop deterministic.  ``heap`` holds entries ``(f, -g, tie_key,
-    state)``, ``live`` each open state's current one.  Decrease-key pushes a
-    fresh entry and abandons the old one, which a pop skips.
-    """
-
-    def __init__(self, table: MoveTable):
-        self.heap: list[tuple] = []
-        self.live: dict[int, tuple] = {}  # state -> its current heap entry
-        self._table = table
-
-    def states(self) -> list[int]:
-        """The open states in the canonical marking order."""
-        return [entry[3] for entry in sorted(self.live.values(), key=itemgetter(2))]
-
-    def push(self, state: int, f, g: int) -> None:
-        entry = (f, -g, self._table.tie_key(state), state)
-        self.live[state] = entry
-        heappush(self.heap, entry)
-
-    def pop(self) -> tuple[int, object, int]:
-        heap, live = self.heap, self.live
-        while heap:
-            entry = heappop(heap)
-            state = entry[3]
-            if live.get(state) is entry:
-                del live[state]
-                return state, entry[0], -entry[1]
-        raise IndexError("pop from an empty open set")
 
 
 @dataclass(slots=True)
@@ -148,35 +114,43 @@ class SearchMetrics:
 class SearchCache:
     """Reusable A* state of one case: its product net, open set, g, predecessors.
 
-    An open state's estimate is its key in ``open`` minus its ``g``, kept
-    across extensions and when a cheaper path reaches it, and solved again
-    only when the state is reopened or refreshed; a closed state keeps none.
-    One cache is kept per live case, hence the slots.  A state is closed
-    exactly when it has a ``g`` value and is not open.  Everything is keyed
-    by packed state of ``spn``.  The search starts from the packed state
-    ``start``, by default the net's initial marking.  ``goal`` is the goal
-    state of the last search (None before the first, which counts the start
-    as queued) and ``checkpoint`` the
+    The open set is ``heap``, a binary heap of entries ``(f, -g,
+    tie_key(state), state)`` (:meth:`~streamalign.spn.MoveTable.tie_key`),
+    so pops order by f ascending, then larger cost-so-far, then the
+    canonical marking order, and ``live``, which maps each open state to its
+    current entry.  A cheaper push replaces the state's ``live`` entry and
+    abandons the old one on the heap, which a pop skips.  An open state's
+    estimate is its entry's f minus its ``g``, kept across extensions and
+    when a cheaper path reaches it, and solved again only when the state is
+    reopened or refreshed; a closed state keeps none.  One cache is kept per
+    live case, hence the slots.  A state is closed exactly when it has a
+    ``g`` value and is not open.  Everything is keyed by packed state of
+    ``spn``.  The search starts from the packed state ``start``, by default
+    the net's initial marking, whose entry is the first on the heap.
+    ``goal`` is the goal state of the last search (None before the first,
+    which counts the start as queued) and ``checkpoint`` the
     :class:`~streamalign.alignment.Checkpoint` of its verified alignment
     (None until one is verified); the next event reconstructs and verifies
     from them.
     """
 
-    __slots__ = ("spn", "root", "open", "g", "_p", "goal", "checkpoint")
+    __slots__ = ("spn", "root", "heap", "live", "g", "_p", "goal", "checkpoint")
 
     def __init__(self, spn: SyncProductNet, start: int | None = None):
+        table = spn.table
         self.spn = spn
-        self.root = spn.table.initial_state if start is None else start
-        self.open = OpenSet(spn.table)
-        self.g: dict[int, int] = {self.root: 0}
-        self._p: dict[int, Move | None] = {self.root: None}  # the move that reached a state
-        self.open.push(self.root, 0, 0)
+        self.root = root = table.initial_state if start is None else start
+        entry = (0, 0, table.tie_key(root), root)
+        self.heap: list[tuple] = [entry]
+        self.live: dict[int, tuple] = {root: entry}  # open state -> its current heap entry
+        self.g: dict[int, int] = {root: 0}
+        self._p: dict[int, Move | None] = {root: None}  # the move that reached a state
         self.goal: int | None = None
         self.checkpoint: Checkpoint | None = None
 
     def invariants_ok(self) -> bool:
         # every open state has a g value, every closed or open state a predecessor
-        if not self.open.live.keys() <= self.g.keys() <= self._p.keys():
+        if not self.live.keys() <= self.g.keys() <= self._p.keys():
             return False
         if self.g.get(self.root) != 0 or self._p.get(self.root, 0) is not None:
             return False
@@ -223,7 +197,7 @@ def _astar(cache: SearchCache, h_mode: str, refresh: bool = False) -> SearchOutc
     spn = cache.spn
     table = spn.table
     g_map, p_map, memo = cache.g, cache._p, table.memo
-    heap, live, tie_key = cache.open.heap, cache.open.live, table.tie_key
+    heap, live, tie_key = cache.heap, cache.live, table.tie_key
     zero = h_mode == "zero"  # every estimate is 0
     queued = visited = solved = recomputed = reopened = 0
 
@@ -233,14 +207,18 @@ def _astar(cache: SearchCache, h_mode: str, refresh: bool = False) -> SearchOutc
         # closes at g = 0, never to be reopened, so none is ever solved.
         queued = 1
     elif refresh and not zero:  # a zero estimate never goes out of date
-        for s in cache.open.states():
+        # in the canonical marking order, which fixes what the memo evicts
+        for old in sorted(live.values(), key=itemgetter(2)):
+            s, g = old[3], -old[1]
             key = memo_key(spn, s, h_mode)
             hv = memo.get(key)
             if hv is None:
                 hv = _solve(spn, s, h_mode, memo, key)
                 solved += 1
             recomputed += 1
-            cache.open.push(s, g_map[s] + hv, g_map[s])
+            entry = (g + hv, -g, old[2], s)
+            live[s] = entry
+            heappush(heap, entry)
 
     n, shift, guards, lows = spn.n, table.shift, table.guards, table.lows
     while live:

@@ -246,16 +246,13 @@ class MoveTable:
         delta = sum(1 << offsets[p] for p in post) - sum(1 << offsets[p] for p in pre)
         return delta, sum(guard << offsets[p] for p in pre)
 
-    def position(self, i: int, activity: str) -> tuple[Move, ...]:
-        """The moves of trace position ``i`` observing ``activity``, log move first."""
-        return self.extension(i, activity)[0]
-
     def extension(
         self, i: int, activity: str
     ) -> tuple[tuple[Move, ...], tuple[Move, ...]]:
         """What observing ``activity`` at trace position ``i`` adds to a
-        product net: :meth:`position` ``(i, activity)``, and the moves a
-        state on ``tp{i-1}`` can try, the model moves followed by that block."""
+        product net: the moves of trace position ``i`` observing
+        ``activity``, log move first, and the moves a state on ``tp{i-1}``
+        can try, the model moves followed by that block."""
         entry = self._positions.get((i, activity))
         if entry is None:
             if i not in self._trace_bits:

@@ -186,4 +186,4 @@ def open_estimates(cache) -> dict:
     Every push sets f to g plus the state's estimate, so the open set is
     the one place where a cache keeps its estimates.
     """
-    return {state: entry[0] + entry[1] for state, entry in cache.open.live.items()}
+    return {state: entry[0] + entry[1] for state, entry in cache.live.items()}

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from streamalign.alignment import PrefixAlignment
 from streamalign.petri import NotEnabledError, WorkflowNet, fire_sequence
-from streamalign.spn import MoveKind, move_cost
+from streamalign.spn import Move, MoveKind, move_cost
+
+
+def model_transitions(moves: tuple[Move, ...] | list[Move]) -> list[str]:
+    """The second row: the model transitions of the model and synchronous moves."""
+    return [m.model_transition for m in moves if m.kind in (MoveKind.MODEL, MoveKind.SYNC)]
 
 
 def reference_verify(alignment: PrefixAlignment, trace: list[str], model: WorkflowNet) -> bool:
@@ -30,15 +35,17 @@ def reference_verify(alignment: PrefixAlignment, trace: list[str], model: Workfl
         elif t.kind is MoveKind.MODEL:
             if t.model_transition is None or t.activity is not None:
                 return False
-    if alignment.activities() != list(trace):
+    observed = [m.activity for m in alignment.moves if m.kind in (MoveKind.LOG, MoveKind.SYNC)]
+    if observed != list(trace):
         return False
     if alignment.total_cost != sum(m.cost for m in alignment.moves):
         return False
-    for t in alignment.model_transitions():
+    transitions = model_transitions(alignment.moves)
+    for t in transitions:
         if not model.has_transition(t):
             return False
     try:
-        fire_sequence(model, model.initial, alignment.model_transitions())
+        fire_sequence(model, model.initial, transitions)
     except NotEnabledError:
         return False
     return True

@@ -109,7 +109,7 @@ def suite() -> SuiteData:
                     }
                     g_before = g_by_marking(ias_cache)
                     closed_before = {
-                        ias_spn.decode(s) for s in ias_cache.g.keys() - set(ias_cache.open.states())
+                        ias_spn.decode(s) for s in ias_cache.g.keys() - ias_cache.live.keys()
                     }
                     new_moves = {m.tid for m in extend_spn(ias_spn, activity)}
                     new_place = ias_spn.goal_place

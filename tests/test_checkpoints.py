@@ -32,7 +32,7 @@ from streamalign.assets import ordering_model
 from streamalign.petri import enabled_transitions, fire_sequence
 from streamalign.spn import Move, MoveKind
 from tests.conftest import SeededRandom, random_net_and_trace
-from tests.reference_verifier import reference_verify
+from tests.reference_verifier import model_transitions, reference_verify
 
 ALGORITHMS = ("ias", "iasr", "occ-w1", "occ-w2")
 POSITIONS = ("before", "at", "after")
@@ -122,8 +122,7 @@ def disabled_model_move(alignment, index, spn, model):
     moves = list(alignment.moves)
     if index > len(moves):
         return None
-    before = PrefixAlignment(tuple(moves[:index]), 0, alignment.end_marking)
-    marking = fire_sequence(model, model.initial, before.model_transitions())
+    marking = fire_sequence(model, model.initial, model_transitions(moves[:index]))
     enabled = set(enabled_transitions(model, marking))
     disabled = [t for t in model.transitions if t not in enabled]
     if not disabled:
@@ -326,7 +325,7 @@ def test_no_splice_once_the_previous_goal_got_cheaper(splices):
     goal = cache.goal
     assert cheapest.total_cost == cache.g[goal] == 0
     detour = tuple(spn.move(f"log:tt{i}") for i in (1, 2)) + tuple(
-        spn.move(f"model:{t}") for t in cheapest.model_transitions()
+        spn.move(f"model:{t}") for t in model_transitions(cheapest.moves)
     )
     assert spn.encode(spn.initial) + sum(m.delta for m in detour) == goal
     cost = sum(m.cost for m in detour)

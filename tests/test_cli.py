@@ -9,7 +9,7 @@ import streamalign
 
 from streamalign.alignment import BrokenPredecessorChain
 from streamalign.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
-from streamalign.fileio import load_traces, save_net
+from streamalign.fileio import load_traces, net_to_dict
 from streamalign.metrics import METRIC_FAMILIES, oracle_costs_by_case
 from streamalign.simplex import INFEASIBLE, LpResult
 from streamalign import Marking, WorkflowNet
@@ -41,7 +41,7 @@ def test_validate_broken_net(capsys, tmp_path):
         ["p", "q"], ["t"], [("p", "t")], {"t": "a"}, Marking.of("p"), Marking.of("q")
     )
     path = tmp_path / "broken.json"
-    save_net(net, path)
+    path.write_text(json.dumps(net_to_dict(net)), encoding="utf-8")
     code, out, _ = run_cli(capsys, "validate", "--model", str(path))
     assert code == EXIT_DATA
     assert "unique-source" in out  # q has no incoming arc, so sources are not unique
@@ -456,7 +456,7 @@ def test_invariant_violation_is_internal_error(
 def test_replay_of_an_unbounded_net_exits_3(tmp_path, unbounded):
     # Searching this net used to grow memory without end; in a fresh
     # interpreter it must now stop with the internal-failure code.
-    save_net(unbounded, tmp_path / "unbounded.json")
+    (tmp_path / "unbounded.json").write_text(json.dumps(net_to_dict(unbounded)))
     (tmp_path / "log.jsonl").write_text('{"case": "1", "activity": "a"}\n')
     src = str(Path(streamalign.__file__).resolve().parents[1])
     done = subprocess.run(

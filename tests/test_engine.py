@@ -48,7 +48,7 @@ def test_interleaved_cases_evolve_independently(n1):
     events = [Event("1", "a", 1), Event("2", "b", 2), Event("1", "b", 3)]
     results = engine.run(events)
     assert costs_by_case(results) == {"1": [0, 0], "2": [0]}
-    assert engine.table.case_count() == 2
+    assert len(engine.table.cases) == 2
     entry = engine.table.cases["1"]
     assert entry.spn.trace == ["a", "b"]  # stored trace mirrors arrivals in order
 
@@ -178,10 +178,9 @@ def test_occ_window_algorithms_parse():
     assert parse_algorithm("iasr") == ("iasr", None)
     assert parse_algorithm("occ") == ("occ", None)
     assert parse_algorithm("occ-w10") == ("occ", 10)
-    with pytest.raises(ValueError):
-        parse_algorithm("occ-w0")
-    with pytest.raises(ValueError):
-        parse_algorithm("bogus")
+    for name in ("occ-w0", "bogus", "occ-w1\n"):
+        with pytest.raises(ValueError):
+            parse_algorithm(name)
 
 
 # -- the estimate memo of the engine's move table ------------------------------
@@ -361,7 +360,7 @@ def test_alignments_hold_the_tables_own_moves(preset_models, algorithm):
         table = {id(r) for r in engine.moves.model_moves}
         for trace in log:
             for i, activity in enumerate(trace, start=1):
-                table.update(map(id, engine.moves.position(i, activity)))
+                table.update(map(id, engine.moves.extension(i, activity)[0]))
         moves = [mv for r in results for mv in r.alignment.moves]
         assert moves
         assert all(id(mv) in table for mv in moves)

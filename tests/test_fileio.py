@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from streamalign.assets import BUNDLED_LOGS, BUNDLED_MODELS, adversarial_log, demo_log
@@ -7,7 +9,6 @@ from streamalign.fileio import (
     load_traces,
     net_from_dict,
     net_to_dict,
-    save_net,
     save_traces,
 )
 from streamalign import validate_wfnet
@@ -15,7 +16,7 @@ from streamalign import validate_wfnet
 
 def test_net_round_trip(tmp_path, n1):
     path = tmp_path / "net.json"
-    save_net(n1, path)
+    path.write_text(json.dumps(net_to_dict(n1)), encoding="utf-8")
     loaded = load_net(path)
     assert net_to_dict(loaded) == net_to_dict(n1)
     assert loaded.label("t2") is None
@@ -54,10 +55,25 @@ def test_traces_round_trip_jsonl(tmp_path):
 
 
 def test_traces_round_trip_csv(tmp_path):
-    log = [["a", "b"], ["c"]]
-    path = tmp_path / "log.csv"
-    save_traces(log, path)
-    assert load_traces(path) == log
+    # a line break inside a quoted field, or a Unicode line separator, is
+    # part of the activity, not the end of the record
+    for i, activity in enumerate(["b", "a\nb", "a\u2028b", "a,b", 'a"b']):
+        log = [["a", activity], ["c"]]
+        path = tmp_path / f"log{i}.csv"
+        save_traces(log, path)
+        assert load_traces(path) == log, activity
+
+
+def test_jsonl_activity_may_hold_a_raw_unicode_line_separator(tmp_path):
+    # JSON allows U+2028 and U+2029 unescaped inside a string; only "\n"
+    # ends a record
+    path = tmp_path / "log.jsonl"
+    path.write_text(
+        '{"case": "1", "activity": "a\u2028b"}\n{"case": "1", "activity": "c\u2029"}\n',
+        encoding="utf-8",
+    )
+    assert "\u2028" in path.read_text(encoding="utf-8")
+    assert load_traces(path) == [["a\u2028b", "c\u2029"]]
 
 
 def test_csv_extra_columns_ignored(tmp_path):

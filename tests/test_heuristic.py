@@ -27,22 +27,23 @@ from streamalign.spn import MoveTable, trace_place
 from tests.conftest import SeededRandom, nets_and_traces, random_net_and_trace
 
 
-def rows_of(spn, problem):
-    """The problem's ``a . x >= b`` rows, as ``(a, b)`` pairs."""
-    return list(zip(spn.table.program.coeffs, problem.rhs, strict=True))
+def rows_of(spn, rhs):
+    """The ``a . x >= b`` rows of the program at ``rhs``, as ``(a, b)`` pairs."""
+    return list(zip(spn.table.program.coeffs, rhs, strict=True))
 
 
 def test_problem_shape_for_unit_trace(n1):
     spn = build_spn(n1, ["a"])
-    problem = build_problem(spn, spn.encode(spn.initial))
+    rhs, offset = build_problem(spn, spn.encode(spn.initial))
+    program = spn.table.program
     # 4 model moves, then one synchronous column per labelled model
     # transition (t1: a, t3: b, t4: c); the log moves are substituted out
-    assert problem.variables == (
+    assert program.variables == (
         "model:t1", "model:t2", "model:t3", "model:t4", "sync:t1", "sync:t3", "sync:t4"
     )
-    assert problem.n_activity_rows == 3  # a, b and c, whether ahead or not
-    assert problem.n_model_rows == 3
-    rows = rows_of(spn, problem)
+    assert len(program.activity_rows) == 3  # a, b and c, whether ahead or not
+    assert len(program.place_offsets) == 3
+    rows = rows_of(spn, rhs)
     assert len(rows) == 6
     # the one remaining a is consumed once, by its log or sync move, so the
     # sync move fires at most once; b and c are not ahead, so theirs never
@@ -53,7 +54,7 @@ def test_problem_shape_for_unit_trace(n1):
         ([0, 0, 0, 0, 0, 0, -1], 0),
     ]
     assert rows[3] == ([-1, -1, 0, 0, -1, 0, 0], -1)  # p1 holds the token
-    assert problem.objective == [1, 0, 1, 1, -1, -1, -1] and problem.offset == 1
+    assert program.objective == [1, 0, 1, 1, -1, -1, -1] and offset == 1
 
 
 def unrestricted_problem(spn, marking):
@@ -77,10 +78,11 @@ def unrestricted_problem(spn, marking):
     return variables, objective, rows
 
 
-def assert_same_optimum(problem, objective, rows, context, warm):
+def assert_same_optimum(spn, problem, objective, rows, context):
     # the fixed-form program, re-solved from the model's last optimal basis,
     # against the per-position program over every move, with each = row
     # written as two >= rows, on a holder seeded at b = 0
+    program, (fixed_rhs, offset) = spn.table.program, problem
     coeffs, rhs = [], []
     for a, rel, b in rows:
         coeffs.append(a)
@@ -89,12 +91,12 @@ def assert_same_optimum(problem, objective, rows, context, warm):
             coeffs.append([-v for v in a])
             rhs.append(-b)
     for solver in (solve_lp, solve_ilp):
-        mine = solver(problem.objective, problem.rhs, warm)
+        mine = solver(program.objective, fixed_rhs, program.warm)
         seeded = WarmStart(coeffs)
         assert solve_lp(objective, [0] * len(coeffs), seeded).status == OPTIMAL
         full = solver(objective, rhs, seeded)
         assert mine.status == full.status == OPTIMAL, (context, solver)
-        assert mine.value + problem.offset == full.value, (context, solver)
+        assert mine.value + offset == full.value, (context, solver)
 
 
 def test_suffix_program_matches_unrestricted_program(preset_models):
@@ -118,24 +120,27 @@ def test_suffix_program_matches_unrestricted_program(preset_models):
                 k = next(i for i in range(spn.n + 1) if m.get(trace_place(i)))
                 remaining = spn.trace[k:]
                 problem = build_problem(spn, spn.encode(m))
+                fixed_rhs, offset = problem
+                program = spn.table.program
                 # the columns are the model moves, then one synchronous
                 # column per labelled model transition; the rows are one per
                 # model activity, then one per model place
-                assert problem.variables == tuple(r.tid for r in spn.table.model_moves) + tuple(
+                assert program.variables == tuple(r.tid for r in spn.table.model_moves) + tuple(
                     f"sync:{t}" for t in labelled
                 )
-                assert problem.n_activity_rows == len(activities)
-                assert problem.n_model_rows == len(net.places)
+                n_activity_rows = len(program.activity_rows)
+                assert n_activity_rows == len(activities)
+                assert len(program.place_offsets) == len(net.places)
                 variables, objective, rows = unrestricted_problem(spn, m)
-                fixed_rows = rows_of(spn, problem)
-                activity_rows = fixed_rows[: problem.n_activity_rows]
-                model_rows = fixed_rows[problem.n_activity_rows :]
+                fixed_rows = rows_of(spn, fixed_rhs)
+                activity_rows = fixed_rows[:n_activity_rows]
+                model_rows = fixed_rows[n_activity_rows:]
                 assert [rhs for _, rhs in activity_rows] == [-remaining.count(a) for a in activities]
                 full = {t: j for j, t in enumerate(variables)}
-                log_moves = [spn.table.position(i + 1, a)[0] for i, a in enumerate(spn.trace)]
-                assert problem.offset == sum(objective[full[r.tid]] for r in log_moves[k:])
+                log_moves = [spn.table.extension(i + 1, a)[0][0] for i, a in enumerate(spn.trace)]
+                assert offset == sum(objective[full[r.tid]] for r in log_moves[k:])
                 full_model_rows = rows[spn.n + 1 :]
-                for j, tid in enumerate(problem.variables):
+                for j, tid in enumerate(program.variables):
                     # a synchronous column has its model transition's flow and
                     # costs a synchronous move less its activity's log move,
                     # as at every trace position of that activity
@@ -146,12 +151,12 @@ def test_suffix_program_matches_unrestricted_program(preset_models):
                     ]
                     assert [c[j] for c, _ in activity_rows] == [-int(b == a) for b in activities]
                     if a is None:
-                        assert problem.objective[j] == objective[full[tid]]
+                        assert program.objective[j] == objective[full[tid]]
                     for i in (i + 1 for i, b in enumerate(spn.trace) if b == a):
                         sync, log = full[f"sync:tt{i}|{t}"], full[f"log:tt{i}"]
-                        assert problem.objective[j] == objective[sync] - objective[log]
+                        assert program.objective[j] == objective[sync] - objective[log]
                 assert [rhs for _, rhs in model_rows] == [rhs for *_, rhs in full_model_rows]
-                assert_same_optimum(problem, objective, rows, m, spn.table.program.warm)
+                assert_same_optimum(spn, problem, objective, rows, m)
                 checked += 1
                 repeated += any(rhs <= -2 for _, rhs in activity_rows)
     assert checked > 1000
@@ -175,13 +180,14 @@ def test_every_program_starts_at_the_all_log_moves_solution(preset_models, monke
         spn = build_spn(net, trace)
         markings, _ = enumerate_state_space(spn.petri_net(), spn.initial, 3000)
         for m in markings:
-            problem = build_problem(spn, spn.encode(m))
+            rhs, offset = build_problem(spn, spn.encode(m))
+            program = spn.table.program
             k = spn.encode(m) >> spn.table.shift
-            assert all(rhs <= 0 for rhs in problem.rhs), m
-            log_moves = [spn.table.position(i + 1, a)[0] for i, a in enumerate(trace)]
-            assert problem.offset == sum(move_cost(r) for r in log_moves[k:])
+            assert all(b <= 0 for b in rhs), m
+            log_moves = [spn.table.extension(i + 1, a)[0][0] for i, a in enumerate(trace)]
+            assert offset == sum(move_cost(r) for r in log_moves[k:])
             minimized.clear()
-            result = solve_lp(problem.objective, problem.rhs, WarmStart(spn.table.program.coeffs))
+            result = solve_lp(program.objective, rhs, WarmStart(program.coeffs))
             assert result.status == OPTIMAL and len(minimized) == 1, m
             assert result.value <= 0  # never above the all-log-moves value
             checked += 1
@@ -212,7 +218,7 @@ def test_estimates_ignore_the_order_of_the_remaining_activities(preset_models):
             for case in (spn, other):
                 _, objective, rows = unrestricted_problem(case, m)
                 problem = build_problem(case, case.encode(m))
-                assert_same_optimum(problem, objective, rows, m, case.table.program.warm)
+                assert_same_optimum(case, problem, objective, rows, m)
             checked += 1
             reordered += other.trace != spn.trace
     assert checked > 500 and reordered > 100
@@ -234,18 +240,18 @@ def test_right_hand_sides_match_the_remaining_activity_counts(preset_models):
             for spn in nets:
                 if activity is not None:
                     extend_spn(spn, activity)
-                log_costs = [move_cost(spn.table.position(i + 1, a)[0]) for i, a in
+                log_costs = [move_cost(spn.table.extension(i + 1, a)[0][0]) for i, a in
                              enumerate(spn.trace)]
                 for k in range(spn.n + 1):
                     remaining = Counter(spn.trace[k:])
                     for model in models:
                         state = spn.encode(Marking.of(trace_place(k), *model.places()))
-                        problem = build_problem(spn, state)
+                        rhs, offset = build_problem(spn, state)
                         program = spn.table.program
                         activities = [-remaining[a] for a in program.activity_rows]
                         places = [-model.get(p) for p in program.place_rows]
-                        assert problem.rhs == activities + places, (spn.trace, k, model)
-                        assert problem.offset == sum(log_costs[k:])
+                        assert rhs == activities + places, (spn.trace, k, model)
+                        assert offset == sum(log_costs[k:])
                         checked += 1
                 # the prefix counts reach the end of the trace, and the next
                 # extension finds them built
@@ -278,6 +284,10 @@ def test_programs_on_a_shared_table_equal_those_on_a_private_one(preset_models):
             for m in markings:
                 mine = build_problem(shared, shared.encode(m))
                 assert mine == build_problem(alone, alone.encode(m))
+        one, other = shared.table.program, alone.table.program
+        assert (one.variables, one.objective, one.coeffs) == (
+            other.variables, other.objective, other.coeffs
+        )
 
 
 def test_a_marking_is_a_search_state_exactly_when_its_program_is_built(preset_models):
@@ -310,7 +320,8 @@ def test_a_marking_is_a_search_state_exactly_when_its_program_is_built(preset_mo
                     refused += 1
                 else:
                     assert v == m
-                    assert build_problem(spn, state).n_model_rows == len(net.places)
+                    rhs, _ = build_problem(spn, state)
+                    assert len(rhs) == len(spn.table.program.activity_rows) + len(net.places)
                     assert spn.decode(state) == v
                     position = state >> spn.table.shift
                     assert position == k
@@ -324,18 +335,25 @@ def test_a_marking_is_a_search_state_exactly_when_its_program_is_built(preset_mo
 def test_problem_zero_solution_at_goal(n1):
     spn = build_spn(n1, ["a"])
     goal = Marking.of("tp1", "p2")
-    problem = build_problem(spn, spn.encode(goal))
+    rhs, offset = build_problem(spn, spn.encode(goal))
     # no activity is ahead: every activity row has right-hand side 0
-    assert problem.n_activity_rows == 3 and problem.offset == 0
-    assert problem.rhs == [0, 0, 0, 0, -1, 0]
+    assert len(spn.table.program.activity_rows) == 3 and offset == 0
+    assert rhs == [0, 0, 0, 0, -1, 0]
     assert estimate(spn, spn.encode(goal), "ilp") == 0
 
 
-def test_one_flow_program_per_move_table(preset_models):
+def test_one_flow_program_per_move_table(preset_models, monkeypatch):
     # The program is built at a table's first estimate and shared by every
-    # net on the table; its objective is the very list each problem
-    # carries, and its warm start holds its matrix.  A second table builds
+    # net on the table; its objective is the very list each estimate
+    # solves, and its warm start holds its matrix.  A second table builds
     # its own, and an engine under zero builds none.
+    objectives = []
+    for name in ("solve_lp", "solve_ilp"):
+        def recorded(objective, *args, solve=getattr(heuristic, name)):
+            objectives.append(objective)
+            return solve(objective, *args)
+
+        monkeypatch.setattr(heuristic, name, recorded)
     net = preset_models["choice-loop"]
     trace = generate_log(net, 1, {"swap_p": 0.2}, max_len=6, seed=5)[0]
     table = MoveTable(net)
@@ -346,10 +364,11 @@ def test_one_flow_program_per_move_table(preset_models):
     assert program is not None
     for spn, mode in ((first, "lp"), (second, "ilp"), (second, "lp")):
         estimate(spn, spn.encode(spn.initial), mode)
-        problem = build_problem(spn, spn.encode(spn.initial))
-        assert table.program is program and problem.objective is program.objective
+        rhs, _ = build_problem(spn, spn.encode(spn.initial))
+        assert table.program is program and objectives[-1] is program.objective
         assert program.warm.coeffs is program.coeffs
-        assert len(problem.rhs) == len(program.coeffs)
+        assert len(rhs) == len(program.coeffs)
+    assert len(objectives) == 4
     alone = build_spn(net, trace)
     estimate(alone, alone.encode(alone.initial), "ilp")
     assert alone.table.program is not None and alone.table.program is not program

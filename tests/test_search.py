@@ -2,6 +2,8 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import asdict
+from heapq import heappop, heappush
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from streamalign import (
     validate_wfnet,
     verify_prefix_alignment,
 )
-from streamalign.search import OpenSet, SearchExhausted, memo_key
+from streamalign.search import SearchExhausted, memo_key
 from tests.conftest import (
     SeededRandom,
     make_random_concurrent_wfnet,
@@ -51,7 +53,7 @@ class ExpansionLog:
 
 def closed_markings(cache):
     """The markings of the cache's closed states: its ``g`` keys that are not open."""
-    return {cache.spn.decode(s) for s in cache.g.keys() - set(cache.open.states())}
+    return {cache.spn.decode(s) for s in cache.g.keys() - cache.live.keys()}
 
 
 def run_incremental(model, trace, h_mode, refresh=False):
@@ -68,44 +70,61 @@ def run_incremental(model, trace, h_mode, refresh=False):
         if k:
             extend_spn(spn, activity)
         outcomes.append(astar_inc(cache, h_mode, refresh=refresh))
-        open_markings = {spn.decode(s) for s in cache.open.states()}
+        open_markings = {spn.decode(s) for s in cache.live}
         assert closed_markings(cache) == set(log.markings) - open_markings
     return spn, outcomes
+
+
+def entry(table, state, f, g):
+    """A heap entry as the search loop builds it."""
+    return (f, -g, table.tie_key(state), state)
 
 
 def test_open_set_orders_by_f_then_deeper_g_then_marking(n1):
     spn = build_spn(n1, ["a"])
     a, b, c = (spn.encode(Marking.of("tp0", p)) for p in ("p1", "p2", "p3"))
-    open_set = OpenSet(spn.table)
-    open_set.push(b, 2, 0)
-    open_set.push(a, 1, 0)
-    open_set.push(c, 1, 1)
-    assert [spn.decode(s) for s in open_set.states()] == [
+    heap = []
+    for state, f, g in ((b, 2, 0), (a, 1, 0), (c, 1, 1)):
+        heappush(heap, entry(spn.table, state, f, g))
+    # the iasr refresh visits the open states in the canonical marking order
+    assert [spn.decode(e[3]) for e in sorted(heap, key=itemgetter(2))] == [
         Marking.of("tp0", p) for p in ("p1", "p2", "p3")
     ]
-    assert open_set.pop()[0] == c  # same f, larger g wins
-    assert open_set.pop()[0] == a
-    assert open_set.pop()[0] == b
+    assert heappop(heap)[3] == c  # same f, larger g wins
+    assert heappop(heap)[3] == a
+    assert heappop(heap)[3] == b
     # same f and g: the marking order decides, in which tp10 precedes tp2
     longer = build_spn(n1, ["b"] * 10)
     on_2, on_10 = (longer.encode(Marking.of(f"tp{k}", "p1")) for k in (2, 10))
-    ties = OpenSet(longer.table)
-    ties.push(on_2, 3, 1)
-    ties.push(on_10, 3, 1)
-    assert [ties.pop()[0] for _ in range(2)] == [on_10, on_2]
+    ties = []
+    for state in (on_2, on_10):
+        heappush(ties, entry(longer.table, state, 3, 1))
+    assert [heappop(ties)[3] for _ in range(2)] == [on_10, on_2]
 
 
 def test_open_set_decrease_key(n1):
+    # A push replaces its state's one live entry and abandons the old one
+    # on the heap; a search pops an abandoned entry and skips it, even one
+    # that sorts first.  Here that is a goal marking's, which a search that
+    # did not skip it would stop at.
     spn = build_spn(n1, ["a"])
-    open_set = OpenSet(spn.table)
-    m = spn.encode(Marking.of("tp0", "p1"))
-    open_set.push(m, 5, 0)
-    open_set.push(m, 2, 1)
-    assert len(open_set.live) == 1
-    popped, f, g = open_set.pop()
-    assert (popped, f, g) == (m, 2, 1)
-    with pytest.raises(IndexError):
-        open_set.pop()
+    table = spn.table
+    cache, fresh = SearchCache(spn), SearchCache(build_spn(n1, ["a"]))
+    root = cache.root
+    assert cache.heap == [entry(table, root, 0, 0)] and cache.live == {root: cache.heap[0]}
+    for f in (5, 0):  # the root again at a dearer, then at its own key
+        cache.live[root] = pushed = entry(table, root, f, 0)
+        heappush(cache.heap, pushed)
+    goal = spn.encode(Marking.of("tp1", "p3"))
+    heappush(cache.heap, entry(table, goal, -1, 0))
+    assert len(cache.live) == 1 and len(cache.heap) == 4
+    assert cache.heap[0][3] == goal
+    outcome, expected = astar_inc(cache, "ilp"), astar_inc(fresh, "ilp")
+    assert outcome.alignment == expected.alignment
+    assert outcome.metrics.visited == expected.metrics.visited
+    assert outcome.metrics.queued == expected.metrics.queued
+    assert all(e[3] != goal for e in cache.heap)
+    assert cache.invariants_ok()
 
 
 # "lazy" keeps the open estimates (ias), "eager" re-solves them (iasr)
@@ -131,7 +150,7 @@ def test_goal_marking_stays_in_open(n1):
     cache = SearchCache(spn)
     outcome = astar_inc(cache, "ilp")
     goal = spn.encode(outcome.alignment.end_marking)
-    assert goal in cache.open.states()
+    assert goal in cache.live
     assert outcome.alignment.end_marking not in closed_markings(cache)
     assert cache.invariants_ok()
 
@@ -340,8 +359,8 @@ def searched_entries(net, trace, h_mode, refresh):
     """Resume one search over the growing trace and check, after every
     event, the open-set entries and memo keys that the search loop built.
 
-    Every live entry must be the one :meth:`OpenSet.push` builds for its
-    state's ``g`` and an estimate the memo holds for that state, under the
+    Every live entry must be the one a push builds for its state's ``g``
+    and an estimate the memo holds for that state, under the
     trace of one of the searches since it was reached (a kept estimate
     dates from an earlier event), and it must be on the heap.  Every memo
     key must be :func:`memo_key` of a reached state under the trace of
@@ -358,12 +377,12 @@ def searched_entries(net, trace, h_mode, refresh):
         reopened += astar_inc(cache, h_mode, refresh=refresh).metrics.reopened
         for s in cache.g:
             keys.setdefault(s, set()).add(memo_key(spn, s, h_mode))
-        on_heap = {id(entry) for entry in cache.open.heap}
-        for s, entry in cache.open.live.items():
+        on_heap = {id(e) for e in cache.heap}
+        for s, e in cache.live.items():
             g = cache.g[s]
-            h = entry[0] - g
-            assert entry == (g + h, -g, table.tie_key(s), s)
-            assert id(entry) in on_heap
+            h = e[0] - g
+            assert e == entry(table, s, g + h, g)
+            assert id(e) in on_heap
             if h_mode == "zero":
                 assert h == 0
             elif refresh:
@@ -424,9 +443,12 @@ def test_ias_solves_estimates_only_for_queued_or_reopened_states(preset_models, 
 
 
 def test_a_cache_keeps_one_copy_of_each_piece_of_search_state():
-    # Estimates live only in the open set's keys (f minus g), and a cache
-    # with no goal yet is one whose first search counts its root as queued.
-    assert SearchCache.__slots__ == ("spn", "root", "open", "g", "_p", "goal", "checkpoint")
+    # Estimates live only in the open set's keys (f minus g), the open set
+    # is the heap and its live entries, and a cache with no goal yet is one
+    # whose first search counts its root as queued.
+    assert SearchCache.__slots__ == (
+        "spn", "root", "heap", "live", "g", "_p", "goal", "checkpoint"
+    )
 
 
 # Summed heuristic_recomputations and reopened per (log, algorithm, heuristic):
@@ -478,7 +500,7 @@ def test_a_rejected_argument_leaves_the_cache_untouched(n1, h_mode, refresh):
     def summary(outcome, cache):
         metrics = asdict(outcome.metrics)
         del metrics["wall_time"]
-        return outcome.alignment, metrics, sorted(cache.g.items()), cache.open.states()
+        return outcome.alignment, metrics, sorted(cache.g.items()), sorted(cache.live)
 
     for valid_mode, valid_refresh in (("zero", False), ("ilp", False), ("ilp", True)):
         spn = build_spn(n1, ["a"])
@@ -499,7 +521,7 @@ def test_search_exhausted_is_unreachable_on_product_nets(n1):
     # empty the open set by hand to show the guard exists
     spn = build_spn(n1, ["a"])
     cache = SearchCache(spn)
-    cache.open.pop()
+    cache.live.clear()
     with pytest.raises(SearchExhausted):
         astar_inc(cache, "ilp")
 

@@ -118,7 +118,7 @@ def test_extend_returns_the_tables_block_and_grows_the_goal(n1):
     for activity in ["b", "z", "c"]:
         old_places = set(spn.petri_net().places)
         block = extend_spn(spn, activity)
-        assert block is spn.table.position(spn.n, spn.trace[-1])
+        assert block is spn.table.extension(spn.n, spn.trace[-1])[0]
         assert all(spn.move(m.tid) is m for m in block)
         assert set(spn.petri_net().places) - old_places == {spn.goal_place}
         assert spn.goal_place == f"tp{spn.n}"
@@ -224,11 +224,11 @@ def test_cases_with_the_same_activity_share_records(n1):
     for spn in (one, two):
         goal = spn.encode(Marking.of(spn.goal_place))
         assert spn.candidate_moves(goal) is moves.model_moves
-    block = moves.position(2, "b")
+    block = moves.extension(2, "b")[0]
     assert len(block) == 2  # log move and the synchronous move on t3
     for a in block:
         assert one.move(a.tid) is two.move(a.tid) is a
-    first_a, first_c = moves.position(1, "a"), moves.position(1, "c")
+    first_a, first_c = moves.extension(1, "a")[0], moves.extension(1, "c")[0]
     assert all(one.move(a.tid) is a for a in first_a)
     assert all(two.move(c.tid) is c for c in first_c)
     assert not set(map(id, first_a)) & set(map(id, first_c))
@@ -283,11 +283,11 @@ def test_moves_of_two_tables_compare_by_value(preset_models):
         assert one.model_moves == two.model_moves
         assert list(map(hash, one.model_moves)) == list(map(hash, two.model_moves))
         for i, activity in enumerate(trace, start=1):
-            a, b = one.position(i, activity), two.position(i, activity)
+            a, b = one.extension(i, activity)[0], two.extension(i, activity)[0]
             assert a is not b and a == b
             assert all(x is not y and hash(x) == hash(y) for x, y in zip(a, b, strict=True))
-            assert a != two.position(i + 1, activity)
-            assert a[0] != two.position(i, activity + "'")[0]
+            assert a != two.extension(i + 1, activity)[0]
+            assert a[0] != two.extension(i, activity + "'")[0][0]
 
 
 def test_every_move_carries_its_standard_cost(preset_models):
@@ -308,7 +308,7 @@ def test_the_moves_are_derived_from_the_tables_blocks(preset_models):
         spn = build_spn(net, trace[:1], table)
         for activity in trace[1:] + [None]:
             reference = list(table.model_moves) + [
-                m for i, a in enumerate(spn.trace, start=1) for m in table.position(i, a)
+                m for i, a in enumerate(spn.trace, start=1) for m in table.extension(i, a)[0]
             ]
             assert list(spn.transitions.items()) == [(m.tid, m) for m in reference]
             assert all(spn.move(m.tid) is m for m in reference)
