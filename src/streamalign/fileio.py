@@ -113,12 +113,15 @@ def load_net(path_or_name: str | Path) -> WorkflowNet:
 
 
 def read_stream_records(path: Path) -> list[tuple[str, str]]:
+    is_csv = path.suffix.lower() == ".csv"
     try:
-        text = path.read_text(encoding="utf-8")
+        # untranslated for CSV, whose reader keeps a quoted "\r" or "\r\n" itself
+        with path.open(encoding="utf-8", newline="" if is_csv else None) as handle:
+            text = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read log {path}: {exc}") from exc
     records: list[tuple[str, str]] = []
-    if path.suffix.lower() == ".csv":
+    if is_csv:
         reader = csv.DictReader(io.StringIO(text, newline=""))
         if reader.fieldnames is None or not {"case", "activity"} <= set(reader.fieldnames):
             raise DataError(f"{path}: CSV log needs a 'case,activity' header")
@@ -176,10 +179,12 @@ def save_traces(log: list[list[str]], path: str | Path) -> None:
     if path.suffix.lower() == ".csv":
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
+            # the writer quotes only the terminator's "\n", not a bare "\r"
+            quoting = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
             writer.writerow(["case", "activity"])
             for case_no, trace in enumerate(log, start=1):
                 for activity in trace:
-                    writer.writerow([case_no, activity])
+                    (quoting if "\r" in activity else writer).writerow([case_no, activity])
     else:
         with path.open("w", encoding="utf-8") as handle:
             for case_no, trace in enumerate(log, start=1):

@@ -57,7 +57,7 @@ def test_traces_round_trip_jsonl(tmp_path):
 def test_traces_round_trip_csv(tmp_path):
     # a line break inside a quoted field, or a Unicode line separator, is
     # part of the activity, not the end of the record
-    for i, activity in enumerate(["b", "a\nb", "a\u2028b", "a,b", 'a"b']):
+    for i, activity in enumerate(["b", "a\nb", "a\rb", "a\r\nb", "a\u2028b", "a,b", 'a"b']):
         log = [["a", activity], ["c"]]
         path = tmp_path / f"log{i}.csv"
         save_traces(log, path)
